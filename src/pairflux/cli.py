@@ -215,6 +215,8 @@ def cmd_resonance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not (args.dt_divisor > 0.0 and args.mode_multiplier > 0.0):
+        raise ValueError("--dt-divisor and --mode-multiplier must be > 0")
     dt = 2.0 * math.pi / (args.dt_divisor * args.mode_multiplier)
     config = modesim.SimConfig(
         kappa0=args.kappa0, v=args.v, t0=args.t0, dt=dt,
@@ -252,6 +254,7 @@ def cmd_simulate(args) -> int:
         }
         with _Output(args.report) as stream:
             write_json(stream, columns, rows, record.meta(), extra)
+    args.note = f"monodromy spectral radius {matrix.spectral_radius:.12f}"
     return EXIT_OK
 
 
@@ -338,8 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"pairflux: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"pairflux: {args.subcommand} finished in {time.perf_counter() - start:.3f}s",
-          file=sys.stderr)
+    note = getattr(args, "note", "")  # a handler's diagnostic, kept out of the payload
+    print(f"pairflux: {args.subcommand} finished in {time.perf_counter() - start:.3f}s"
+          + (f", {note}" if note else ""), file=sys.stderr)
     return code
 
 

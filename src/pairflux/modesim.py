@@ -46,6 +46,12 @@ MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 DEFAULT_DT_DIVISOR = 200.0  # dt = 2 pi / (divisor * omega_max)
 
 
+def _ceil(x: float) -> int:
+    """ceil(x) forgiving a relative rounding excess, so that
+    2*pi / (2*pi/200) counts as 200 steps, not 201."""
+    return math.ceil(x * (1.0 - 1e-9))
+
+
 class IntegratorUnstable(Exception):
     """Amplitude norm blew past the configured bound during evolution."""
 
@@ -61,8 +67,10 @@ class SimConfig:
     kappa0 sets the mode count and spacing (delta omega = 1/kappa0); t0 is
     the total modulation time; dt defaults to 2 pi / (200 * omega_max),
     which keeps the per-row symplectic defect of the RK4 map below 1e-6
-    out to t0 = 400 pi.  mode_multiplier > 1 adds modes above the pump
-    frequency to probe truncation sensitivity.
+    out to t0 = 400 pi.  The step is snapped to 2 pi / ceil(2 pi / dt), so
+    it divides the pump period and is never coarser than asked; the run
+    takes ceil(t0 / step) steps.  mode_multiplier > 1 adds modes above the
+    pump frequency to probe truncation sensitivity.
     """
 
     kappa0: int
@@ -74,25 +82,38 @@ class SimConfig:
     amplitude_bound: float = 1e6
 
     def __post_init__(self):
+        # written as "not (valid)" so that nan fails every check
         if self.kappa0 < 8:
             raise ValueError(f"kappa0 must be >= 8, got {self.kappa0}")
-        if self.v < 0.0:
-            raise ValueError(f"v must be >= 0, got {self.v}")
-        if self.t0 < 100.0 * math.pi:
-            raise ValueError(f"t0 must be >= 100*pi (stationary extraction), got {self.t0}")
-        if self.mode_multiplier < 1.0:
-            raise ValueError(f"mode_multiplier must be >= 1, got {self.mode_multiplier}")
+        if not 0.0 <= self.v < math.inf:
+            raise ValueError(f"v must be finite and >= 0, got {self.v}")
+        if not 100.0 * math.pi <= self.t0 < math.inf:
+            raise ValueError(
+                f"t0 must be finite and >= 100*pi (stationary extraction), got {self.t0}")
+        if not 1.0 <= self.mode_multiplier < math.inf:
+            raise ValueError(f"mode_multiplier must be finite and >= 1, got {self.mode_multiplier}")
         if self.checkpoints < 4:
             raise ValueError(f"checkpoints must be >= 4, got {self.checkpoints}")
         omega_max = self.mode_multiplier
-        if self.dt is not None and self.dt > 2.0 * math.pi / (20.0 * omega_max):
-            raise ValueError(f"dt must be <= 2*pi/(20*omega_max), got {self.dt}")
+        if self.dt is not None and not 0.0 < self.dt <= 2.0 * math.pi / (20.0 * omega_max):
+            raise ValueError(f"dt must be in (0, 2*pi/(20*omega_max)], got {self.dt}")
+
+    @property
+    def steps_per_period(self) -> int:
+        """RK4 steps per pump period 2 pi: the requested dt snapped down to
+        divide the period (so Floquet composition is exact)."""
+        dt = self.dt if self.dt is not None else (
+            2.0 * math.pi / (DEFAULT_DT_DIVISOR * self.mode_multiplier))
+        return _ceil(2.0 * math.pi / dt)
 
     @property
     def step(self) -> float:
-        if self.dt is not None:
-            return self.dt
-        return 2.0 * math.pi / (DEFAULT_DT_DIVISOR * self.mode_multiplier)
+        return 2.0 * math.pi / self.steps_per_period
+
+    @property
+    def n_steps(self) -> int:
+        """Steps to reach t0; the last one may overshoot t0 by less than a step."""
+        return _ceil(self.t0 / self.step)
 
     @property
     def n_modes(self) -> int:
@@ -118,6 +139,8 @@ class BogoliubovMatrix:
 
     mu[k, j], nu[k, j]: coefficients of a_j, a_j^dagger in the out-mode k.
     occupations[c, k] = N_k at checkpoint time times[c].
+    spectral_radius: largest |eigenvalue| of the one-period (monodromy)
+    map; above 1 the pumped modes grow parametrically.
     """
 
     mu: np.ndarray
@@ -126,6 +149,7 @@ class BogoliubovMatrix:
     times: np.ndarray
     occupations: np.ndarray
     config: SimConfig
+    spectral_radius: float
 
     def occupation(self) -> np.ndarray:
         """Final per-mode pair occupation N_k = sum_j |nu_kj|^2."""
@@ -169,12 +193,23 @@ def build_sim(config: SimConfig) -> ModeEnsemble:
     return ModeEnsemble(config=config, omega=omega, coupling=coupling)
 
 
-def evolve(ensemble: ModeEnsemble, config: SimConfig | None = None) -> BogoliubovMatrix:
-    """Integrate the full fundamental matrix and extract (mu, nu).
+def _project(X: np.ndarray, V: np.ndarray, omega: np.ndarray, t: float):
+    """Bogoliubov coefficients (mu, nu) of the out-modes e^{-+i w_k t} at time t."""
+    pref = (np.sqrt(0.5 * omega) * np.exp(1j * omega * t))[:, None]
+    dx = 1j * V / omega[:, None]
+    return pref * (X + dx), pref * np.conj(X - dx)
 
-    Fixed-step RK4 on the K x K complex position/velocity matrices (one
-    column per initial mode).  Occupations are recorded at evenly spaced
-    checkpoints for the stationary-rate fit in extract_rates.
+
+def evolve(ensemble: ModeEnsemble, config: SimConfig | None = None) -> BogoliubovMatrix:
+    """Propagate the fundamental solution and extract (mu, nu).
+
+    The equations are linear and 2 pi-periodic and the RK4 step h divides
+    the period into n_p steps, so the map over s = q n_p + r steps is
+    P_r M^q (Floquet).  One period of RK4 on the real 2K x 2K fundamental
+    of (x, x') gives the monodromy M and the partial maps P_r the
+    checkpoints need; M^q is built by repeated products.  Occupations are
+    recorded at evenly spaced checkpoints for the stationary-rate fit in
+    extract_rates.
 
     Raises IntegratorUnstable if any amplitude exceeds the configured
     bound; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
@@ -191,98 +226,59 @@ def evolve(ensemble: ModeEnsemble, config: SimConfig | None = None) -> Bogoliubo
         )
 
     omega = ensemble.omega
-    cpl = ensemble.coupling
     K = omega.size
-    w2 = omega * omega
-    inv_sqrt2w = 1.0 / np.sqrt(2.0 * omega)
-
-    X = np.diag(inv_sqrt2w).astype(np.complex128)
-    V = np.diag(-1j * omega * inv_sqrt2w)
-
-    h = config.step
-    n_steps = max(1, int(math.ceil(config.t0 / h)))
-    h = config.t0 / n_steps
-    two_v = 2.0 * config.v
-
-    check_steps = np.linspace(0, n_steps, config.checkpoints + 1).astype(int)[1:]
-    times = check_steps * h
-    occupations = np.empty((len(check_steps), K))
+    n_p, h = config.steps_per_period, config.step
+    check_steps = np.linspace(0, config.n_steps, config.checkpoints + 1).astype(int)[1:]
+    remainders = {int(s) % n_p for s in check_steps}
 
     omega_col = omega[:, None]
-    cpl_col = cpl[:, None]
-    w2_col = w2[:, None]
-    cpl_complex = cpl.astype(np.complex128)
+    cpl_col = ensemble.coupling[:, None]
+    two_v = 2.0 * config.v
 
-    # preallocated stage buffers; the K x K updates dominate the runtime
-    k1v, k2v, k3v, k4v = (np.empty((K, K), dtype=np.complex128) for _ in range(4))
-    stage = np.empty((K, K), dtype=np.complex128)
-    scratch = np.empty((K, K), dtype=np.complex128)
-    s_row = np.empty(K, dtype=np.complex128)
+    def acc(t: float, X: np.ndarray) -> np.ndarray:
+        # -w^2 x + 2 v cos(t) omega (Q - self term), one column per solution
+        pump = (two_v * math.cos(t)) * omega_col * (ensemble.coupling @ X - cpl_col * X)
+        return pump - omega_col * omega_col * X
 
-    def acc(t: float, Xc: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # out = -w2*Xc + 2 v cos(t) * omega * (Q - self term) per column
-        np.dot(cpl_complex, Xc, out=s_row)
-        np.multiply(cpl_col, Xc, out=out)
-        np.subtract(s_row[None, :], out, out=out)
-        np.multiply(out, omega_col, out=out)
-        out *= two_v * math.cos(t)
-        np.multiply(w2_col, Xc, out=scratch)
-        out -= scratch
-        return out
+    X = np.eye(K, 2 * K)          # x rows of the fundamental: x(0) = [1 0]
+    V = np.eye(K, 2 * K, K)       # x' rows: x'(0) = [0 1]
+    partial = {}
+    for r in range(1, n_p + 1):
+        t = (r - 1) * h
+        k1 = acc(t, X)
+        k2 = acc(t + 0.5 * h, X + 0.5 * h * V)
+        k3 = acc(t + 0.5 * h, X + 0.5 * h * V + 0.25 * h * h * k1)
+        k4 = acc(t + h, X + h * V + 0.5 * h * h * k2)
+        X, V = (X + h * V + (h * h / 6.0) * (k1 + k2 + k3),
+                V + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+        if r in remainders:
+            partial[r] = np.vstack([X, V])
+    monodromy = np.vstack([X, V])
 
-    def project_nu(Xc: np.ndarray, Vc: np.ndarray, t: float) -> np.ndarray:
-        phase = np.exp(1j * omega * t)[:, None]
-        pref = np.sqrt(0.5 * omega)[:, None]
-        return pref * (np.conj(Xc) + 1j * np.conj(Vc) / omega_col) * phase
-
+    # initial columns x(0) = 1/sqrt(2 w), x'(0) = -i w x(0) on the fundamental
+    x0 = 1.0 / np.sqrt(2.0 * omega)
+    v0 = -1j * omega * x0
+    power, q_now = np.eye(2 * K), 0
+    occupations = np.empty((len(check_steps), K))
     bound = config.amplitude_bound
-    t = 0.0
-    ci = 0
-    mu = nu = None
-    half_h = 0.5 * h
-    for step in range(1, n_steps + 1):
-        acc(t, X, k1v)
-        np.multiply(half_h, V, out=stage)
-        stage += X                                   # X + (h/2) V
-        acc(t + half_h, stage, k2v)
-        np.multiply(0.25 * h * h, k1v, out=scratch)  # scratch does not survive acc calls
-        stage += scratch                             # X + (h/2) V + (h^2/4) k1v
-        acc(t + half_h, stage, k3v)
-        np.multiply(h, V, out=stage)
-        stage += X                                   # X + h V
-        np.multiply(0.5 * h * h, k2v, out=scratch)
-        stage += scratch                             # X + h V + (h^2/2) k2v
-        acc(t + h, stage, k4v)
-        # X += h V + (h^2/6)(k1v + k2v + k3v);  V += (h/6)(k1v + 2 k2v + 2 k3v + k4v)
-        np.add(k1v, k2v, out=stage)
-        stage += k3v
-        stage *= h * h / 6.0
-        X += stage
-        np.multiply(h, V, out=stage)
-        X += stage
-        np.add(k2v, k3v, out=stage)
-        stage *= 2.0
-        stage += k1v
-        stage += k4v
-        stage *= h / 6.0
-        V += stage
-        t = step * h
-        if ci < len(check_steps) and step == check_steps[ci]:
-            if not np.isfinite(X).all() or np.abs(X).max() > bound:
-                raise IntegratorUnstable(
-                    f"amplitude bound {bound:g} exceeded at t = {t:.4g} (v = {config.v})"
-                )
-            nu_c = project_nu(X, V, t)
-            occupations[ci] = (np.abs(nu_c) ** 2).sum(axis=1)
-            if step == n_steps:
-                phase = np.exp(1j * omega * t)[:, None]
-                pref = np.sqrt(0.5 * omega)[:, None]
-                mu = pref * (X + 1j * V / omega_col) * phase
-                nu = nu_c
-            ci += 1
+    for c, s in enumerate(check_steps):
+        q, r = divmod(int(s), n_p)
+        for _ in range(q - q_now):
+            power = monodromy @ power
+        q_now = q
+        F = partial[r] @ power if r else power
+        Xc = F[:K, :K] * x0 + F[:K, K:] * v0
+        t = s * h
+        if not np.isfinite(Xc).all() or np.abs(Xc).max() > bound:
+            raise IntegratorUnstable(
+                f"amplitude bound {bound:g} exceeded at t = {t:.4g} (v = {config.v})"
+            )
+        mu, nu = _project(Xc, F[K:, :K] * x0 + F[K:, K:] * v0, omega, t)
+        occupations[c] = (np.abs(nu) ** 2).sum(axis=1)
 
     return BogoliubovMatrix(
-        mu=mu, nu=nu, omega=omega, times=times, occupations=occupations, config=config
+        mu=mu, nu=nu, omega=omega, times=check_steps * h, occupations=occupations,
+        config=config, spectral_radius=float(np.abs(np.linalg.eigvals(monodromy)).max()),
     )
 
 

@@ -184,6 +184,27 @@ class TestSimulateCommand:
         per_mode = doc["data"]["rows"]
         assert all(0.2 < row[0] < 0.8 for row in per_mode)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--dt-divisor", "0"), ("--dt-divisor", "-200"), ("--t0", "inf"), ("--v", "nan")],
+        ids=["zero_divisor", "negative_divisor", "infinite_t0", "nan_v"],
+    )
+    def test_invalid_input_exits_two(self, flag, value, capsys):
+        argv = ["simulate", "--v", "0.1", "--kappa0", "8", "--t0", str(100 * math.pi)]
+        assert main(argv + [flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "invalid arguments" in err and "Traceback" not in err
+
+    def test_stderr_reports_monodromy_radius(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--v", "0", "--kappa0", "8", "--t0", str(100 * math.pi),
+            "--out", str(tmp_path / "sim.csv"),
+        ])
+        assert code == EXIT_OK
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("pairflux: simulate finished in ")
+        assert abs(float(line.split("monodromy spectral radius ")[1]) - 1.0) < 1e-9
+
     def test_instability_exit(self):
         assert main([
             "simulate", "--v", "40", "--kappa0", "8", "--t0", str(100 * math.pi),

@@ -33,6 +33,33 @@ def quiet_run(config: SimConfig) -> BogoliubovMatrix:
         return evolve(build_sim(config), config)
 
 
+def stepped(config: SimConfig, h: float, n_steps: int):
+    """Reference: plain RK4 over every step on the complex K x K state,
+    returning (mu, nu, occupations) at the same checkpoints as evolve."""
+    ens = build_sim(config)
+    w, c = ens.omega[:, None], ens.coupling[:, None]
+
+    def acc(t, X):
+        return 2.0 * config.v * math.cos(t) * w * ((c * X).sum(axis=0) - c * X) - w * w * X
+
+    X = np.diag(1.0 / np.sqrt(2.0 * ens.omega)).astype(complex)
+    V = -1j * w * X
+    checks = set(np.linspace(0, n_steps, config.checkpoints + 1).astype(int)[1:].tolist())
+    occupations = []
+    for n in range(n_steps):
+        t = n * h
+        k1 = acc(t, X)
+        k2 = acc(t + h / 2, X + h / 2 * V)
+        k3 = acc(t + h / 2, X + h / 2 * V + h * h / 4 * k1)
+        k4 = acc(t + h, X + h * V + h * h / 2 * k2)
+        X, V = X + h * V + h * h / 6 * (k1 + k2 + k3), V + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if n + 1 in checks:
+            pref = np.sqrt(w / 2) * np.exp(1j * w * (n + 1) * h)
+            mu, nu = pref * (X + 1j * V / w), pref * np.conj(X - 1j * V / w)
+            occupations.append((np.abs(nu) ** 2).sum(axis=1))
+    return mu, nu, np.array(occupations)
+
+
 @pytest.fixture(scope="module")
 def run_strong_pump():
     """kappa0 = 64, v = 0.5: even mode count, pre-recurrence."""
@@ -66,6 +93,12 @@ class TestConfig:
             SimConfig(kappa0=32, v=0.1, dt=1.0)
         with pytest.raises(ValueError):
             SimConfig(kappa0=32, v=0.1, mode_multiplier=0.5)
+        # nan and inf fail every check; a step must be positive
+        for bad in (dict(v=math.nan), dict(v=math.inf), dict(t0=math.inf), dict(t0=math.nan),
+                    dict(dt=0.0), dict(dt=-0.01), dict(dt=math.nan),
+                    dict(mode_multiplier=math.nan)):
+            with pytest.raises(ValueError):
+                SimConfig(**{"kappa0": 32, "v": 0.1, **bad})
 
     def test_default_step_scales_with_band_top(self):
         assert SimConfig(kappa0=32, v=0.1).step == 2.0 * math.pi / 200.0
@@ -103,6 +136,42 @@ class TestFreeEvolution:
         assert np.abs(matrix.mu - np.eye(8)).max() < 1e-10
 
 
+def strong_pump_report(v: float):
+    config = SimConfig(kappa0=64, v=v, t0=T0)
+    return compare_to_analytic(extract_rates(quiet_run(config), config), PumpConfig(v))
+
+
+class TestFloquetAgainstStepping:
+    """evolve composes one-period maps; a plain step-by-step RK4 must agree."""
+
+    @pytest.mark.parametrize(
+        "config, h, n_steps",
+        [
+            # checkpoints 625 steps = 3.125 periods apart: non-zero remainders
+            (SimConfig(kappa0=16, v=0.5, t0=T0), 2.0 * math.pi / 200, 10000),
+            (SimConfig(kappa0=16, v=0.3, t0=T0, mode_multiplier=1.5), 2.0 * math.pi / 300, 15000),
+            # dt = 2 pi / 250.5 does not divide the period: snapped to 2 pi / 251
+            (SimConfig(kappa0=16, v=0.5, t0=T0, dt=2.0 * math.pi / 250.5),
+             2.0 * math.pi / 251, 12550),
+        ],
+        ids=["remainders", "mode_multiplier_1.5", "snapped_step"],
+    )
+    def test_matches_reference_stepper(self, config, h, n_steps):
+        assert (config.step, config.n_steps) == (h, n_steps)
+        matrix = quiet_run(config)
+        mu, nu, occupations = stepped(config, h, n_steps)
+        for got, want in ((matrix.occupations, occupations), (matrix.mu, mu), (matrix.nu, nu)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_step_snapping(self):
+        # the default step divides the period as is; a fractional divisor
+        # snaps to the next finer whole number of steps per period
+        assert SimConfig(kappa0=8, v=0.1, t0=4 * T0).n_steps == 40000
+        config = SimConfig(kappa0=8, v=0.1, t0=314.16)
+        assert (config.steps_per_period, config.n_steps) == (200, 10001)
+        assert SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / 250.5).steps_per_period == 251
+
+
 class TestEvolve:
     def test_symplectic_rows(self, run_strong_pump):
         _, matrix = run_strong_pump
@@ -136,6 +205,14 @@ class TestEvolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ModeRecurrenceWarning)
             evolve(build_sim(config), config)
+
+    def test_monodromy_spectral_radius(self, run_strong_pump):
+        # the free RK4 map keeps the lowest mode's amplitude to ~(h/kappa0)^6;
+        # the pump makes the one-period map grow
+        _, matrix = run_strong_pump
+        free = quiet_run(SimConfig(kappa0=64, v=0.0, t0=T0))
+        assert abs(free.spectral_radius - 1.0) < 1e-9
+        assert matrix.spectral_radius > 1.001
 
     def test_instability_detected(self):
         config = SimConfig(kappa0=8, v=0.1, t0=T0, amplitude_bound=1e-3)
@@ -218,6 +295,23 @@ class TestCompare:
         report = compare_to_analytic(extract_rates(matrix, config), PumpConfig(config.v))
         assert report.passed and report.median_deviation < 0.05
         assert not report.degenerate
+
+    def test_oracle_agrees_at_unit_pump(self):
+        # kappa0 = 64 measures 0.072, and 0.073 at kappa0 = 128
+        report = strong_pump_report(1.0)
+        print(f"strong pump v = 1: median deviation = {report.median_deviation:.3f}")
+        assert report.median_deviation <= 0.15
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at v = 2 the oracle sits 29% from the closed form (median 0.292 at "
+        "kappa0 = 64, 0.303 at 128; 0.390/0.407 at v = 2.5): the gap does not shrink "
+        "as kappa0 doubles, so it is not the finite-resonator recurrence",
+    )
+    def test_oracle_strong_pump_gap(self):
+        report = strong_pump_report(2.0)
+        print(f"strong pump v = 2: median deviation = {report.median_deviation:.3f}")
+        assert report.median_deviation <= 0.15
 
     def test_zero_pump_degenerate(self):
         config = SimConfig(kappa0=8, v=0.0, t0=T0)
