@@ -2,10 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalar_reference
+from pairflux import spectrum
 from pairflux.cli import (
     EXIT_INTEGRATOR,
     EXIT_IO,
@@ -27,6 +30,70 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return meta, columns, rows
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def split_table(text, json_rows):
+    """(head, rows): every line that is not a table row, verbatim, and the
+    number tokens of each row."""
+    head, rows = [], []
+    for line in text.splitlines():
+        if json_rows and line.startswith("    ["):
+            rows.append(line.strip().rstrip(",").strip("[]").split(", "))
+        elif not json_rows and head and not line.startswith("#") and "," in head[-1]:
+            rows.append(line.split(","))
+        else:
+            head.append(line)
+    return head, rows
+
+
+def _map_condition(tokens, mass):
+    v, omega = np.array(tokens, dtype=float).T[:2]
+    return np.array([scalar_reference.emission_rate(w, x, mass)[1] for x, w in zip(v, omega)])
+
+
+def _quadrature_condition(tokens):
+    # an integral of positive terms inherits the worst relative error of its nodes
+    nodes = spectrum.SpectralGrid().nodes()
+    return np.array([scalar_reference.rates(nodes, float(row[0]))[1].max() for row in tokens])
+
+
+# file, argv, number of leading grid columns, rounding condition per row;
+# a rate column follows the grid columns, then a log10 column if present
+GOLDEN_CASES = [
+    ("spectrum.csv", ["spectrum", "--v", "1.7", "--points", "64"], 1,
+     lambda rows: scalar_reference.rates(np.array(rows, dtype=float)[:, 0], 1.7)[1]),
+    ("scan_mass.csv", ["scan", "--v-points", "5", "--points", "16", "--mass", "0.1"], 2,
+     lambda rows: _map_condition(rows, 0.1)),
+    ("scan_integrate.json", ["scan", "--integrate", "--v-points", "8", "--format", "json"], 1,
+     _quadrature_condition),
+]
+
+
+@pytest.mark.parametrize("name, argv, n_grid, condition", GOLDEN_CASES,
+                         ids=[case[0] for case in GOLDEN_CASES])
+def test_golden_output(tmp_path, name, argv, n_grid, condition):
+    """Metadata, header and grid columns byte for byte; the rate (and its
+    log10) within 8 eps times the resolvent's rounding condition."""
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    json_rows = name.endswith(".json")
+    head, rows = split_table(out.read_text(), json_rows)
+    want_head, want_rows = split_table((GOLDEN / name).read_text(), json_rows)
+    assert head == want_head
+    assert len(rows) == len(want_rows)
+    assert [row[:n_grid] for row in rows] == [row[:n_grid] for row in want_rows]
+    got, want = (np.array(r, dtype=float)[:, n_grid:] for r in (rows, want_rows))
+    assert got.shape == want.shape
+    cond = condition(want_rows)
+    scalar_reference.assert_close(got[:, 0], want[:, 0], cond)
+    if want.shape[1] == 2:
+        finite = np.isfinite(want[:, 1])
+        assert np.array_equal(got[~finite, 1], want[~finite, 1])
+        err = np.abs(got[finite, 1] - want[finite, 1])
+        assert (err <= 8.0 * scalar_reference.EPS * (cond + np.abs(want[:, 1]))[finite]).all()
 
 
 class TestSpectrumCommand:

@@ -6,6 +6,7 @@ closed forms (independent of the float implementation under test).
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from pairflux.kernel import (
     resolvent_factor,
     shifted_green_function,
 )
+
+import scalar_reference
 
 # mpmath (mp.dps = 40) evaluations of the closed forms
 G_HALF_RE = 0.2308850980422757270383997062153457011457
@@ -242,3 +245,17 @@ class TestPerturbativeRate:
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=10.0))
     def test_matches_formula(self, w, v):
         assert perturbative_rate(w, v) == (v / (2.0 * math.pi)) ** 2 * w * (1.0 - w)
+
+
+class TestScalarReference:
+    """The kernel against the scalar math evaluation it replaced, on the
+    omega grid of the long-form scan and every fifth of its 200 pump
+    velocities."""
+
+    @pytest.mark.parametrize("mass", [None, 0.1, 0.3])
+    def test_matches_on_map_grid(self, mass):
+        omega = np.linspace(0.001, 0.999, 512)
+        for v in np.geomspace(0.1, 30.0, 200)[::5]:
+            want, condition = scalar_reference.rates(omega, v, mass)
+            got = [emission_rate(float(w), v, mass) for w in omega]
+            scalar_reference.assert_close(got, want, condition)
