@@ -9,7 +9,6 @@ fall-off beyond.
 Usage: python scripts/fig_emission_map.py [out.csv]
 """
 
-import math
 import sys
 
 import numpy as np
@@ -24,15 +23,11 @@ def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "fig_emission_map.csv"
     v_values = np.geomspace(0.1, 30.0, V_POINTS)
     grid = spectrum.SpectralGrid(0.001, 0.999, OMEGA_POINTS, "open-uniform")
-    matrix = spectrum.scan_2d(v_values, grid)
-    omega = grid.nodes()
-    rows = []
-    for i, v in enumerate(v_values):
-        for j, w in enumerate(omega):
-            rate = matrix[i, j]
-            log10 = math.log10(rate) if 0 < rate < math.inf else (
-                math.inf if rate == math.inf else -math.inf)
-            rows.append((v, w, rate, log10))
+    rate = spectrum.scan_2d(v_values, grid).ravel()
+    rows = np.column_stack([
+        np.repeat(v_values, OMEGA_POINTS), np.tile(grid.nodes(), V_POINTS),
+        rate, cli._log10_column(rate),
+    ])
     record = cli.RunRecord(
         command="fig_emission_map",
         params={"v_min": 0.1, "v_max": 30.0, "v_points": V_POINTS,

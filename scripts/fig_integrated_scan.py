@@ -8,7 +8,6 @@ of the grid maximum and writes (v, integrated_rate, log10_rate) CSV.
 Usage: python scripts/fig_integrated_scan.py [out.csv]
 """
 
-import math
 import sys
 
 import numpy as np
@@ -21,20 +20,16 @@ V_POINTS = 200
 def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "fig_integrated_scan.csv"
     v_values = np.geomspace(0.1, 30.0, V_POINTS)
-    rows = []
-    for v in v_values:
-        total = spectrum.integrated_rate(spectrum.PumpConfig(float(v)))
-        log10 = math.log10(total) if 0 < total < math.inf else (
-            math.inf if total == math.inf else -math.inf)
-        rows.append((float(v), total, log10))
+    totals = np.array([spectrum.integrated_rate(spectrum.PumpConfig(float(v))) for v in v_values])
+    rows = np.column_stack([v_values, totals, cli._log10_column(totals)])
     record = cli.RunRecord(
         command="fig_integrated_scan",
         params={"v_min": 0.1, "v_max": 30.0, "v_points": V_POINTS},
     )
     with open(out, "w", encoding="utf-8") as fh:
         cli.write_csv(fh, ["v", "integrated_rate", "log10_rate"], rows, record.meta())
-    finite = [(r[1], r[0]) for r in rows if r[1] < math.inf]
-    peak_rate, peak_v = max(finite)
+    peak = int(np.argmax(np.where(np.isfinite(totals), totals, -np.inf)))
+    peak_rate, peak_v = totals[peak], v_values[peak]
     print(f"wrote {out}; grid maximum {peak_rate:.6g} at v = {peak_v:.4f} "
           f"(resonance velocity {spectrum.resonance_velocity():.4f})")
 

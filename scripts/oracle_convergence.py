@@ -31,8 +31,8 @@ def main() -> None:
         start = time.time()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", modesim.ModeRecurrenceWarning)
-            matrix = modesim.evolve(modesim.build_sim(config), config)
-        report = modesim.compare_to_analytic(modesim.extract_rates(matrix, config), pump)
+            matrix = modesim.evolve(modesim.build_sim(config))
+        report = modesim.compare_to_analytic(modesim.extract_rates(matrix), pump)
         regime = "recurrence" if t0 > config.recurrence_time else "continuum "
         print(
             f"  kappa0 = {kappa0:4d} [{regime}]  median dev = {report.median_deviation:8.2%}  "

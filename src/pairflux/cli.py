@@ -17,10 +17,11 @@ Exit codes: 0 ok, 2 usage/validation, 3 unwritable output, 4 no resonance,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +43,6 @@ class RunRecord:
     command: str
     params: dict
     version: str = __version__
-    outputs: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     def meta(self) -> dict:
         meta = {"command": self.command, "version": self.version, "units": UNITS_NOTE}
@@ -56,12 +55,7 @@ def _fmt(x) -> str:
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    return f"{xf:.17g}"
+    return f"{float(x):.17g}"  # nan, inf and -inf print as those words
 
 
 def _json_token(x) -> str:
@@ -69,20 +63,18 @@ def _json_token(x) -> str:
         return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    xf = float(x)
-    if math.isnan(xf) or math.isinf(xf):
-        return '"' + _fmt(xf) + '"'
-    return f"{xf:.17g}"
+    token = _fmt(x)
+    return f'"{token}"' if token in ("nan", "inf", "-inf") else token
 
 
 def write_csv(stream, columns: list[str], rows, meta: dict) -> None:
+    """Metadata lines, the header, then the float rows; %.17g writes the
+    same tokens as _fmt, including nan, inf and -inf."""
     for key, value in meta.items():
         stream.write(f"# {key} = {_fmt(value)}\n")
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(x) for x in row) + "\n")
+    table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
+    np.savetxt(stream, table, fmt="%.17g", delimiter=",")
 
 
 def write_json(stream, columns: list[str], rows, meta: dict, extra: dict | None = None) -> None:
@@ -101,41 +93,26 @@ def write_json(stream, columns: list[str], rows, meta: dict, extra: dict | None 
     stream.write("".join(parts))
 
 
-class _Output:
-    """File path or '-'/None for stdout; maps write failures to exit 3."""
-
-    def __init__(self, path: str | None):
-        self.path = None if path in (None, "-") else path
-
-    def __enter__(self):
-        if self.path is None:
-            return sys.stdout
-        self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self.path is not None:
-            self._fh.close()
-        return False
+@contextlib.contextmanager
+def _output(path: str | None):
+    """File path or '-'/None for stdout; an OSError from here maps to exit 3."""
+    if path in (None, "-"):
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
 
 
-def _log10_column(rates) -> list:
-    out = []
-    for r in rates:
-        if math.isnan(r):
-            out.append(math.nan)
-        elif math.isinf(r):
-            out.append(math.inf)
-        elif r > 0.0:
-            out.append(math.log10(r))
-        else:
-            out.append(-math.inf)
-    return out
+def _log10_column(rates) -> np.ndarray:
+    """log10 of each rate; nan stays nan and a zero rate gives -inf."""
+    rates = np.asarray(rates, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isnan(rates) | (rates > 0.0), np.log10(rates), -np.inf)
 
 
 def _emit(args, record: RunRecord, columns, rows, extra: dict | None = None) -> None:
     fmt = getattr(args, "format", "csv")
-    with _Output(getattr(args, "out", None)) as stream:
+    with _output(getattr(args, "out", None)) as stream:
         if fmt == "json":
             write_json(stream, columns, rows, record.meta(), extra)
         else:
@@ -151,13 +128,8 @@ def _mass_arg(parser: argparse.ArgumentParser) -> None:
 
 def cmd_spectrum(args) -> int:
     pump = spectrum.PumpConfig(v=args.v, mass=args.mass)
-    omega = np.linspace(args.omega_min, args.omega_max, args.points)
-    rates = []
-    for w in omega:
-        try:
-            rates.append(kernel.emission_rate(float(w), pump.v, pump.mass, pump.denominator_floor))
-        except kernel.SingularArgument:
-            rates.append(math.nan)  # node on a shifted branch point
+    grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points, "closed-uniform")
+    result = spectrum.spectrum_grid(pump, grid)  # nan on a branch point
     record = RunRecord(
         command="spectrum",
         params={
@@ -166,14 +138,15 @@ def cmd_spectrum(args) -> int:
             "points": args.points,
         },
     )
-    rows = list(zip(omega.tolist(), rates, _log10_column(rates)))
+    rows = np.column_stack([result.omega, result.rate, _log10_column(result.rate)])
     _emit(args, record, ["omega", "rate", "log10_rate"], rows)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    if args.v_min <= 0 or args.v_max <= args.v_min or args.v_points < 2:
-        raise ValueError("need 0 < v-min < v-max and v-points >= 2")
+    # checked before geomspace, which warns on a non-finite end
+    if not (0.0 < args.v_min < args.v_max < math.inf) or args.v_points < 2:
+        raise ValueError("need 0 < v-min < v-max < inf and v-points >= 2")
     v_values = np.geomspace(args.v_min, args.v_max, args.v_points)
     params = {
         "v_min": args.v_min, "v_max": args.v_max, "v_points": args.v_points,
@@ -181,25 +154,23 @@ def cmd_scan(args) -> int:
         "integrate": args.integrate,
     }
     if args.integrate:
-        rows = []
-        for v in v_values:
-            pump = spectrum.PumpConfig(v=float(v), mass=args.mass)
-            rows.append((float(v), spectrum.integrated_rate(pump)))
+        totals = [spectrum.integrated_rate(spectrum.PumpConfig(v=float(v), mass=args.mass))
+                  for v in v_values]
         record = RunRecord(command="scan", params=params)
-        _emit(args, record, ["v", "integrated_rate"], rows)
+        _emit(args, record, ["v", "integrated_rate"], np.column_stack([v_values, totals]))
         return EXIT_OK
     params.update(
         {"omega_min": args.omega_min, "omega_max": args.omega_max, "points": args.points}
     )
-    omega = np.linspace(args.omega_min, args.omega_max, args.points)
-    rows = []
-    for v in v_values:
-        for w in omega:
-            try:
-                rate = kernel.emission_rate(float(w), float(v), args.mass)
-            except kernel.SingularArgument:
-                rate = math.nan
-            rows.append((float(v), float(w), rate))
+    grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points, "closed-uniform")
+    # one spectrum per pump row, so each row carries the omega it was evaluated at
+    results = [spectrum.spectrum_grid(spectrum.PumpConfig(v=float(v), mass=args.mass), grid)
+               for v in v_values]
+    rows = np.column_stack([
+        np.repeat(v_values, grid.points),
+        np.concatenate([r.omega for r in results]),
+        np.concatenate([r.rate for r in results]),
+    ])
     record = RunRecord(command="scan", params=params)
     _emit(args, record, ["v", "omega", "rate"], rows)
     return EXIT_OK
@@ -222,9 +193,8 @@ def cmd_simulate(args) -> int:
         kappa0=args.kappa0, v=args.v, t0=args.t0, dt=dt,
         mode_multiplier=args.mode_multiplier,
     )
-    ensemble = modesim.build_sim(config)
-    matrix = modesim.evolve(ensemble, config)  # IntegratorUnstable -> exit 5
-    sim = modesim.extract_rates(matrix, config)
+    matrix = modesim.evolve(modesim.build_sim(config))  # IntegratorUnstable -> exit 5
+    sim = modesim.extract_rates(matrix)
     record = RunRecord(
         command="simulate",
         params={
@@ -233,17 +203,13 @@ def cmd_simulate(args) -> int:
             "symplectic_defect": matrix.symplectic_defect(),
         },
     )
-    rows = list(zip(sim.omega.tolist(), sim.rate.tolist()))
-    _emit(args, record, ["omega", "rate"], rows)
+    _emit(args, record, ["omega", "rate"], np.column_stack([sim.omega, sim.rate]))
     if args.compare:
         pump = spectrum.PumpConfig(v=args.v)
         report = modesim.compare_to_analytic(sim, pump, tolerance=args.tolerance)
         columns = ["omega", "simulated", "analytic", "relative_deviation"]
-        rows = list(
-            zip(
-                report.omega.tolist(), report.simulated.tolist(),
-                report.analytic.tolist(), report.relative_deviation.tolist(),
-            )
+        rows = np.column_stack(
+            [report.omega, report.simulated, report.analytic, report.relative_deviation]
         )
         extra = {
             "max_relative_deviation": report.max_deviation,
@@ -252,7 +218,7 @@ def cmd_simulate(args) -> int:
             "passed": report.passed,
             "degenerate": report.degenerate,
         }
-        with _Output(args.report) as stream:
+        with _output(args.report) as stream:
             write_json(stream, columns, rows, record.meta(), extra)
     args.note = f"monodromy spectral radius {matrix.spectral_radius:.12f}"
     return EXIT_OK

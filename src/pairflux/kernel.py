@@ -16,9 +16,9 @@ arguments; grid drivers live in pairflux.spectrum.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * np.pi
 
 # |resolvent factor| below this is reported as a divergence (rate = inf)
 # rather than an overflowing float; the divergence at the resonant pump
@@ -30,7 +30,62 @@ class SingularArgument(ValueError):
     """Evaluation exactly on a logarithmic branch point of the Green function."""
 
 
-def green_function(omega: float) -> complex:
+# omega domains of the closed forms: (test, what a failing value violates)
+_FINITE = (np.isfinite, "be finite")
+_PHYSICAL = (lambda w: np.isfinite(w) & (w >= 0.0), "be finite and >= 0")
+_BAND = (lambda w: (0.0 <= w) & (w <= 1.0), "lie in [0, 1]")
+_OPEN_BAND = (lambda w: (0.0 < w) & (w < 1.0), "lie in (0, 1)")
+
+
+def _checked(omega, domain, velocity: float = 0.0) -> np.ndarray:
+    """omega as a float array, once it and the pump velocity are valid."""
+    if velocity < 0.0:
+        raise ValueError(f"velocity must be >= 0, got {velocity!r}")
+    w = np.asarray(omega, dtype=float)
+    ok = domain[0](w)
+    if not ok.all():
+        raise ValueError(f"omega must {domain[1]}, got {float(w[~ok].flat[0])!r}")
+    return w
+
+
+def _edge(mass: float) -> float:
+    if not 0.0 <= mass <= 0.5:
+        raise ValueError(f"mass must lie in [0, 1/2] (pair threshold), got {mass!r}")
+    return 2.0 * mass
+
+
+def _scalar_or_array(value, omega):
+    """Arrays pass through with nan on branch points; a scalar omega gets
+    a Python number back, or SingularArgument on a branch point."""
+    if np.ndim(omega):
+        return value
+    if np.isnan(value):
+        raise SingularArgument(
+            f"omega = {float(omega)!r} sits on a log branch point of the Green function")
+    return value.item()
+
+
+def _band(omega: np.ndarray, edge: float) -> np.ndarray:
+    """(1/pi) [1 + (omega/2) ln(|edge - omega| / |1 + omega|)]
+    + i (omega/2) Theta(edge - |omega|), nan + nan i where a log argument
+    vanishes (omega = edge, omega = -1)."""
+    a, b = np.abs(edge - omega), np.abs(1.0 + omega)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        re = (1.0 + 0.5 * omega * np.log(a / b)) / np.pi
+    g = re + 1j * (0.5 * omega * (np.abs(omega) < edge))
+    return np.where((a == 0.0) | (b == 0.0), complex(np.nan, np.nan), g)
+
+
+def _geff(omega: np.ndarray, mass: float | None) -> np.ndarray:
+    g = _band(omega, 1.0)
+    return g if mass is None else g - _band(omega, _edge(mass))
+
+
+def _resolvent(g_w: np.ndarray, g_p: np.ndarray, velocity: float) -> np.ndarray:
+    return 1.0 - velocity * velocity * np.conj(g_w) * g_p
+
+
+def green_function(omega):
     """Band Green function G(omega) of the sub-pump mode continuum.
 
     G(omega) = (1/pi) [1 + (omega/2) ln(|1-omega| / |1+omega|)]
@@ -39,19 +94,13 @@ def green_function(omega: float) -> complex:
     Real for |omega| > 1; the imaginary part omega/2 inside the band is
     the absorptive (mode-density) piece.  Satisfies G(-omega) = conj(G(omega)).
 
-    Raises SingularArgument at |omega| = 1, the logarithmic branch point.
+    omega is a float or an array.  A float raises SingularArgument at
+    |omega| = 1, the logarithmic branch point; an array carries nan there.
     """
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega!r}")
-    a = abs(1.0 - omega)
-    if a == 0.0 or abs(1.0 + omega) == 0.0:
-        raise SingularArgument(f"G(omega) has a log singularity at |omega| = 1 (omega = {omega!r})")
-    re = (1.0 + 0.5 * omega * math.log(a / abs(1.0 + omega))) / math.pi
-    im = 0.5 * omega if abs(omega) < 1.0 else 0.0
-    return complex(re, im)
+    return _scalar_or_array(_band(_checked(omega, _FINITE), 1.0), omega)
 
 
-def shifted_green_function(omega: float, mass: float) -> complex:
+def shifted_green_function(omega, mass: float):
     """Mass-shifted companion G1 entering the massive (Klein-Gordon) spectrum.
 
     Obtained from G by moving the band-edge factor 1 - omega to
@@ -60,55 +109,38 @@ def shifted_green_function(omega: float, mass: float) -> complex:
     factor untouched.  Defined on the physical domain omega >= 0 with
     0 <= mass <= 1/2; at mass = 1/2 it coincides with G.
 
-    Raises SingularArgument at omega = 2*mass (shifted branch point).
+    Singular at omega = 2*mass (shifted branch point): SingularArgument
+    for a float, nan in an array.
     """
-    if not math.isfinite(omega) or omega < 0.0:
-        raise ValueError(f"omega must be finite and >= 0, got {omega!r}")
-    if not 0.0 <= mass <= 0.5:
-        raise ValueError(f"mass must lie in [0, 1/2] (pair threshold), got {mass!r}")
-    a = abs(2.0 * mass - omega)
-    if a == 0.0:
-        raise SingularArgument(f"G1 has a log singularity at omega = 2*mass (omega = {omega!r})")
-    re = (1.0 + 0.5 * omega * math.log(a / abs(1.0 + omega))) / math.pi
-    im = 0.5 * omega if omega < 2.0 * mass else 0.0
-    return complex(re, im)
+    return _scalar_or_array(_band(_checked(omega, _PHYSICAL), _edge(mass)), omega)
 
 
-def effective_green_function(omega: float, mass: float | None = None) -> complex:
+def effective_green_function(omega, mass: float | None = None):
     """G for the photon branch (mass None), G - G1 for a massive boson.
 
     Identically zero at the pair-creation threshold mass = 1/2: the
     shifted function then equals G and the emission channel closes.
     """
-    g = green_function(omega)
-    if mass is None:
-        return g
-    return g - shifted_green_function(omega, mass)
+    w = _checked(omega, _FINITE if mass is None else _PHYSICAL)
+    return _scalar_or_array(_geff(w, mass), omega)
 
 
-def resolvent_factor(
-    omega: float, velocity: float, mass: float | None = None
-) -> complex:
+def resolvent_factor(omega, velocity: float, mass: float | None = None):
     """Resolvent denominator factor 1 - v^2 Geff*(omega) Geff(1-omega).
 
     Its squared modulus divides the pair spectrum; its zero at
     (omega = 1/2, v = v_r) is the resonant enhancement of the emission.
     """
-    if velocity < 0.0:
-        raise ValueError(f"velocity must be >= 0, got {velocity!r}")
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"omega must lie in (0, 1), got {omega!r}")
-    g_w = effective_green_function(omega, mass)
-    g_p = effective_green_function(1.0 - omega, mass)
-    return 1.0 - velocity * velocity * g_w.conjugate() * g_p
+    w = _checked(omega, _OPEN_BAND, velocity)
+    return _scalar_or_array(_resolvent(_geff(w, mass), _geff(1.0 - w, mass), velocity), omega)
 
 
 def emission_rate(
-    omega: float,
+    omega,
     velocity: float,
     mass: float | None = None,
     denominator_floor: float = DEFAULT_DENOMINATOR_FLOOR,
-) -> float:
+):
     """Pair emission rate per unit time and frequency at omega in [0, 1].
 
     Photon branch: (v/2pi)^2 omega(1-omega) / |1 - v^2 G*(omega) G(1-omega)|^2.
@@ -119,37 +151,29 @@ def emission_rate(
     massive boson it carries the mass dependence so that the rate
     vanishes identically at the threshold mass = 1/2 (Geff == 0 there).
 
-    Endpoints omega in {0, 1} return 0 by limit.  A denominator modulus
-    below `denominator_floor` is reported as float('inf') - a flagged
-    divergence, not an error.
+    omega is a float or an array.  Endpoints omega in {0, 1} return 0 by
+    limit.  A denominator modulus below `denominator_floor` is reported as
+    inf - a flagged divergence, not an error.  A branch point of the
+    massive branch raises SingularArgument for a float and gives nan in
+    an array.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must lie in [0, 1], got {omega!r}")
-    if velocity < 0.0:
-        raise ValueError(f"velocity must be >= 0, got {velocity!r}")
+    w = _checked(omega, _BAND, velocity)
     if denominator_floor <= 0.0:
         raise ValueError("denominator_floor must be > 0")
-    if omega == 0.0 or omega == 1.0:
-        return 0.0
-    g_w = effective_green_function(omega, mass)
-    g_p = effective_green_function(1.0 - omega, mass)
-    numerator = (velocity / TWO_PI) ** 2 * 4.0 * g_w.imag * g_p.imag
-    if numerator == 0.0:
-        return 0.0
-    factor = 1.0 - velocity * velocity * g_w.conjugate() * g_p
-    if abs(factor) < denominator_floor:
-        return math.inf
-    return numerator / abs(factor) ** 2
+    g_w, g_p = _geff(w, mass), _geff(1.0 - w, mass)
+    with np.errstate(all="ignore"):
+        numerator = (velocity / TWO_PI) ** 2 * 4.0 * g_w.imag * g_p.imag
+        factor = np.abs(_resolvent(g_w, g_p, velocity))
+        rate = np.where(factor < denominator_floor, np.inf, numerator / factor**2)
+    rate = np.where((numerator == 0.0) | (w == 0.0) | (w == 1.0), 0.0, rate)
+    return _scalar_or_array(rate, omega)
 
 
-def perturbative_rate(omega: float, velocity: float) -> float:
+def perturbative_rate(omega, velocity: float):
     """Weak-pump limit (v/2pi)^2 omega(1-omega) of the photon spectrum.
 
     Coincides with ordinary time-dependent perturbation theory; the full
     rate approaches it quadratically as v -> 0.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"omega must lie in [0, 1], got {omega!r}")
-    if velocity < 0.0:
-        raise ValueError(f"velocity must be >= 0, got {velocity!r}")
-    return (velocity / TWO_PI) ** 2 * omega * (1.0 - omega)
+    w = _checked(omega, _BAND, velocity)
+    return _scalar_or_array((velocity / TWO_PI) ** 2 * w * (1.0 - w), omega)

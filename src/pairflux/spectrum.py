@@ -8,6 +8,7 @@ this module owns discretization and quadrature policy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ RESONANCE_VELOCITY_PHOTON = 4.0 * math.pi / math.sqrt(
     math.pi**2 + (4.0 - math.log(3.0)) ** 2
 )
 
-_PLACEMENTS = ("open-uniform", "gauss-legendre")
+_PLACEMENTS = ("open-uniform", "closed-uniform", "gauss-legendre")
 
 
 class NoResonance(Exception):
@@ -57,6 +58,7 @@ class SpectralGrid:
     """Frequency discretization on [omega_min, omega_max] inside [0, 1].
 
     'open-uniform' is a midpoint grid (never touches the interval ends);
+    'closed-uniform' is linspace with both ends (trapezoid weights);
     'gauss-legendre' places Gauss nodes (open as well).
     """
 
@@ -76,24 +78,21 @@ class SpectralGrid:
             raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
 
     def nodes(self) -> np.ndarray:
-        if self.placement == "open-uniform":
-            h = (self.omega_max - self.omega_min) / self.points
-            return self.omega_min + h * (np.arange(self.points) + 0.5)
-        x, _ = _leggauss(self.points)
-        return self._map_from_unit(x)
+        return self.nodes_weights()[0]
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        a, b, n = self.omega_min, self.omega_max, self.points
         if self.placement == "open-uniform":
-            h = (self.omega_max - self.omega_min) / self.points
-            return self.nodes(), np.full(self.points, h)
-        x, w = _leggauss(self.points)
-        half = 0.5 * (self.omega_max - self.omega_min)
-        return self._map_from_unit(x), w * half
-
-    def _map_from_unit(self, x: np.ndarray) -> np.ndarray:
-        mid = 0.5 * (self.omega_min + self.omega_max)
-        half = 0.5 * (self.omega_max - self.omega_min)
-        return mid + half * x
+            h = (b - a) / n
+            return a + h * (np.arange(n) + 0.5), np.full(n, h)
+        if self.placement == "closed-uniform":
+            h = (b - a) / (n - 1)
+            w = np.full(n, h)
+            w[[0, -1]] = 0.5 * h
+            return np.linspace(a, b, n), w
+        x, w = _leggauss(n)
+        half = 0.5 * (b - a)
+        return 0.5 * (a + b) + half * x, w * half
 
 
 @dataclass
@@ -107,13 +106,9 @@ class SpectrumResult:
     flags: list[tuple[int, str]] = field(default_factory=list)
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _leggauss_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> SpectrumResult:
@@ -121,54 +116,55 @@ def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> SpectrumResult:
 
     Divergent or singular nodes are flagged and do not abort the grid.
     A node exactly at omega = 1/2 is nudged off by a fraction of the
-    spacing when the pump sits at its resonance velocity, so open grids
-    never sample the divergent point itself.
+    spacing when the pump sits at its resonance velocity, so the grid
+    never samples the divergent point itself.
     """
-    omega = grid.nodes().copy()
+    omega = grid.nodes()
     if pump.v > 0.0:
-        try:
-            v_res = resonance_velocity(pump.mass)
-        except NoResonance:
-            v_res = None
+        v_res = _resonance_or_none(pump.mass)
         if v_res is not None and abs(pump.v - v_res) < pump.denominator_floor:
             spacing = (grid.omega_max - grid.omega_min) / grid.points
             omega[omega == 0.5] += 1e-3 * spacing
-    rate = np.empty_like(omega)
-    flags: list[tuple[int, str]] = []
-    for i, w in enumerate(omega):
-        try:
-            r = kernel.emission_rate(float(w), pump.v, pump.mass, pump.denominator_floor)
-        except kernel.SingularArgument:
-            rate[i] = math.nan
-            flags.append((i, "singular"))
-            continue
-        rate[i] = r
-        if math.isinf(r):
-            flags.append((i, "resonant-divergence"))
+    rate = kernel.emission_rate(omega, pump.v, pump.mass, pump.denominator_floor)
+    flags = [(int(i), "singular" if math.isnan(rate[i]) else "resonant-divergence")
+             for i in np.flatnonzero(~np.isfinite(rate))]
     return SpectrumResult(omega=omega, rate=rate, pump=pump, flags=flags)
 
 
-def _panel_gauss(f, a: float, b: float, n: int = 16) -> float:
-    x, w = _leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    total = 0.0
-    for xi, wi in zip(x, w):
-        total += wi * f(mid + half * xi)
-    return total * half
+def _split(a: float, b: float, mass: float | None) -> list[float]:
+    """[a, b] with the massive branch points 2m and 1 - 2m inside it, where
+    Im Geff(omega) and Im Geff(1 - omega) jump, as panel edges."""
+    cuts = [] if mass is None else sorted(c for c in {2.0 * mass, 1.0 - 2.0 * mass} if a < c < b)
+    return [a, *cuts, b]
+
+
+def _fixed_rule(f, quadrature: SpectralGrid, mass: float | None) -> float:
+    """quadrature's rule on each panel of _split, the nodes shared out
+    equally, in one call of f; inf when a node diverges."""
+    edges = _split(quadrature.omega_min, quadrature.omega_max, mass)
+    n = max(2, -(-quadrature.points // (len(edges) - 1)))
+    panels = [SpectralGrid(a, b, n, quadrature.placement).nodes_weights()
+              for a, b in zip(edges, edges[1:])]
+    omega, w = (np.concatenate(parts) for parts in zip(*panels))
+    vals = f(omega)
+    if np.isinf(vals).any():
+        return math.inf
+    return float(np.dot(w, vals))
 
 
 def _adaptive_panel(f, a: float, b: float, rel_tol: float, depth: int) -> float:
-    whole = _panel_gauss(f, a, b)
-    if math.isinf(whole) or math.isnan(whole):
-        return math.inf
     mid = 0.5 * (a + b)
-    left = _panel_gauss(f, a, mid)
-    right = _panel_gauss(f, mid, b)
-    if math.isinf(left) or math.isinf(right) or math.isnan(left) or math.isnan(right):
+    x, w = _leggauss(16)
+    # the 16-node rule on the whole panel and on both halves, in one call of f
+    centre = np.array([mid, 0.5 * (a + mid), 0.5 * (mid + b)])
+    half = np.array([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)])
+    vals = f((centre[:, None] + half[:, None] * x).ravel()).reshape(3, -1)
+    if np.isinf(vals).any():
         return math.inf
+    whole, left, right = (vals @ w) * half
     halves = left + right
     if abs(halves - whole) <= rel_tol * (abs(halves) + 1e-300):
-        return halves
+        return float(halves)
     if depth <= 0:
         raise QuadratureNotConverged(
             f"panel [{a}, {b}] did not converge and no divergence was flagged"
@@ -187,32 +183,29 @@ def integrated_rate(
     """Total emission rate: integral of the spectrum over the grid range
     (default the full pair band [0, 1]).
 
-    Gauss-Legendre base rule; when the pump velocity is within 0.1 of the
+    Gauss-Legendre base rule, split for a massive boson at the branch
+    points 2m and 1 - 2m; when the pump velocity is within 0.1 of the
     resonance velocity the central region around omega = 1/2 is refined
     by adaptive bisection.  Returns float('inf') when the refinement runs
     into the divergence floor (resonant pump); raises
-    QuadratureNotConverged when refinement stalls without a divergence.
+    QuadratureNotConverged when refinement stalls without a divergence,
+    and SingularArgument when a node sits on a branch point.
     """
     if quadrature is None:
         quadrature = SpectralGrid()
     if pump.v == 0.0:
         return 0.0
 
-    def f(w: float) -> float:
-        return kernel.emission_rate(w, pump.v, pump.mass, pump.denominator_floor)
+    def f(omega: np.ndarray) -> np.ndarray:
+        rate = kernel.emission_rate(omega, pump.v, pump.mass, pump.denominator_floor)
+        if np.isnan(rate).any():  # would make the total a silent nan
+            raise kernel.SingularArgument(
+                f"a quadrature node sits on a branch point (mass {pump.mass!r})")
+        return rate
 
-    try:
-        v_res = resonance_velocity(pump.mass)
-    except NoResonance:
-        v_res = None
-    near_resonance = v_res is not None and abs(pump.v - v_res) < 0.1
-
-    if not near_resonance:
-        omega, w = quadrature.nodes_weights()
-        vals = np.array([f(float(x)) for x in omega])
-        if np.isinf(vals).any():
-            return math.inf
-        return float(np.dot(w, vals))
+    v_res = _resonance_or_none(pump.mass)
+    if v_res is None or abs(pump.v - v_res) >= 0.1:
+        return _fixed_rule(f, quadrature, pump.mass)
 
     # the resonant peak lives at omega = 1/2; refine its neighbourhood and
     # keep the fixed rule on the smooth wings
@@ -221,16 +214,11 @@ def integrated_rate(
     total = 0.0
     for a, b in ((quadrature.omega_min, lo), (hi, quadrature.omega_max)):
         if b > a:
-            wing = SpectralGrid(a, b, quadrature.points, "gauss-legendre")
-            omega, w = wing.nodes_weights()
-            vals = np.array([f(float(x)) for x in omega])
-            if np.isinf(vals).any():
-                return math.inf
-            total += float(np.dot(w, vals))
-    centre = _adaptive_panel(f, lo, hi, rel_tol, max_depth)
-    if math.isinf(centre):
+            total += _fixed_rule(f, SpectralGrid(a, b, quadrature.points, "gauss-legendre"),
+                                 pump.mass)
+    if math.isinf(total):
         return math.inf
-    return total + centre
+    return total + _adaptive_panel(f, lo, hi, rel_tol, max_depth)
 
 
 def resonance_velocity(mass: float | None = None) -> float:
@@ -246,6 +234,13 @@ def resonance_velocity(mass: float | None = None) -> float:
     return 1.0 / modulus
 
 
+def _resonance_or_none(mass: float | None) -> float | None:
+    try:
+        return resonance_velocity(mass)
+    except (NoResonance, kernel.SingularArgument):  # mass 1/4 puts 2m at omega = 1/2
+        return None
+
+
 def scan_2d(
     v_values, grid: SpectralGrid, mass: float | None = None,
     denominator_floor: float = DEFAULT_DENOMINATOR_FLOOR,
@@ -255,11 +250,9 @@ def scan_2d(
     Linear rates; divergent cells carry float('inf').  Downstream emitters
     apply any log scaling.
     """
-    rows = []
-    for v in v_values:
-        pump = PumpConfig(v=float(v), mass=mass, denominator_floor=denominator_floor)
-        rows.append(spectrum_grid(pump, grid).rate)
-    return np.vstack(rows)
+    return np.vstack([
+        spectrum_grid(PumpConfig(float(v), mass, denominator_floor), grid).rate for v in v_values
+    ])
 
 
 def stimulated_rate(

@@ -40,9 +40,9 @@ def oracle_ladder():
         config = modesim.SimConfig(kappa0=kappa0, v=PINNED_V, t0=PINNED_T0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", modesim.ModeRecurrenceWarning)
-            matrix = modesim.evolve(modesim.build_sim(config), config)
+            matrix = modesim.evolve(modesim.build_sim(config))
         report = modesim.compare_to_analytic(
-            modesim.extract_rates(matrix, config), spectrum.PumpConfig(PINNED_V)
+            modesim.extract_rates(matrix), spectrum.PumpConfig(PINNED_V)
         )
         results[kappa0] = (config, matrix, report)
     return results

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,25 @@ def test_golden_output(tmp_path, name, argv, n_grid, condition):
         assert np.array_equal(got[~finite, 1], want[~finite, 1])
         err = np.abs(got[finite, 1] - want[finite, 1])
         assert (err <= 8.0 * scalar_reference.EPS * (cond + np.abs(want[:, 1]))[finite]).all()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--v", "1", "--points", "0"],
+    ["scan", "--points", "0"],
+    ["spectrum", "--v", "1", "--points", "1"],
+    ["spectrum", "--v", "1", "--omega-min", "0.9", "--omega-max", "0.1"],
+    ["scan", "--v-max", "inf"],
+    ["scan", "--v-min", "nan"],
+    ["scan", "--integrate", "--v-max", "inf"],
+], ids=["spectrum_points_0", "scan_points_0", "spectrum_points_1", "reversed_omega_range",
+        "scan_v_max_inf", "scan_v_min_nan", "integrate_v_max_inf"])
+def test_invalid_grid_input_exits_two(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a leaked numpy warning fails the test
+        assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid arguments" in captured.err and "Traceback" not in captured.err
 
 
 class TestSpectrumCommand:
@@ -253,8 +273,10 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--dt-divisor", "0"), ("--dt-divisor", "-200"), ("--t0", "inf"), ("--v", "nan")],
-        ids=["zero_divisor", "negative_divisor", "infinite_t0", "nan_v"],
+        [("--dt-divisor", "0"), ("--dt-divisor", "-200"), ("--t0", "inf"), ("--v", "nan"),
+         ("--dt-divisor", "1e12"), ("--kappa0", "100000")],
+        ids=["zero_divisor", "negative_divisor", "infinite_t0", "nan_v",
+             "steps_per_period_over_limit", "period_maps_over_limit"],
     )
     def test_invalid_input_exits_two(self, flag, value, capsys):
         argv = ["simulate", "--v", "0.1", "--kappa0", "8", "--t0", str(100 * math.pi)]

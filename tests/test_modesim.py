@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pairflux import kernel
+from pairflux import kernel, modesim
 from pairflux.modesim import (
     BogoliubovMatrix,
     IntegratorUnstable,
@@ -30,7 +30,7 @@ T0 = 100.0 * math.pi  # shortest allowed modulation time
 def quiet_run(config: SimConfig) -> BogoliubovMatrix:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModeRecurrenceWarning)
-        return evolve(build_sim(config), config)
+        return evolve(build_sim(config))
 
 
 def stepped(config: SimConfig, h: float, n_steps: int):
@@ -100,6 +100,22 @@ class TestConfig:
             with pytest.raises(ValueError):
                 SimConfig(**{"kappa0": 32, "v": 0.1, **bad})
 
+    def test_work_bounds(self):
+        # judged from the configuration alone: nothing here allocates a map
+        limit = modesim.MAX_STEPS_PER_PERIOD
+        assert SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / limit).steps_per_period == limit
+        with pytest.raises(ValueError, match="steps per pump period"):
+            SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / (limit + 1))
+        with pytest.raises(ValueError, match="steps per pump period"):
+            SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / 1e12)
+        # default t0 = 400 pi keeps one partial map: 4 maps of (2K)^2 doubles
+        assert len(SimConfig(kappa0=2896, v=0.1).kept_remainders) == 1
+        assert 4 * (2 * 2896) ** 2 * 8 <= modesim.MAX_MAP_BYTES < 4 * (2 * 2897) ** 2 * 8
+        with pytest.raises(ValueError, match="GiB"):
+            SimConfig(kappa0=2897, v=0.1)
+        with pytest.raises(ValueError, match="GiB"):
+            SimConfig(kappa0=10_000, v=0.1)
+
     def test_default_step_scales_with_band_top(self):
         assert SimConfig(kappa0=32, v=0.1).step == 2.0 * math.pi / 200.0
         assert SimConfig(kappa0=32, v=0.1, mode_multiplier=2.0).step == 2.0 * math.pi / 400.0
@@ -123,7 +139,7 @@ class TestBuild:
 class TestFreeEvolution:
     def test_identity_bogoliubov_at_default_step(self):
         config = SimConfig(kappa0=8, v=0.0, t0=T0)
-        matrix = evolve(build_sim(config), config)
+        matrix = evolve(build_sim(config))
         # the positive-frequency subspace is preserved exactly; mu picks up
         # only the RK4 phase error of the free oscillators
         assert np.abs(matrix.nu).max() < 1e-12
@@ -131,14 +147,14 @@ class TestFreeEvolution:
 
     def test_identity_bogoliubov_at_fine_step(self):
         config = SimConfig(kappa0=8, v=0.0, t0=T0, dt=2.0 * math.pi / 3000.0)
-        matrix = evolve(build_sim(config), config)
+        matrix = evolve(build_sim(config))
         assert np.abs(matrix.nu).max() < 1e-10
         assert np.abs(matrix.mu - np.eye(8)).max() < 1e-10
 
 
 def strong_pump_report(v: float):
     config = SimConfig(kappa0=64, v=v, t0=T0)
-    return compare_to_analytic(extract_rates(quiet_run(config), config), PumpConfig(v))
+    return compare_to_analytic(extract_rates(quiet_run(config)), PumpConfig(v))
 
 
 class TestFloquetAgainstStepping:
@@ -198,13 +214,13 @@ class TestEvolve:
     def test_recurrence_warning(self):
         config = SimConfig(kappa0=8, v=0.1, t0=T0)  # recurrence time 16 pi < t0
         with pytest.warns(ModeRecurrenceWarning):
-            evolve(build_sim(config), config)
+            evolve(build_sim(config))
 
     def test_no_warning_without_pump(self):
         config = SimConfig(kappa0=8, v=0.0, t0=T0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ModeRecurrenceWarning)
-            evolve(build_sim(config), config)
+            evolve(build_sim(config))
 
     def test_monodromy_spectral_radius(self, run_strong_pump):
         # the free RK4 map keeps the lowest mode's amplitude to ~(h/kappa0)^6;
@@ -218,24 +234,24 @@ class TestEvolve:
         config = SimConfig(kappa0=8, v=0.1, t0=T0, amplitude_bound=1e-3)
         with pytest.raises(IntegratorUnstable), warnings.catch_warnings():
             warnings.simplefilter("ignore", ModeRecurrenceWarning)
-            evolve(build_sim(config), config)
+            evolve(build_sim(config))
 
 
 class TestExtractRates:
     def test_zero_pump_zero_rates(self):
         config = SimConfig(kappa0=8, v=0.0, t0=T0)
-        spectrum = extract_rates(evolve(build_sim(config), config), config)
+        spectrum = extract_rates(evolve(build_sim(config)))
         assert np.abs(spectrum.rate).max() < 1e-16
 
     def test_interior_window(self, run_strong_pump):
         config, matrix = run_strong_pump
-        spectrum = extract_rates(matrix, config)
+        spectrum = extract_rates(matrix)
         assert spectrum.omega.min() > 0.1 and spectrum.omega.max() < 0.9
 
     def test_normalization_matches_perturbative_limit(self, run_weak_pump):
         # pins the mode-sum -> spectral-rate conversion constant
         config, matrix = run_weak_pump
-        spectrum = extract_rates(matrix, config)
+        spectrum = extract_rates(matrix)
         mask = (spectrum.omega > 0.2) & (spectrum.omega < 0.8)
         pert = np.array([kernel.perturbative_rate(float(w), config.v) for w in spectrum.omega])
         ratio = spectrum.rate[mask] / pert[mask]
@@ -243,14 +259,14 @@ class TestExtractRates:
 
     def test_centre_mode_matches_kernel_on_odd_ladder(self, run_odd_ladder):
         config, matrix = run_odd_ladder
-        spectrum = extract_rates(matrix, config)
+        spectrum = extract_rates(matrix)
         i = int(np.argmin(np.abs(spectrum.omega - 0.5)))
         analytic = kernel.emission_rate(float(spectrum.omega[i]), config.v)
         assert abs(spectrum.rate[i] / analytic - 1.0) < 0.15
 
     def test_spectrum_symmetric(self, run_odd_ladder):
         config, matrix = run_odd_ladder
-        spectrum = extract_rates(matrix, config)
+        spectrum = extract_rates(matrix)
         for j, w in enumerate(spectrum.omega):
             if 0.25 < w < 0.5:
                 jj = int(np.argmin(np.abs(spectrum.omega - (1.0 - w))))
@@ -260,7 +276,7 @@ class TestExtractRates:
         # at even kappa0 the omega = 1/2 mode has no partner (j = k term is
         # excluded): its extracted rate collapses while the median is intact
         config, matrix = run_strong_pump
-        spectrum = extract_rates(matrix, config)
+        spectrum = extract_rates(matrix)
         i = int(np.argmin(np.abs(spectrum.omega - 0.5)))
         assert spectrum.omega[i] == 0.5
         analytic = kernel.emission_rate(0.5, config.v)
@@ -284,15 +300,15 @@ class TestConvergence:
     def test_halving_dt_leaves_rates_unchanged(self):
         base = SimConfig(kappa0=32, v=0.5, t0=T0, dt=2.0 * math.pi / 200.0)
         fine = SimConfig(kappa0=32, v=0.5, t0=T0, dt=2.0 * math.pi / 400.0)
-        r_base = extract_rates(quiet_run(base), base)
-        r_fine = extract_rates(quiet_run(fine), fine)
+        r_base = extract_rates(quiet_run(base))
+        r_fine = extract_rates(quiet_run(fine))
         assert np.abs(r_base.rate / r_fine.rate - 1.0).max() < 0.01
 
 
 class TestCompare:
     def test_strong_pump_median(self, run_strong_pump):
         config, matrix = run_strong_pump
-        report = compare_to_analytic(extract_rates(matrix, config), PumpConfig(config.v))
+        report = compare_to_analytic(extract_rates(matrix), PumpConfig(config.v))
         assert report.passed and report.median_deviation < 0.05
         assert not report.degenerate
 
@@ -315,11 +331,11 @@ class TestCompare:
 
     def test_zero_pump_degenerate(self):
         config = SimConfig(kappa0=8, v=0.0, t0=T0)
-        spectrum = extract_rates(evolve(build_sim(config), config), config)
+        spectrum = extract_rates(evolve(build_sim(config)))
         report = compare_to_analytic(spectrum, PumpConfig(0.0))
         assert report.degenerate and report.passed
 
     def test_pump_mismatch_rejected(self, run_strong_pump):
         config, matrix = run_strong_pump
         with pytest.raises(ValueError):
-            compare_to_analytic(extract_rates(matrix, config), PumpConfig(0.25))
+            compare_to_analytic(extract_rates(matrix), PumpConfig(0.25))

@@ -32,6 +32,11 @@ V_RESONANCE_MASSIVE = {
 }
 
 
+def midpoint_sum(v, n, mass=None):
+    """Midpoint rule with n nodes for the rate integral over [0, 1]."""
+    return kernel.emission_rate((np.arange(n) + 0.5) / n, v, mass).sum() / n
+
+
 class TestConfigs:
     def test_pump_validation(self):
         with pytest.raises(ValueError):
@@ -105,6 +110,14 @@ class TestSpectrumGrid:
         assert [f[1] for f in res.flags] == ["singular"]
         assert math.isnan(res.rate[0]) and math.isfinite(res.rate[1])
 
+    def test_branch_point_at_half_frequency(self):
+        # mass 1/4 puts 2m at omega = 1/2, where Geff and the resonance are undefined
+        grid = SpectralGrid(0.25, 0.75, 3, "closed-uniform")
+        res = spectrum_grid(PumpConfig(1.0, mass=0.25), grid)
+        assert res.flags == [(1, "singular")]
+        assert res.rate[0] == res.rate[2] == 0.0
+        assert integrated_rate(PumpConfig(1.0, mass=0.25)) == 0.0
+
 
 class TestIntegratedRate:
     def test_no_pump_integrates_to_zero(self):
@@ -117,17 +130,18 @@ class TestIntegratedRate:
 
     @pytest.mark.parametrize("v", [0.5, 2.0, 5.0, 10.0])
     def test_agrees_with_fine_riemann_sum(self, v):
-        n = 2560
-        h = 1.0 / n
-        riemann = h * sum(kernel.emission_rate(h * (i + 0.5), v) for i in range(n))
-        assert abs(integrated_rate(PumpConfig(v)) / riemann - 1.0) < 0.005
+        assert abs(integrated_rate(PumpConfig(v)) / midpoint_sum(v, 2560) - 1.0) < 0.005
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 2.0, 6.0, 15.0, 3.9])
+    def test_massive_branch_agrees_with_fine_midpoint_sum(self, v):
+        # the rule splits where Im Geff jumps, at 2m = 0.2 and 1 - 2m = 0.8;
+        # v = 3.9 takes the near-resonance path (v_r = 3.948 at mass 0.1)
+        total = integrated_rate(PumpConfig(v, mass=0.1))
+        assert abs(total / midpoint_sum(v, 400_000, mass=0.1) - 1.0) < 1e-4
 
     def test_adaptive_refinement_near_resonance(self):
         v = 2.88  # inside the |v - v_r| < 0.1 refinement window
-        n = 400_000
-        h = 1.0 / n
-        riemann = h * sum(kernel.emission_rate(h * (i + 0.5), v) for i in range(n))
-        assert abs(integrated_rate(PumpConfig(v)) / riemann - 1.0) < 1e-4
+        assert abs(integrated_rate(PumpConfig(v)) / midpoint_sum(v, 400_000) - 1.0) < 1e-4
 
     def test_exact_resonance_reports_divergence(self):
         assert integrated_rate(PumpConfig(V_RESONANCE)) == math.inf
