@@ -73,8 +73,7 @@ def write_csv(stream, columns: list[str], rows, meta: dict) -> None:
     for key, value in meta.items():
         stream.write(f"# {key} = {_fmt(value)}\n")
     stream.write(",".join(columns) + "\n")
-    table = np.asarray(rows, dtype=float).reshape(-1, len(columns))
-    np.savetxt(stream, table, fmt="%.17g", delimiter=",")
+    np.savetxt(stream, rows, fmt="%.17g", delimiter=",")
 
 
 def write_json(stream, columns: list[str], rows, meta: dict, extra: dict | None = None) -> None:

@@ -37,6 +37,16 @@ def midpoint_sum(v, n, mass=None):
     return kernel.emission_rate((np.arange(n) + 0.5) / n, v, mass).sum() / n
 
 
+def graded_gauss_sum(v):
+    """16-node Gauss on panels graded towards the resonant peak at 1/2."""
+    steps = 2.0 ** -np.arange(1, 45)
+    edges = np.unique(np.concatenate([[0.0, 1.0], 0.5 - steps, 0.5 + steps]))
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    x, w = np.polynomial.legendre.leggauss(16)
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    return float(np.dot((half[:, None] * w).ravel(), kernel.emission_rate(nodes, v)))
+
+
 class TestConfigs:
     def test_pump_validation(self):
         with pytest.raises(ValueError):
@@ -142,6 +152,13 @@ class TestIntegratedRate:
     def test_adaptive_refinement_near_resonance(self):
         v = 2.88  # inside the |v - v_r| < 0.1 refinement window
         assert abs(integrated_rate(PumpConfig(v)) / midpoint_sum(v, 400_000) - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("dv", [1.126e-3, 1.5147e-2])
+    def test_bisection_does_not_converge_falsely(self, dv):
+        # with 1/2 as a bisection point these pumps came out 2.7% and 2.1e-4 off:
+        # panels ending on the peak fooled the whole-versus-halves test
+        v = V_RESONANCE + dv
+        assert abs(integrated_rate(PumpConfig(v)) / graded_gauss_sum(v) - 1.0) < 1e-4
 
     def test_exact_resonance_reports_divergence(self):
         assert integrated_rate(PumpConfig(V_RESONANCE)) == math.inf
