@@ -207,11 +207,9 @@ def integrated_rate(
     if v_res is None or abs(pump.v - v_res) >= 0.1:
         return _fixed_rule(f, quadrature, pump.mass)
 
-    # the resonant peak lives at omega = 1/2; refine its neighbourhood and
-    # keep the fixed rule on the smooth wings.  1/2 must not become a
-    # bisection point: a peak at a panel end looks alike to the whole-panel
-    # and half-panel rules, which then agree falsely (up to 2.7% off with
-    # [0.35, 0.65]); 0.15 / 0.35 = 3/7 is no dyadic fraction.
+    # the resonant peak lives at omega = 1/2; refine its neighbourhood and keep the
+    # fixed rule on the smooth wings.  1/2 is no bisection point (0.15 / 0.35 is not
+    # dyadic): a whole panel and its halves all ending on the peak agree falsely.
     lo = max(quadrature.omega_min, 0.35)
     hi = min(quadrature.omega_max, 0.7)
     total = 0.0
