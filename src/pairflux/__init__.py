@@ -20,7 +20,6 @@ from .spectrum import (
     RESONANCE_VELOCITY_PHOTON,
     NoResonance,
     PumpConfig,
-    QuadratureNotConverged,
     SpectralGrid,
     SpectrumResult,
     conjugate_partner,
@@ -55,7 +54,6 @@ __all__ = [
     "perturbative_rate",
     "RESONANCE_VELOCITY_PHOTON",
     "NoResonance",
-    "QuadratureNotConverged",
     "PumpConfig",
     "SpectralGrid",
     "SpectrumResult",

@@ -45,10 +45,14 @@ MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 
 DEFAULT_DT_DIVISOR = 200.0  # dt = 2 pi / (divisor * omega_max)
 
-# Work a SimConfig may ask of evolve: RK4 steps per pump period, and bytes of
-# the 2K x 2K maps held at once (one per kept remainder, plus the monodromy,
-# its power and a checkpoint product).  kappa0 256 and 3000 steps stay far below.
+# Work a SimConfig may ask of evolve: RK4 steps per pump period, pump periods
+# (one monodromy product each), and bytes of the 2K x 2K maps held at once
+# (one per kept remainder, plus the monodromy, its power and a checkpoint
+# product).  kappa0 256, 3000 steps and 200 periods stay far below, and a run
+# inside the recurrence time 2 pi kappa0 of any kappa0 the map bound admits
+# spans fewer than 3,400 periods.
 MAX_STEPS_PER_PERIOD = 100_000
+MAX_PERIODS = 10_000
 MAX_MAP_BYTES = 2**30
 
 
@@ -106,6 +110,8 @@ class SimConfig:
         if self.steps_per_period > MAX_STEPS_PER_PERIOD:
             raise ValueError(f"dt = {self.dt} needs {self.steps_per_period} steps per pump "
                              f"period, more than {MAX_STEPS_PER_PERIOD}")
+        if self.n_steps > MAX_PERIODS * self.steps_per_period:
+            raise ValueError(f"t0 = {self.t0} spans more than {MAX_PERIODS} pump periods")
         map_bytes = (len(self.kept_remainders) + 3) * (2 * self.n_modes) ** 2 * 8
         if map_bytes > MAX_MAP_BYTES:
             raise ValueError(f"{self.n_modes} modes need {map_bytes / 2**30:.3g} GiB of "

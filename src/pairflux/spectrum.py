@@ -31,10 +31,6 @@ class NoResonance(Exception):
     velocity nulls the resolvent (threshold mass)."""
 
 
-class QuadratureNotConverged(Exception):
-    """Adaptive refinement exhausted without convergence or divergence flag."""
-
-
 @dataclass(frozen=True)
 class PumpConfig:
     """Physical pump parameters: dimensionless velocity v = V/c and the
@@ -131,68 +127,37 @@ def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> SpectrumResult:
     return SpectrumResult(omega=omega, rate=rate, pump=pump, flags=flags)
 
 
-def _split(a: float, b: float, mass: float | None) -> list[float]:
-    """[a, b] with the massive branch points 2m and 1 - 2m inside it, where
+def _split(mass: float | None) -> list[float]:
+    """[0, 1] with the massive branch points 2m and 1 - 2m inside it, where
     Im Geff(omega) and Im Geff(1 - omega) jump, as panel edges."""
-    cuts = [] if mass is None else sorted(c for c in {2.0 * mass, 1.0 - 2.0 * mass} if a < c < b)
-    return [a, *cuts, b]
+    cuts = [] if mass is None else sorted(c for c in {2.0 * mass, 1.0 - 2.0 * mass} if 0 < c < 1)
+    return [0.0, *cuts, 1.0]
 
 
-def _fixed_rule(f, quadrature: SpectralGrid, mass: float | None) -> float:
-    """quadrature's rule on each panel of _split, the nodes shared out
-    equally, in one call of f; inf when a node diverges."""
-    edges = _split(quadrature.omega_min, quadrature.omega_max, mass)
-    n = max(2, -(-quadrature.points // (len(edges) - 1)))
-    panels = [SpectralGrid(a, b, n, quadrature.placement).nodes_weights()
-              for a, b in zip(edges, edges[1:])]
-    omega, w = (np.concatenate(parts) for parts in zip(*panels))
-    vals = f(omega)
+def _composite_gauss(f, edges, n: int) -> float:
+    """The n-node Gauss-Legendre rule on every panel between consecutive
+    edges, in one call of f; inf when a node diverges."""
+    edges = np.asarray(edges, dtype=float)
+    x, w = _leggauss(n)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    vals = f((mid[:, None] + half[:, None] * x).ravel())
     if np.isinf(vals).any():
         return math.inf
-    return float(np.dot(w, vals))
+    return float(np.dot((half[:, None] * w).ravel(), vals))
 
 
-def _adaptive_panel(f, a: float, b: float, rel_tol: float, depth: int) -> float:
-    mid = 0.5 * (a + b)
-    x, w = _leggauss(16)
-    # the 16-node rule on the whole panel and on both halves, in one call of f
-    centre = np.array([mid, 0.5 * (a + mid), 0.5 * (mid + b)])
-    half = np.array([0.5 * (b - a), 0.5 * (mid - a), 0.5 * (b - mid)])
-    vals = f((centre[:, None] + half[:, None] * x).ravel()).reshape(3, -1)
-    if np.isinf(vals).any():
-        return math.inf
-    whole, left, right = (vals @ w) * half
-    halves = left + right
-    if abs(halves - whole) <= rel_tol * (abs(halves) + 1e-300):
-        return float(halves)
-    if depth <= 0:
-        raise QuadratureNotConverged(
-            f"panel [{a}, {b}] did not converge and no divergence was flagged"
-        )
-    return _adaptive_panel(f, a, mid, rel_tol, depth - 1) + _adaptive_panel(
-        f, mid, b, rel_tol, depth - 1
-    )
+def integrated_rate(pump: PumpConfig) -> float:
+    """Total emission rate: integral of the spectrum over the pair band [0, 1].
 
-
-def integrated_rate(
-    pump: PumpConfig,
-    quadrature: SpectralGrid | None = None,
-    rel_tol: float = 1e-4,
-    max_depth: int = 48,
-) -> float:
-    """Total emission rate: integral of the spectrum over the grid range
-    (default the full pair band [0, 1]).
-
-    Gauss-Legendre base rule, split for a massive boson at the branch
-    points 2m and 1 - 2m; when the pump velocity is within 0.1 of the
-    resonance velocity the central region around omega = 1/2 is refined
-    by adaptive bisection.  Returns float('inf') when the refinement runs
-    into the divergence floor (resonant pump); raises
-    QuadratureNotConverged when refinement stalls without a divergence,
-    and SingularArgument when a node sits on a branch point.
+    Composite Gauss-Legendre rule, split for a massive boson at the branch
+    points 2m and 1 - 2m.  Away from resonance 256 nodes are shared out
+    over those panels.  When the pump velocity is within 0.1 of the
+    resonance velocity, whose peak at omega = 1/2 has a width of order
+    |v - v_r|, panels ending at 1/2 +- 0.15 * 2^-k (k = 0..47) halve
+    towards the peak and each carries 16 nodes.  Returns float('inf')
+    when a node runs into the divergence floor (resonant pump), and
+    raises SingularArgument when a node sits on a branch point.
     """
-    if quadrature is None:
-        quadrature = SpectralGrid()
     if pump.v == 0.0:
         return 0.0
 
@@ -203,23 +168,16 @@ def integrated_rate(
                 f"a quadrature node sits on a branch point (mass {pump.mass!r})")
         return rate
 
+    edges = _split(pump.mass)
     v_res = _resonance_or_none(pump.mass)
     if v_res is None or abs(pump.v - v_res) >= 0.1:
-        return _fixed_rule(f, quadrature, pump.mass)
-
-    # the resonant peak lives at omega = 1/2; refine its neighbourhood and keep the
-    # fixed rule on the smooth wings.  1/2 is no bisection point (0.15 / 0.35 is not
-    # dyadic): a whole panel and its halves all ending on the peak agree falsely.
-    lo = max(quadrature.omega_min, 0.35)
-    hi = min(quadrature.omega_max, 0.7)
-    total = 0.0
-    for a, b in ((quadrature.omega_min, lo), (hi, quadrature.omega_max)):
-        if b > a:
-            total += _fixed_rule(f, SpectralGrid(a, b, quadrature.points, "gauss-legendre"),
-                                 pump.mass)
-    if math.isinf(total):
-        return math.inf
-    return total + _adaptive_panel(f, lo, hi, rel_tol, max_depth)
+        return _composite_gauss(f, edges, -(-256 // (len(edges) - 1)))
+    steps = 0.15 * 0.5 ** np.arange(48)
+    cuts = np.concatenate([0.5 - steps, 0.5 + steps])
+    # a cut within 1e-12 of a branch point would leave a panel so narrow that its
+    # Gauss nodes round onto that point
+    cuts = cuts[np.abs(cuts[:, None] - edges).min(axis=1) > 1e-12]
+    return _composite_gauss(f, np.union1d(edges, cuts), 16)
 
 
 def resonance_velocity(mass: float | None = None) -> float:

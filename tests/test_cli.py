@@ -210,6 +210,24 @@ class TestScanCommand:
         ratio = float(rows[0][1]) / float(rows[1][1])
         assert abs(ratio / 4.0 - 1.0) < 0.05
 
+    @pytest.mark.parametrize("mass, v_min, v_max", [
+        ("0.2", "3.5", "3.6"),     # 2m = 0.4, 1 - 2m = 0.6 and v_r = 3.56
+        ("0.16", "3.75", "3.85"),  # 2m = 0.32, 1 - 2m = 0.68 and v_r = 3.80
+    ])
+    def test_integrated_scan_with_branch_point_near_half_frequency(
+        self, mass, v_min, v_max, tmp_path, capsys
+    ):
+        out = tmp_path / "scan.csv"
+        assert main([
+            "scan", "--integrate", "--mass", mass, "--v-min", v_min, "--v-max", v_max,
+            "--out", str(out),
+        ]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        _, _, rows = read_csv(out)
+        total = np.array([float(r[1]) for r in rows])
+        assert len(total) == 200
+        assert (np.isfinite(total) & (total > 0.0)).all()
+
     def test_long_form_ordering(self, tmp_path):
         out = tmp_path / "scan.csv"
         assert main([
@@ -274,9 +292,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "flag, value",
         [("--dt-divisor", "0"), ("--dt-divisor", "-200"), ("--t0", "inf"), ("--v", "nan"),
-         ("--dt-divisor", "1e12"), ("--kappa0", "100000")],
+         ("--dt-divisor", "1e12"), ("--kappa0", "100000"), ("--t0", "1e12"), ("--t0", "1e20")],
         ids=["zero_divisor", "negative_divisor", "infinite_t0", "nan_v",
-             "steps_per_period_over_limit", "period_maps_over_limit"],
+             "steps_per_period_over_limit", "period_maps_over_limit", "periods_over_limit",
+             "periods_beyond_int64_steps"],
     )
     def test_invalid_input_exits_two(self, flag, value, capsys):
         argv = ["simulate", "--v", "0.1", "--kappa0", "8", "--t0", str(100 * math.pi)]

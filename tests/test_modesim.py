@@ -108,6 +108,13 @@ class TestConfig:
             SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / (limit + 1))
         with pytest.raises(ValueError, match="steps per pump period"):
             SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / 1e12)
+        periods = modesim.MAX_PERIODS
+        assert SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * periods).n_steps == 200 * periods
+        with pytest.raises(ValueError, match="pump periods"):
+            SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * (periods + 1))
+        for t0 in (1e12, 1e20):  # 1e20 gives more steps than checkpoint_steps' int64 holds
+            with pytest.raises(ValueError, match="pump periods"):
+                SimConfig(kappa0=8, v=0.0, t0=t0)
         # default t0 = 400 pi keeps one partial map: 4 maps of (2K)^2 doubles
         assert len(SimConfig(kappa0=2896, v=0.1).kept_remainders) == 1
         assert 4 * (2 * 2896) ** 2 * 8 <= modesim.MAX_MAP_BYTES < 4 * (2 * 2897) ** 2 * 8
