@@ -19,9 +19,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
+import re
+import stat
 import sys
+import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,88 +37,104 @@ EXIT_NO_RESONANCE = 4
 EXIT_INTEGRATOR = 5
 
 UNITS_NOTE = "omega0 = 1, c = 1"
+BLOCK_ROWS = 4096  # rows formatted per % call: one block of floats is held as Python objects
+_NONFINITE = re.compile(r"-?inf|nan")
 
 
-@dataclass
-class RunRecord:
-    """Reproducibility header: everything needed to re-run the command."""
-
-    command: str
-    params: dict
-    version: str = __version__
-
-    def meta(self) -> dict:
-        meta = {"command": self.command, "version": self.version, "units": UNITS_NOTE}
-        meta.update(self.params)
-        return meta
-
-
-def _fmt(x) -> str:
+def _token(x, json: bool = False) -> str:
+    """One value as text: an int as an integer, a float as %.17g (nan, inf
+    and -inf print as those words).  As a JSON token a string is quoted and
+    escaped, a bool is true/false and the non-finite words are quoted."""
     if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"  # nan, inf and -inf print as those words
-
-
-def _json_token(x) -> str:
-    if isinstance(x, str):
-        return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(x, bool):
+        return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"' if json else x
+    if json and isinstance(x, bool):
         return "true" if x else "false"
-    token = _fmt(x)
-    return f'"{token}"' if token in ("nan", "inf", "-inf") else token
+    token = str(int(x)) if isinstance(x, (int, np.integer)) else f"{float(x):.17g}"
+    return _NONFINITE.sub(r'"\g<0>"', token) if json else token
+
+
+def _row_blocks(rows, prefix: str, delimiter: str, suffix: str):
+    """The float rows as text, BLOCK_ROWS rows per % template; each row is
+    prefix, its %.17g cells joined by delimiter, then suffix."""
+    rows = np.asarray(rows, dtype=float)
+    row = prefix + delimiter.join(["%.17g"] * rows.shape[1]) + suffix
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_csv(stream, columns: list[str], rows, meta: dict) -> None:
-    """Metadata lines, the header, then the float rows; %.17g writes the
-    same tokens as _fmt, including nan, inf and -inf."""
+    """Metadata lines, the header, then the float rows."""
     for key, value in meta.items():
-        stream.write(f"# {key} = {_fmt(value)}\n")
+        stream.write(f"# {key} = {_token(value)}\n")
     stream.write(",".join(columns) + "\n")
-    np.savetxt(stream, rows, fmt="%.17g", delimiter=",")
+    for text in _row_blocks(rows, "", ",", "\n"):
+        stream.write(text)
 
 
 def write_json(stream, columns: list[str], rows, meta: dict, extra: dict | None = None) -> None:
-    parts = ["{\n  \"meta\": {"]
-    parts.append(", ".join(f"{_json_token(k)}: {_json_token(v)}" for k, v in meta.items()))
-    parts.append("},\n")
-    if extra:
-        for key, value in extra.items():
-            parts.append(f"  {_json_token(key)}: {_json_token(value)},\n")
-    parts.append(f"  \"data\": {{\"columns\": [")
-    parts.append(", ".join(_json_token(c) for c in columns))
-    parts.append("], \"rows\": [\n")
-    body = ",\n".join("    [" + ", ".join(_json_token(x) for x in row) + "]" for row in rows)
-    parts.append(body)
-    parts.append("\n  ]}\n}\n")
-    stream.write("".join(parts))
+    """meta, the extra fields, then the columns and rows under "data", one
+    row per line; nan, inf and -inf are quoted strings."""
+    fields = ", ".join(f"{_token(k, True)}: {_token(v, True)}" for k, v in meta.items())
+    lines = "".join(f"  {_token(k, True)}: {_token(v, True)},\n" for k, v in (extra or {}).items())
+    names = ", ".join(_token(c, True) for c in columns)
+    stream.write(f'{{\n  "meta": {{{fields}}},\n{lines}  "data": {{"columns": [{names}], "rows": [\n')
+    for i, text in enumerate(_row_blocks(rows, "    [", ", ", "],\n")):
+        # every row ends in ",\n"; the separator before the next block restores it
+        stream.write((",\n" if i else "") + _NONFINITE.sub(r'"\g<0>"', text[:-2]))
+    stream.write("\n  ]}\n}\n")
+
+
+def _emit(stream, fmt: str, columns: list[str], rows, meta: dict) -> None:
+    (write_json if fmt == "json" else write_csv)(stream, columns, rows, meta)
+
+
+def _meta(args, **params) -> dict:
+    """Reproducibility header: command, version, units, then what re-runs it."""
+    return {"command": args.subcommand, "version": __version__, "units": UNITS_NOTE, **params}
 
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """File path or '-'/None for stdout; an OSError from here maps to exit 3."""
+    """Stdout for None or '-'.  A file is written to a temporary file next
+    to its target and renamed over it when the block ends without an
+    exception, so a failed run leaves no partial file; an OSError from here
+    maps to exit 3.  A symlink is written through, and an existing target
+    that is not a regular file (a device, a FIFO) is written directly."""
     if path in (None, "-"):
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        return
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:  # a new file gets what open(path, "w") gives: 0666 less the umask
+        umask = os.umask(0o022)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
+                                   dir=os.path.dirname(target))
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
-def _log10_column(rates) -> np.ndarray:
+def _log10_column(rates: np.ndarray) -> np.ndarray:
     """log10 of each rate; nan stays nan and a zero rate gives -inf."""
-    rates = np.asarray(rates, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.isnan(rates) | (rates > 0.0), np.log10(rates), -np.inf)
-
-
-def _emit(args, record: RunRecord, columns, rows, extra: dict | None = None) -> None:
-    fmt = getattr(args, "format", "csv")
-    with _output(getattr(args, "out", None)) as stream:
-        if fmt == "json":
-            write_json(stream, columns, rows, record.meta(), extra)
-        else:
-            write_csv(stream, columns, rows, record.meta())
 
 
 def _mass_arg(parser: argparse.ArgumentParser) -> None:
@@ -129,16 +148,13 @@ def cmd_spectrum(args) -> int:
     pump = spectrum.PumpConfig(v=args.v, mass=args.mass)
     grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points, "closed-uniform")
     result = spectrum.spectrum_grid(pump, grid)  # nan on a branch point
-    record = RunRecord(
-        command="spectrum",
-        params={
-            "v": args.v, "mass": "photon" if args.mass is None else args.mass,
-            "omega_min": args.omega_min, "omega_max": args.omega_max,
-            "points": args.points,
-        },
+    meta = _meta(
+        args, v=args.v, mass="photon" if args.mass is None else args.mass,
+        omega_min=args.omega_min, omega_max=args.omega_max, points=args.points,
     )
     rows = np.column_stack([result.omega, result.rate, _log10_column(result.rate)])
-    _emit(args, record, ["omega", "rate", "log10_rate"], rows)
+    with _output(args.out) as stream:
+        _emit(stream, args.format, ["omega", "rate", "log10_rate"], rows, meta)
     return EXIT_OK
 
 
@@ -155,23 +171,21 @@ def cmd_scan(args) -> int:
     if args.integrate:
         totals = [spectrum.integrated_rate(spectrum.PumpConfig(v=float(v), mass=args.mass))
                   for v in v_values]
-        record = RunRecord(command="scan", params=params)
-        _emit(args, record, ["v", "integrated_rate"], np.column_stack([v_values, totals]))
-        return EXIT_OK
-    params.update(
-        {"omega_min": args.omega_min, "omega_max": args.omega_max, "points": args.points}
-    )
-    grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points, "closed-uniform")
-    # one spectrum per pump row, so each row carries the omega it was evaluated at
-    results = [spectrum.spectrum_grid(spectrum.PumpConfig(v=float(v), mass=args.mass), grid)
-               for v in v_values]
-    rows = np.column_stack([
-        np.repeat(v_values, grid.points),
-        np.concatenate([r.omega for r in results]),
-        np.concatenate([r.rate for r in results]),
-    ])
-    record = RunRecord(command="scan", params=params)
-    _emit(args, record, ["v", "omega", "rate"], rows)
+        columns, rows = ["v", "integrated_rate"], np.column_stack([v_values, totals])
+    else:
+        params.update(omega_min=args.omega_min, omega_max=args.omega_max, points=args.points)
+        grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points,
+                                     "closed-uniform")
+        # one spectrum per pump row, so each row carries the omega it was evaluated at
+        results = [spectrum.spectrum_grid(spectrum.PumpConfig(v=float(v), mass=args.mass), grid)
+                   for v in v_values]
+        columns, rows = ["v", "omega", "rate"], np.column_stack([
+            np.repeat(v_values, grid.points),
+            np.concatenate([r.omega for r in results]),
+            np.concatenate([r.rate for r in results]),
+        ])
+    with _output(args.out) as stream:
+        _emit(stream, args.format, columns, rows, _meta(args, **params))
     return EXIT_OK
 
 
@@ -185,40 +199,38 @@ def cmd_resonance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not (args.dt_divisor > 0.0 and args.mode_multiplier > 0.0):
+    divisor = args.dt_divisor * args.mode_multiplier  # two tiny factors can underflow to 0
+    if not (args.dt_divisor > 0.0 and args.mode_multiplier > 0.0 and divisor > 0.0):
         raise ValueError("--dt-divisor and --mode-multiplier must be > 0")
-    dt = 2.0 * math.pi / (args.dt_divisor * args.mode_multiplier)
+    dt = 2.0 * math.pi / divisor
     config = modesim.SimConfig(
         kappa0=args.kappa0, v=args.v, t0=args.t0, dt=dt,
         mode_multiplier=args.mode_multiplier,
     )
     matrix = modesim.evolve(modesim.build_sim(config))  # IntegratorUnstable -> exit 5
     sim = modesim.extract_rates(matrix)
-    record = RunRecord(
-        command="simulate",
-        params={
-            "v": args.v, "kappa0": args.kappa0, "t0": args.t0,
-            "dt_divisor": args.dt_divisor, "mode_multiplier": args.mode_multiplier,
-            "symplectic_defect": matrix.symplectic_defect(),
-        },
+    meta = _meta(
+        args, v=args.v, kappa0=args.kappa0, t0=args.t0, dt_divisor=args.dt_divisor,
+        mode_multiplier=args.mode_multiplier, symplectic_defect=matrix.symplectic_defect(),
     )
-    _emit(args, record, ["omega", "rate"], np.column_stack([sim.omega, sim.rate]))
-    if args.compare:
-        pump = spectrum.PumpConfig(v=args.v)
-        report = modesim.compare_to_analytic(sim, pump, tolerance=args.tolerance)
-        columns = ["omega", "simulated", "analytic", "relative_deviation"]
-        rows = np.column_stack(
-            [report.omega, report.simulated, report.analytic, report.relative_deviation]
-        )
-        extra = {
-            "max_relative_deviation": report.max_deviation,
-            "median_relative_deviation": report.median_deviation,
-            "tolerance": report.tolerance,
-            "passed": report.passed,
-            "degenerate": report.degenerate,
-        }
-        with _output(args.report) as stream:
-            write_json(stream, columns, rows, record.meta(), extra)
+    # an exception before the stack closes removes both files: both are written or neither
+    with contextlib.ExitStack() as outputs:
+        _emit(outputs.enter_context(_output(args.out)), args.format, ["omega", "rate"],
+              np.column_stack([sim.omega, sim.rate]), meta)
+        if args.compare:
+            report = modesim.compare_to_analytic(sim, spectrum.PumpConfig(v=args.v),
+                                                 tolerance=args.tolerance)
+            rows = np.column_stack(
+                [report.omega, report.simulated, report.analytic, report.relative_deviation])
+            extra = {
+                "max_relative_deviation": report.max_deviation,
+                "median_relative_deviation": report.median_deviation,
+                "tolerance": report.tolerance,
+                "passed": report.passed,
+                "degenerate": report.degenerate,
+            }
+            write_json(outputs.enter_context(_output(args.report)),
+                       ["omega", "simulated", "analytic", "relative_deviation"], rows, meta, extra)
     args.note = f"monodromy spectral radius {matrix.spectral_radius:.12f}"
     return EXIT_OK
 

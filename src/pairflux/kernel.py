@@ -38,9 +38,11 @@ _OPEN_BAND = (lambda w: (0.0 < w) & (w < 1.0), "lie in (0, 1)")
 
 
 def _checked(omega, domain, velocity: float = 0.0) -> np.ndarray:
-    """omega as a float array, once it and the pump velocity are valid."""
-    if velocity < 0.0:
-        raise ValueError(f"velocity must be >= 0, got {velocity!r}")
+    """omega as a float array, once it and the pump velocity are valid: the
+    velocity must be >= 0 and (v / 2 pi)^2 finite, so v below about 8.4e154."""
+    scale = float(velocity) / TWO_PI  # a Python float: its square overflows to inf, silently
+    if not (velocity >= 0.0 and scale * scale < np.inf):
+        raise ValueError(f"velocity must be >= 0 with (v / 2 pi)^2 finite, got {velocity!r}")
     w = np.asarray(omega, dtype=float)
     ok = domain[0](w)
     if not ok.all():
@@ -118,8 +120,9 @@ def shifted_green_function(omega, mass: float):
 def effective_green_function(omega, mass: float | None = None):
     """G for the photon branch (mass None), G - G1 for a massive boson.
 
-    Identically zero at the pair-creation threshold mass = 1/2: the
-    shifted function then equals G and the emission channel closes.
+    Identically zero at the pair-creation threshold mass = 1/2, where the
+    shifted function equals G.  Its imaginary part is non-zero only for
+    2m < omega < 1, so the pair numerator already vanishes for mass >= 1/4.
     """
     w = _checked(omega, _FINITE if mass is None else _PHYSICAL)
     return _scalar_or_array(_geff(w, mass), omega)

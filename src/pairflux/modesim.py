@@ -110,7 +110,8 @@ class SimConfig:
         if self.steps_per_period > MAX_STEPS_PER_PERIOD:
             raise ValueError(f"dt = {self.dt} needs {self.steps_per_period} steps per pump "
                              f"period, more than {MAX_STEPS_PER_PERIOD}")
-        if self.n_steps > MAX_PERIODS * self.steps_per_period:
+        # near the float maximum t0 / step overflows before it reaches ceil
+        if not self.t0 / self.step < math.inf or self.n_steps > MAX_PERIODS * self.steps_per_period:
             raise ValueError(f"t0 = {self.t0} spans more than {MAX_PERIODS} pump periods")
         map_bytes = (len(self.kept_remainders) + 3) * (2 * self.n_modes) ** 2 * 8
         if map_bytes > MAX_MAP_BYTES:

@@ -127,11 +127,16 @@ def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> SpectrumResult:
     return SpectrumResult(omega=omega, rate=rate, pump=pump, flags=flags)
 
 
-def _split(mass: float | None) -> list[float]:
-    """[0, 1] with the massive branch points 2m and 1 - 2m inside it, where
-    Im Geff(omega) and Im Geff(1 - omega) jump, as panel edges."""
-    cuts = [] if mass is None else sorted(c for c in {2.0 * mass, 1.0 - 2.0 * mass} if 0 < c < 1)
-    return [0.0, *cuts, 1.0]
+def _edges(mass: float | None) -> list[float]:
+    """[0, 1] with the massive branch points 2m and 1 - 2m, where
+    Im Geff(omega) and Im Geff(1 - omega) jump, as panel edges.  A cut within
+    1e-12 of an edge kept before it is dropped, because the panel between
+    them would be so narrow that its Gauss nodes round onto an edge."""
+    edges = [0.0, 1.0]
+    for cut in [] if mass is None else [2.0 * mass, 1.0 - 2.0 * mass]:
+        if min(abs(cut - e) for e in edges) > 1e-12:
+            edges.append(cut)
+    return sorted(edges)
 
 
 def _composite_gauss(f, edges, n: int) -> float:
@@ -168,15 +173,13 @@ def integrated_rate(pump: PumpConfig) -> float:
                 f"a quadrature node sits on a branch point (mass {pump.mass!r})")
         return rate
 
-    edges = _split(pump.mass)
+    edges = _edges(pump.mass)
     v_res = _resonance_or_none(pump.mass)
     if v_res is None or abs(pump.v - v_res) >= 0.1:
         return _composite_gauss(f, edges, -(-256 // (len(edges) - 1)))
     steps = 0.15 * 0.5 ** np.arange(48)
     cuts = np.concatenate([0.5 - steps, 0.5 + steps])
-    # a cut within 1e-12 of a branch point would leave a panel so narrow that its
-    # Gauss nodes round onto that point
-    cuts = cuts[np.abs(cuts[:, None] - edges).min(axis=1) > 1e-12]
+    cuts = cuts[np.abs(cuts[:, None] - edges).min(axis=1) > 1e-12]  # the rule of _edges
     return _composite_gauss(f, np.union1d(edges, cuts), 16)
 
 
@@ -245,8 +248,13 @@ def required_intensity(n2: float, omega_l_over_c: float, v_target: float) -> flo
     """Pump laser intensity (W/cm^2) reaching a target optical-length velocity.
 
     Inverts v = n'_0 omega0 L0 / c with the Kerr response n'_0 = n2 * I:
-    I = v / (n2 * omega_l_over_c).
+    I = v / (n2 * omega_l_over_c).  Every input, and the intensity, must be
+    finite and > 0.
     """
-    if n2 <= 0.0 or omega_l_over_c <= 0.0 or v_target <= 0.0:
-        raise ValueError("n2, omega_l_over_c and v_target must all be > 0")
-    return v_target / (n2 * omega_l_over_c)
+    if not all(0.0 < x < math.inf for x in (n2, omega_l_over_c, v_target)):
+        raise ValueError("n2, omega_l_over_c and v_target must all be finite and > 0")
+    product = n2 * omega_l_over_c
+    intensity = v_target / product if product > 0.0 else math.inf
+    if not 0.0 < intensity < math.inf:
+        raise ValueError(f"the intensity {intensity} W/cm^2 is outside the float range")
+    return intensity

@@ -1,15 +1,23 @@
 """Command-line interface tests: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import stat
+import tempfile
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_reference
-from pairflux import spectrum
+from pairflux import cli, spectrum
 from pairflux.cli import (
     EXIT_INTEGRATOR,
     EXIT_IO,
@@ -105,8 +113,12 @@ def test_golden_output(tmp_path, name, argv, n_grid, condition):
     ["scan", "--v-max", "inf"],
     ["scan", "--v-min", "nan"],
     ["scan", "--integrate", "--v-max", "inf"],
+    ["spectrum", "--v", "1e200"],
+    ["scan", "--v-max", "1e200", "--v-points", "2", "--points", "4"],
+    ["scan", "--integrate", "--v-max", "1e200", "--v-points", "2"],
 ], ids=["spectrum_points_0", "scan_points_0", "spectrum_points_1", "reversed_omega_range",
-        "scan_v_max_inf", "scan_v_min_nan", "integrate_v_max_inf"])
+        "scan_v_max_inf", "scan_v_min_nan", "integrate_v_max_inf", "spectrum_v_overflows",
+        "scan_v_max_overflows", "integrate_v_max_overflows"])
 def test_invalid_grid_input_exits_two(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a leaked numpy warning fails the test
@@ -290,16 +302,19 @@ class TestSimulateCommand:
         assert all(0.2 < row[0] < 0.8 for row in per_mode)
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "flags",
         [("--dt-divisor", "0"), ("--dt-divisor", "-200"), ("--t0", "inf"), ("--v", "nan"),
-         ("--dt-divisor", "1e12"), ("--kappa0", "100000"), ("--t0", "1e12"), ("--t0", "1e20")],
+         ("--dt-divisor", "1e12"), ("--kappa0", "100000"), ("--t0", "1e12"), ("--t0", "1e20"),
+         ("--t0", "1e308"),
+         # 5e-324 * 5e-324 rounds to 0, the divisor of the step 2 pi / divisor
+         ("--dt-divisor", "5e-324", "--mode-multiplier", "5e-324")],
         ids=["zero_divisor", "negative_divisor", "infinite_t0", "nan_v",
              "steps_per_period_over_limit", "period_maps_over_limit", "periods_over_limit",
-             "periods_beyond_int64_steps"],
+             "periods_beyond_int64_steps", "steps_beyond_float_range", "divisor_underflows"],
     )
-    def test_invalid_input_exits_two(self, flag, value, capsys):
+    def test_invalid_input_exits_two(self, flags, capsys):
         argv = ["simulate", "--v", "0.1", "--kappa0", "8", "--t0", str(100 * math.pi)]
-        assert main(argv + [flag, value]) == EXIT_USAGE
+        assert main(argv + list(flags)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "invalid arguments" in err and "Traceback" not in err
 
@@ -337,7 +352,118 @@ class TestEstimateCommand:
                      "--v-target", "1"]) == EXIT_OK
         assert float(capsys.readouterr().out.split()[0]) == 5e9
 
-    def test_nonpositive_exit(self):
-        assert main(["estimate", "--n2", "0", "--omega-l-over-c", "1e5"]) == EXIT_USAGE
-        assert main(["estimate", "--n2", "1e-15", "--omega-l-over-c", "1e5",
-                     "--v-target", "0"]) == EXIT_USAGE
+    @pytest.mark.parametrize("flags", [
+        ["--n2", "0"], ["--v-target", "0"], ["--n2", "nan"], ["--v-target", "nan"],
+        ["--omega-l-over-c", "inf"], ["--v-target", "inf"],
+        ["--n2", "1e-300", "--omega-l-over-c", "1e-300"],  # the intensity overflows
+    ], ids=["n2_0", "v_target_0", "n2_nan", "v_target_nan", "omega_l_over_c_inf",
+            "v_target_inf", "intensity_overflows"])
+    def test_nonpositive_exit(self, flags, capsys):
+        argv = ["estimate", "--n2", "1e-15", "--omega-l-over-c", "1e5"]
+        assert main(argv + flags) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+
+def _listing(path):
+    return sorted(p.name for p in path.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::pairflux.ModeRecurrenceWarning")
+class TestAtomicOutput:
+    SPECTRUM = ["spectrum", "--v", "0.1", "--points", "4"]
+
+    def test_failed_simulate_pair_leaves_neither_file(self, tmp_path):
+        out = tmp_path / "a.csv"
+        argv = ["simulate", "--v", "0.2", "--kappa0", "8", "--dt-divisor", "20", "--compare",
+                "--out", str(out), "--report", str(tmp_path / "missing" / "r.json")]
+        assert main(argv) == EXIT_IO
+        assert _listing(tmp_path) == []
+        out.write_text("old")
+        assert main(argv) == EXIT_IO
+        assert _listing(tmp_path) == ["a.csv"] and out.read_text() == "old"
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "s.csv"
+        out.write_text("old")
+
+        def disk_full(stream, *args):
+            stream.write("# partial\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", disk_full)
+        assert main(self.SPECTRUM + ["--out", str(out)]) == EXIT_IO
+        assert _listing(tmp_path) == ["s.csv"] and out.read_text() == "old"
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old")
+        link.symlink_to(real)
+        assert main(self.SPECTRUM + ["--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and _listing(tmp_path) == ["link.csv", "real.csv"]
+        assert real.read_text().startswith("# command = spectrum\n")
+
+    def test_fifo_is_written_directly(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(self.SPECTRUM + ["--out", str(fifo)]) == EXIT_OK
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(fifo.stat().st_mode) and _listing(tmp_path) == ["pipe"]
+        assert main(self.SPECTRUM + ["--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert received == [(tmp_path / "s.csv").read_text()]
+
+    def test_file_modes(self, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("old")
+        old.chmod(0o600)
+        umask = os.umask(0o027)
+        try:
+            assert main(self.SPECTRUM + ["--out", str(new)]) == EXIT_OK
+            assert main(self.SPECTRUM + ["--out", str(old)]) == EXIT_OK
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640  # as open(path, "w") makes it
+        assert stat.S_IMODE(old.stat().st_mode) == 0o600  # kept, as open(path, "w") keeps it
+
+
+# every float flag of every subcommand, on runs small enough to take milliseconds
+FLOAT_FLAGS = [
+    (["spectrum", "--v", "1", "--points", "4"], ["--v", "--mass", "--omega-min", "--omega-max"]),
+    (["scan", "--v-points", "2", "--points", "4"],
+     ["--v-min", "--v-max", "--mass", "--omega-min", "--omega-max"]),
+    (["scan", "--integrate", "--v-points", "2"], ["--v-min", "--v-max", "--mass"]),
+    (["resonance"], ["--mass"]),
+    (["simulate", "--v", "0.2", "--kappa0", "8", "--dt-divisor", "20", "--compare"],
+     ["--v", "--t0", "--dt-divisor", "--mode-multiplier", "--tolerance"]),
+    (["estimate", "--n2", "1e-15", "--omega-l-over-c", "1e5"],
+     ["--n2", "--omega-l-over-c", "--v-target"]),
+]
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     1e308, -1e308, 8.5e154]),
+    st.floats(1e100, 1.7e308), st.floats(5e-324, 1e-100),
+    st.floats(-1.7e308, -1e100), st.floats(-1e-100, -5e-324),
+).map(repr)
+
+
+@pytest.mark.filterwarnings("ignore::pairflux.ModeRecurrenceWarning")
+@settings(max_examples=150)
+@given(data=st.data())
+def test_float_flags_never_end_in_a_traceback(data):
+    base, flags = data.draw(st.sampled_from(FLOAT_FLAGS))
+    values = data.draw(st.dictionaries(st.sampled_from(flags), EDGE_FLOATS, min_size=1))
+    argv = base + [f"{flag}={value}" for flag, value in values.items()]  # "=": "-inf" is a value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag in {"spectrum": ["--out"], "scan": ["--out"],
+                     "simulate": ["--out", "--report"]}.get(base[0], []):
+            argv += [flag, os.path.join(tmp, flag[2:])]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        left = os.listdir(tmp)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NO_RESONANCE, EXIT_INTEGRATOR), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert code == EXIT_OK or left == [], (argv, left)

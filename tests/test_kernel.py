@@ -232,6 +232,17 @@ class TestEmissionRate:
         with pytest.raises(ValueError):
             emission_rate(0.5, 1.0, denominator_floor=0.0)
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, 1e200, 8.424374178690127e154])
+    def test_rejects_velocity_whose_scale_overflows(self, v):
+        # (v / 2 pi)^2 overflows above 8.4e154 (an OverflowError before); a nan
+        # velocity used to come out as a branch point
+        with pytest.raises(ValueError, match="velocity") as exc:
+            emission_rate(np.array([0.3]), v)
+        assert exc.type is ValueError
+
+    def test_largest_velocity_still_evaluates(self):
+        assert emission_rate(0.0, 8.424374178690126e154) == 0.0
+
 
 class TestPerturbativeRate:
     def test_reference_value(self):

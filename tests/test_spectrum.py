@@ -163,6 +163,27 @@ class TestIntegratedRate:
         total = integrated_rate(PumpConfig(v, mass=0.175 + 1e-15))
         assert abs(total / integrated_rate(PumpConfig(v, mass=0.175)) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("dm", [-3e-14, -1.5e-15, 1.5e-15, 3e-14])
+    @pytest.mark.parametrize("v", [1.0, 20.0, "v_r+0.01"])
+    def test_mass_next_to_a_quarter(self, dm, v):
+        # 2m and 1 - 2m lie within 1e-12 of each other: the second is dropped as
+        # a panel edge, where a panel between them used to put nodes on both;
+        # the numerator is non-zero only on the sliver (2m, 1 - 2m)
+        mass = 0.25 + dm
+        v = resonance_velocity(mass) + 0.01 if v == "v_r+0.01" else v
+        total = integrated_rate(PumpConfig(v, mass=mass))
+        if dm > 0.0:
+            assert total == 0.0
+        else:  # a narrower sliver than 1e-12 away from 1/4 carries less
+            assert 0.0 <= total <= integrated_rate(PumpConfig(v, mass=0.25 - 1e-12))
+
+    @pytest.mark.parametrize("mass", [1e-14, 0.5 - 1e-14])
+    @pytest.mark.parametrize("v", [1.0, 20.0])
+    def test_mass_next_to_an_interval_end(self, mass, v):
+        # a branch point within 1e-12 of 0 or 1 is dropped as a panel edge
+        total = integrated_rate(PumpConfig(v, mass=mass))
+        assert total == pytest.approx(midpoint_sum(v, 400_000, mass=mass), rel=1e-4, abs=0.0)
+
     def test_adaptive_refinement_near_resonance(self):
         v = 2.88  # inside the |v - v_r| < 0.1 refinement window
         assert abs(integrated_rate(PumpConfig(v)) / midpoint_sum(v, 400_000) - 1.0) < 1e-4
