@@ -24,6 +24,7 @@ from .spectrum import (
     SpectrumResult,
     conjugate_partner,
     integrated_rate,
+    integrated_rates,
     required_intensity,
     resonance_velocity,
     scan_2d,
@@ -59,6 +60,7 @@ __all__ = [
     "SpectrumResult",
     "spectrum_grid",
     "integrated_rate",
+    "integrated_rates",
     "resonance_velocity",
     "scan_2d",
     "stimulated_rate",

@@ -169,8 +169,7 @@ def cmd_scan(args) -> int:
         "integrate": args.integrate,
     }
     if args.integrate:
-        totals = [spectrum.integrated_rate(spectrum.PumpConfig(v=float(v), mass=args.mass))
-                  for v in v_values]
+        totals = spectrum.integrated_rates(v_values, args.mass)
         columns, rows = ["v", "integrated_rate"], np.column_stack([v_values, totals])
     else:
         params.update(omega_min=args.omega_min, omega_max=args.omega_max, points=args.points)

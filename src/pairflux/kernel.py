@@ -37,12 +37,16 @@ _BAND = (lambda w: (0.0 <= w) & (w <= 1.0), "lie in [0, 1]")
 _OPEN_BAND = (lambda w: (0.0 < w) & (w < 1.0), "lie in (0, 1)")
 
 
-def _checked(omega, domain, velocity: float = 0.0) -> np.ndarray:
-    """omega as a float array, once it and the pump velocity are valid: the
-    velocity must be >= 0 and (v / 2 pi)^2 finite, so v below about 8.4e154."""
-    scale = float(velocity) / TWO_PI  # a Python float: its square overflows to inf, silently
-    if not (velocity >= 0.0 and scale * scale < np.inf):
-        raise ValueError(f"velocity must be >= 0 with (v / 2 pi)^2 finite, got {velocity!r}")
+def _checked(omega, domain, velocity: float | np.ndarray = 0.0) -> np.ndarray:
+    """omega as a float array, once it and every pump velocity are valid: v >= 0
+    and v * v finite (v below about 1.34e154), else the rate's squares overflow."""
+    if isinstance(velocity, float):  # Python floats: a square that overflows is a silent inf
+        lo = hi = float(velocity)
+    else:
+        lo, hi = float(np.min(velocity)), float(np.max(velocity))
+    if not (lo >= 0.0 and hi * hi < np.inf):
+        bad = next(v for v in np.ravel(velocity).tolist() if not (v >= 0.0 and v * v < np.inf))
+        raise ValueError(f"velocity must be >= 0 with v * v finite, got {bad!r}")
     w = np.asarray(omega, dtype=float)
     ok = domain[0](w)
     if not ok.all():
@@ -57,9 +61,9 @@ def _edge(mass: float) -> float:
 
 
 def _scalar_or_array(value, omega):
-    """Arrays pass through with nan on branch points; a scalar omega gets
-    a Python number back, or SingularArgument on a branch point."""
-    if np.ndim(omega):
+    """Arrays pass through with nan on branch points; a scalar value comes
+    back as a Python number, or raises SingularArgument on a branch point."""
+    if np.ndim(value):
         return value
     if np.isnan(value):
         raise SingularArgument(
@@ -140,7 +144,7 @@ def resolvent_factor(omega, velocity: float, mass: float | None = None):
 
 def emission_rate(
     omega,
-    velocity: float,
+    velocity: float | np.ndarray,
     mass: float | None = None,
     denominator_floor: float = DEFAULT_DENOMINATOR_FLOOR,
 ):
@@ -154,7 +158,9 @@ def emission_rate(
     massive boson it carries the mass dependence so that the rate
     vanishes identically at the threshold mass = 1/2 (Geff == 0 there).
 
-    omega is a float or an array.  Endpoints omega in {0, 1} return 0 by
+    omega and velocity are floats or arrays that broadcast together; the
+    Green functions are evaluated on omega's shape only, so a sweep passes
+    nodes[None, :] and v[:, None].  Endpoints omega in {0, 1} return 0 by
     limit.  A denominator modulus below `denominator_floor` is reported as
     inf - a flagged divergence, not an error.  A branch point of the
     massive branch raises SingularArgument for a float and gives nan in
@@ -165,7 +171,8 @@ def emission_rate(
         raise ValueError("denominator_floor must be > 0")
     g_w, g_p = _geff(w, mass), _geff(1.0 - w, mass)
     with np.errstate(all="ignore"):
-        numerator = (velocity / TWO_PI) ** 2 * 4.0 * g_w.imag * g_p.imag
+        # C pow, like a float's ** 2 (np.power squares: an ulp off for ~1 v in 1,200)
+        numerator = np.float_power(velocity / TWO_PI, 2) * 4.0 * g_w.imag * g_p.imag
         factor = np.abs(_resolvent(g_w, g_p, velocity))
         rate = np.where(factor < denominator_floor, np.inf, numerator / factor**2)
     rate = np.where((numerator == 0.0) | (w == 0.0) | (w == 1.0), 0.0, rate)

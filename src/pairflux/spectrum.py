@@ -24,6 +24,7 @@ RESONANCE_VELOCITY_PHOTON = 4.0 * math.pi / math.sqrt(
 )
 
 _PLACEMENTS = ("open-uniform", "closed-uniform", "gauss-legendre")
+BLOCK_CELLS = 8192  # (pump, node) cells per kernel call of integrated_rates: bounds its memory
 
 
 class NoResonance(Exception):
@@ -139,48 +140,49 @@ def _edges(mass: float | None) -> list[float]:
     return sorted(edges)
 
 
-def _composite_gauss(f, edges, n: int) -> float:
-    """The n-node Gauss-Legendre rule on every panel between consecutive
-    edges, in one call of f; inf when a node diverges."""
-    edges = np.asarray(edges, dtype=float)
-    x, w = _leggauss(n)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    vals = f((mid[:, None] + half[:, None] * x).ravel())
-    if np.isinf(vals).any():
-        return math.inf
-    return float(np.dot((half[:, None] * w).ravel(), vals))
-
-
-def integrated_rate(pump: PumpConfig) -> float:
-    """Total emission rate: integral of the spectrum over the pair band [0, 1].
+def integrated_rates(v_values, mass: float | None = None,
+                     denominator_floor: float = DEFAULT_DENOMINATOR_FLOOR) -> np.ndarray:
+    """Total emission rate, the integral of the spectrum over the pair band
+    [0, 1], for every pump velocity of the vector v_values.
 
     Composite Gauss-Legendre rule, split for a massive boson at the branch
     points 2m and 1 - 2m.  Away from resonance 256 nodes are shared out
     over those panels.  When the pump velocity is within 0.1 of the
     resonance velocity, whose peak at omega = 1/2 has a width of order
     |v - v_r|, panels ending at 1/2 +- 0.15 * 2^-k (k = 0..47) halve
-    towards the peak and each carries 16 nodes.  Returns float('inf')
-    when a node runs into the divergence floor (resonant pump), and
-    raises SingularArgument when a node sits on a branch point.
+    towards the peak and each carries 16 nodes.  The kernel evaluates the
+    pumps of one rule against its nodes by broadcasting, BLOCK_CELLS cells
+    per call.  A pump gets 0 at v = 0 and float('inf') when a node runs
+    into the divergence floor; a node on a branch point raises SingularArgument.
     """
-    if pump.v == 0.0:
-        return 0.0
-
-    def f(omega: np.ndarray) -> np.ndarray:
-        rate = kernel.emission_rate(omega, pump.v, pump.mass, pump.denominator_floor)
-        if np.isnan(rate).any():  # would make the total a silent nan
-            raise kernel.SingularArgument(
-                f"a quadrature node sits on a branch point (mass {pump.mass!r})")
-        return rate
-
-    edges = _edges(pump.mass)
-    v_res = _resonance_or_none(pump.mass)
-    if v_res is None or abs(pump.v - v_res) >= 0.1:
-        return _composite_gauss(f, edges, -(-256 // (len(edges) - 1)))
+    PumpConfig(0.0, mass, denominator_floor)  # the mass and floor checks of one pump
+    v = np.asarray(v_values, dtype=float)
+    totals = np.zeros(len(v))
+    edges, v_res = _edges(mass), _resonance_or_none(mass)
+    near = np.zeros(len(v), bool) if v_res is None else np.abs(v - v_res) < 0.1
     steps = 0.15 * 0.5 ** np.arange(48)
     cuts = np.concatenate([0.5 - steps, 0.5 + steps])
     cuts = cuts[np.abs(cuts[:, None] - edges).min(axis=1) > 1e-12]  # the rule of _edges
-    return _composite_gauss(f, np.union1d(edges, cuts), 16)
+    # no cut repeats an edge, so a sort is np.union1d (whose first call takes 20 ms)
+    for pick, panels, n in [(~near, np.asarray(edges), -(-256 // (len(edges) - 1))),
+                            (near, np.sort(np.concatenate([edges, cuts])), 16)]:
+        x, w = _leggauss(n)
+        mid, half = 0.5 * (panels[:-1] + panels[1:]), 0.5 * (panels[1:] - panels[:-1])
+        nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+        pumps, rows = np.flatnonzero(pick & (v != 0.0)), max(1, BLOCK_CELLS // len(nodes))
+        for block in (pumps[start:start + rows] for start in range(0, len(pumps), rows)):
+            rates = kernel.emission_rate(nodes[None, :], v[block, None], mass, denominator_floor)
+            if np.isnan(rates).any():  # would make a total a silent nan
+                raise kernel.SingularArgument(
+                    f"a quadrature node sits on a branch point (mass {mass!r})")
+            for i, row in zip(block, rates):
+                totals[i] = math.inf if np.isinf(row).any() else float(np.dot(weights, row))
+    return totals
+
+
+def integrated_rate(pump: PumpConfig) -> float:
+    """Total emission rate of one pump: integrated_rates of [pump.v]."""
+    return float(integrated_rates([pump.v], pump.mass, pump.denominator_floor)[0])
 
 
 def resonance_velocity(mass: float | None = None) -> float:

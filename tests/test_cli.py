@@ -116,9 +116,12 @@ def test_golden_output(tmp_path, name, argv, n_grid, condition):
     ["spectrum", "--v", "1e200"],
     ["scan", "--v-max", "1e200", "--v-points", "2", "--points", "4"],
     ["scan", "--integrate", "--v-max", "1e200", "--v-points", "2"],
+    ["spectrum", "--v", "6e154", "--points", "3"],  # v * v overflows: nan rows before
+    ["scan", "--integrate", "--v-max", "5e154", "--v-points", "2"],
 ], ids=["spectrum_points_0", "scan_points_0", "spectrum_points_1", "reversed_omega_range",
         "scan_v_max_inf", "scan_v_min_nan", "integrate_v_max_inf", "spectrum_v_overflows",
-        "scan_v_max_overflows", "integrate_v_max_overflows"])
+        "scan_v_max_overflows", "integrate_v_max_overflows", "spectrum_v_squared_overflows",
+        "integrate_v_squared_overflows"])
 def test_invalid_grid_input_exits_two(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a leaked numpy warning fails the test
@@ -126,6 +129,8 @@ def test_invalid_grid_input_exits_two(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid arguments" in captured.err and "Traceback" not in captured.err
+    if any(arg.endswith("e154") for arg in argv):  # the velocity is named
+        assert "velocity" in captured.err and "e+154" in captured.err
 
 
 class TestSpectrumCommand:

@@ -30,6 +30,7 @@ G_TWO_RE = -0.03138926638226910645970375537370336762412
 G1_QUARTER_MASS_RE = 0.3022097576308008803108648690824951044164  # G1(0.1, m=0.25)
 G_POINT3_RE = 0.2887529411881273434652449082423391064416
 V_RESONANCE = 2.938534902062392721728264364088159531907
+V_RESONANCE_MASS_01 = 3.948147883699223367256040528148342769213
 RESOLVENT_HALF_V01 = 0.9988419207150200872523764843103797211738
 RATE_HALF_V01 = 6.347266741283005371553445867679102557489e-05
 PERT_HALF_V01 = 6.332573977646110715242466450607977431522e-05
@@ -232,16 +233,38 @@ class TestEmissionRate:
         with pytest.raises(ValueError):
             emission_rate(0.5, 1.0, denominator_floor=0.0)
 
-    @pytest.mark.parametrize("v", [math.nan, math.inf, 1e200, 8.424374178690127e154])
+    @pytest.mark.parametrize(
+        "v", [math.nan, math.inf, 1e200, 8.424374178690127e154, 1.35e154, 5e154])
     def test_rejects_velocity_whose_scale_overflows(self, v):
-        # (v / 2 pi)^2 overflows above 8.4e154 (an OverflowError before); a nan
-        # velocity used to come out as a branch point
+        # v * v overflows above 1.34e154, and with it the rate's numerator and
+        # resolvent: inf / inf came out as a nan "branch point"; a nan velocity did too
         with pytest.raises(ValueError, match="velocity") as exc:
             emission_rate(np.array([0.3]), v)
         assert exc.type is ValueError
 
     def test_largest_velocity_still_evaluates(self):
-        assert emission_rate(0.0, 8.424374178690126e154) == 0.0
+        assert emission_rate(0.0, 1.3407807929942596e154) == 0.0
+        assert emission_rate(0.5, 1.3407807929942596e154) == 0.0  # the 1/v^2 fall-off
+
+    @pytest.mark.parametrize("mass, v_res", [(None, V_RESONANCE), (0.1, V_RESONANCE_MASS_01)])
+    def test_velocity_array_broadcasts_bit_for_bit(self, mass, v_res):
+        # 1/2 is a node, so the resonant row hits the denominator floor; for
+        # mass 0.1 the branch points 0.2 and 0.8 give nan columns.  At v = 13.913
+        # (v / 2 pi) ** 2 of a float and np.square of an array differ by an ulp
+        omega = np.linspace(0.0, 1.0, 101)
+        v = np.array([0.0, 0.3, 1.0, v_res, 7.5, 13.913, 1e3, 1.3407807929942596e154])
+        got = emission_rate(omega[None, :], v[:, None], mass)
+        want = np.array([emission_rate(omega, float(x), mass) for x in v])
+        assert got.tobytes() == want.tobytes()
+        assert np.flatnonzero(np.isinf(got).any(axis=1)).tolist() == [3]
+        row = [emission_rate(np.array([0.3]), float(x), mass)[0] for x in v]
+        assert emission_rate(0.3, v, mass).tolist() == row  # a float omega broadcasts too
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.35e154])
+    def test_velocity_array_names_its_invalid_entry(self, bad):
+        with pytest.raises(ValueError, match="velocity") as exc:
+            emission_rate(np.array([[0.3]]), np.array([[1.0], [bad], [2.0]]))
+        assert exc.type is ValueError and str(exc.value).endswith(f"got {bad!r}")
 
 
 class TestPerturbativeRate:

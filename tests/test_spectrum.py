@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from pairflux import kernel
 from pairflux.spectrum import (
+    BLOCK_CELLS,
     RESONANCE_VELOCITY_PHOTON,
     NoResonance,
     PumpConfig,
     SpectralGrid,
     conjugate_partner,
     integrated_rate,
+    integrated_rates,
     required_intensity,
     resonance_velocity,
     scan_2d,
@@ -197,6 +199,28 @@ class TestIntegratedRate:
 
     def test_exact_resonance_reports_divergence(self):
         assert integrated_rate(PumpConfig(V_RESONANCE)) == math.inf
+
+    @pytest.mark.parametrize("mass", [None, 0.1, 0.16, 0.2, 0.25 - 1.5e-15, 0.25 + 1.5e-15, 0.3])
+    def test_sweep_equals_single_pumps_bit_for_bit(self, mass):
+        # more pumps than one kernel call takes, for both rules: the 256-node
+        # rule takes 31 or 32 pumps a call, the ~1,550-node window rule 5
+        v_r = resonance_velocity(mass)
+        far = np.geomspace(0.05, 30.0, 2 * BLOCK_CELLS // 256)
+        near = v_r + np.linspace(-0.095, 0.095, 3 * BLOCK_CELLS // 1550)
+        v = np.concatenate([[0.0, V_RESONANCE], far, near])
+        totals = integrated_rates(v, mass)
+        assert totals.tolist() == [integrated_rate(PumpConfig(float(x), mass)) for x in v]
+        assert totals[0] == 0.0 and (mass is not None or totals[1] == math.inf)
+
+    def test_sweep_with_a_node_on_a_branch_point_raises(self):
+        # at this mass the window panel [1/2 - 0.15 * 2^-37, 2m] holds the branch
+        # point 1 - 2m and one of its nodes has 1 - omega == 2m exactly; the
+        # 256-node rule has no such node
+        mass = 0.2500000000000355
+        v = resonance_velocity(mass) + np.array([0.5, 0.01])
+        assert integrated_rates(v[:1], mass).tolist() == [0.0]
+        with pytest.raises(kernel.SingularArgument):
+            integrated_rates(v, mass)
 
     def test_scan_peaks_at_resonance(self):
         vs = np.linspace(0.5, 5.0, 46)
