@@ -175,14 +175,9 @@ def cmd_scan(args) -> int:
         params.update(omega_min=args.omega_min, omega_max=args.omega_max, points=args.points)
         grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points,
                                      "closed-uniform")
-        # one spectrum per pump row, so each row carries the omega it was evaluated at
-        results = [spectrum.spectrum_grid(spectrum.PumpConfig(v=float(v), mass=args.mass), grid)
-                   for v in v_values]
-        columns, rows = ["v", "omega", "rate"], np.column_stack([
-            np.repeat(v_values, grid.points),
-            np.concatenate([r.omega for r in results]),
-            np.concatenate([r.rate for r in results]),
-        ])
+        omega, rate = spectrum.scan_2d(v_values, grid, args.mass)
+        columns, rows = ["v", "omega", "rate"], np.column_stack(
+            [np.repeat(v_values, grid.points), omega.ravel(), rate.ravel()])
     with _output(args.out) as stream:
         _emit(stream, args.format, columns, rows, _meta(args, **params))
     return EXIT_OK

@@ -23,7 +23,7 @@ TWO_PI = 2.0 * np.pi
 # |resolvent factor| below this is reported as a divergence (rate = inf)
 # rather than an overflowing float; the divergence at the resonant pump
 # velocity is physical and must stay visible.
-DEFAULT_DENOMINATOR_FLOOR = 1e-12
+DENOMINATOR_FLOOR = 1e-12
 
 
 class SingularArgument(ValueError):
@@ -38,8 +38,9 @@ _OPEN_BAND = (lambda w: (0.0 < w) & (w < 1.0), "lie in (0, 1)")
 
 
 def _checked(omega, domain, velocity: float | np.ndarray = 0.0) -> np.ndarray:
-    """omega as a float array, once it and every pump velocity are valid: v >= 0
-    and v * v finite (v below about 1.34e154), else the rate's squares overflow."""
+    """omega as a float array of at least one dimension (numpy's 0-d arithmetic can
+    differ from its array loops in the last bit), once it and every pump velocity are
+    valid: v >= 0 and v * v finite (below about 1.34e154), else the squares overflow."""
     if isinstance(velocity, float):  # Python floats: a square that overflows is a silent inf
         lo = hi = float(velocity)
     else:
@@ -47,7 +48,7 @@ def _checked(omega, domain, velocity: float | np.ndarray = 0.0) -> np.ndarray:
     if not (lo >= 0.0 and hi * hi < np.inf):
         bad = next(v for v in np.ravel(velocity).tolist() if not (v >= 0.0 and v * v < np.inf))
         raise ValueError(f"velocity must be >= 0 with v * v finite, got {bad!r}")
-    w = np.asarray(omega, dtype=float)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
     ok = domain[0](w)
     if not ok.all():
         raise ValueError(f"omega must {domain[1]}, got {float(w[~ok].flat[0])!r}")
@@ -60,15 +61,16 @@ def _edge(mass: float) -> float:
     return 2.0 * mass
 
 
-def _scalar_or_array(value, omega):
-    """Arrays pass through with nan on branch points; a scalar value comes
-    back as a Python number, or raises SingularArgument on a branch point."""
-    if np.ndim(value):
+def _scalar_or_array(value, omega, velocity: float | np.ndarray = 0.0):
+    """Arrays pass through with nan on branch points.  When omega and velocity
+    are both scalars, the one-element value comes back as a Python number, or
+    raises SingularArgument on a branch point."""
+    if np.ndim(omega) or np.ndim(velocity):
         return value
-    if np.isnan(value):
+    if np.isnan(value[0]):
         raise SingularArgument(
             f"omega = {float(omega)!r} sits on a log branch point of the Green function")
-    return value.item()
+    return value[0].item()
 
 
 def _band(omega: np.ndarray, edge: float) -> np.ndarray:
@@ -139,15 +141,11 @@ def resolvent_factor(omega, velocity: float, mass: float | None = None):
     (omega = 1/2, v = v_r) is the resonant enhancement of the emission.
     """
     w = _checked(omega, _OPEN_BAND, velocity)
-    return _scalar_or_array(_resolvent(_geff(w, mass), _geff(1.0 - w, mass), velocity), omega)
+    return _scalar_or_array(
+        _resolvent(_geff(w, mass), _geff(1.0 - w, mass), velocity), omega, velocity)
 
 
-def emission_rate(
-    omega,
-    velocity: float | np.ndarray,
-    mass: float | None = None,
-    denominator_floor: float = DEFAULT_DENOMINATOR_FLOOR,
-):
+def emission_rate(omega, velocity: float | np.ndarray, mass: float | None = None):
     """Pair emission rate per unit time and frequency at omega in [0, 1].
 
     Photon branch: (v/2pi)^2 omega(1-omega) / |1 - v^2 G*(omega) G(1-omega)|^2.
@@ -161,22 +159,20 @@ def emission_rate(
     omega and velocity are floats or arrays that broadcast together; the
     Green functions are evaluated on omega's shape only, so a sweep passes
     nodes[None, :] and v[:, None].  Endpoints omega in {0, 1} return 0 by
-    limit.  A denominator modulus below `denominator_floor` is reported as
+    limit.  A denominator modulus below DENOMINATOR_FLOOR is reported as
     inf - a flagged divergence, not an error.  A branch point of the
     massive branch raises SingularArgument for a float and gives nan in
     an array.
     """
     w = _checked(omega, _BAND, velocity)
-    if denominator_floor <= 0.0:
-        raise ValueError("denominator_floor must be > 0")
     g_w, g_p = _geff(w, mass), _geff(1.0 - w, mass)
     with np.errstate(all="ignore"):
         # C pow, like a float's ** 2 (np.power squares: an ulp off for ~1 v in 1,200)
         numerator = np.float_power(velocity / TWO_PI, 2) * 4.0 * g_w.imag * g_p.imag
         factor = np.abs(_resolvent(g_w, g_p, velocity))
-        rate = np.where(factor < denominator_floor, np.inf, numerator / factor**2)
+        rate = np.where(factor < DENOMINATOR_FLOOR, np.inf, numerator / factor**2)
     rate = np.where((numerator == 0.0) | (w == 0.0) | (w == 1.0), 0.0, rate)
-    return _scalar_or_array(rate, omega)
+    return _scalar_or_array(rate, omega, velocity)
 
 
 def perturbative_rate(omega, velocity: float):
@@ -186,4 +182,4 @@ def perturbative_rate(omega, velocity: float):
     rate approaches it quadratically as v -> 0.
     """
     w = _checked(omega, _BAND, velocity)
-    return _scalar_or_array((velocity / TWO_PI) ** 2 * w * (1.0 - w), omega)
+    return _scalar_or_array((velocity / TWO_PI) ** 2 * w * (1.0 - w), omega, velocity)

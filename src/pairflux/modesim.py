@@ -242,8 +242,8 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
     recorded at evenly spaced checkpoints for the stationary-rate fit in
     extract_rates.
 
-    Raises IntegratorUnstable if any amplitude exceeds the configured
-    bound; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
+    Raises IntegratorUnstable if any amplitude is not finite or exceeds the
+    configured bound; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
     """
     config = ensemble.config
     if config.v > 0.0 and config.t0 > config.recurrence_time:
@@ -270,41 +270,42 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
         pump = (two_v * math.cos(t)) * omega_col * (ensemble.coupling @ X - cpl_col * X)
         return pump - omega_col * omega_col * X
 
-    X = np.eye(K, 2 * K)          # x rows of the fundamental: x(0) = [1 0]
-    V = np.eye(K, 2 * K, K)       # x' rows: x'(0) = [0 1]
-    partial = {}
-    for r in range(1, n_p + 1):
-        t = (r - 1) * h
-        k1 = acc(t, X)
-        k2 = acc(t + 0.5 * h, X + 0.5 * h * V)
-        k3 = acc(t + 0.5 * h, X + 0.5 * h * V + 0.25 * h * h * k1)
-        k4 = acc(t + h, X + h * V + 0.5 * h * h * k2)
-        X, V = (X + h * V + (h * h / 6.0) * (k1 + k2 + k3),
-                V + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-        if r in remainders:
-            partial[r] = np.vstack([X, V])
-    monodromy = np.vstack([X, V])
+    with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
+        X = np.eye(K, 2 * K)          # x rows of the fundamental: x(0) = [1 0]
+        V = np.eye(K, 2 * K, K)       # x' rows: x'(0) = [0 1]
+        partial = {}
+        for r in range(1, n_p + 1):
+            t = (r - 1) * h
+            k1 = acc(t, X)
+            k2 = acc(t + 0.5 * h, X + 0.5 * h * V)
+            k3 = acc(t + 0.5 * h, X + 0.5 * h * V + 0.25 * h * h * k1)
+            k4 = acc(t + h, X + h * V + 0.5 * h * h * k2)
+            X, V = (X + h * V + (h * h / 6.0) * (k1 + k2 + k3),
+                    V + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+            if r in remainders:
+                partial[r] = np.vstack([X, V])
+        monodromy = np.vstack([X, V])
 
-    # initial columns x(0) = 1/sqrt(2 w), x'(0) = -i w x(0) on the fundamental
-    x0 = 1.0 / np.sqrt(2.0 * omega)
-    v0 = -1j * omega * x0
-    power, q_now = np.eye(2 * K), 0
-    occupations = np.empty((len(check_steps), K))
-    bound = config.amplitude_bound
-    for c, s in enumerate(check_steps):
-        q, r = divmod(int(s), n_p)
-        for _ in range(q - q_now):
-            power = monodromy @ power
-        q_now = q
-        F = partial[r] @ power if r else power
-        Xc = F[:K, :K] * x0 + F[:K, K:] * v0
-        t = s * h
-        if not np.isfinite(Xc).all() or np.abs(Xc).max() > bound:
-            raise IntegratorUnstable(
-                f"amplitude bound {bound:g} exceeded at t = {t:.4g} (v = {config.v})"
-            )
-        mu, nu = _project(Xc, F[K:, :K] * x0 + F[K:, K:] * v0, omega, t)
-        occupations[c] = (np.abs(nu) ** 2).sum(axis=1)
+        # initial columns x(0) = 1/sqrt(2 w), x'(0) = -i w x(0) on the fundamental
+        x0 = 1.0 / np.sqrt(2.0 * omega)
+        v0 = -1j * omega * x0
+        power, q_now = np.eye(2 * K), 0
+        occupations = np.empty((len(check_steps), K))
+        bound = config.amplitude_bound
+        for c, s in enumerate(check_steps):
+            q, r = divmod(int(s), n_p)
+            for _ in range(q - q_now):
+                power = monodromy @ power
+            q_now = q
+            F = partial[r] @ power if r else power
+            Xc = F[:K, :K] * x0 + F[:K, K:] * v0
+            t = s * h
+            if not np.isfinite(Xc).all() or np.abs(Xc).max() > bound:
+                raise IntegratorUnstable(
+                    f"amplitude bound {bound:g} exceeded at t = {t:.4g} (v = {config.v})"
+                )
+            mu, nu = _project(Xc, F[K:, :K] * x0 + F[K:, K:] * v0, omega, t)
+            occupations[c] = (np.abs(nu) ** 2).sum(axis=1)
 
     return BogoliubovMatrix(
         mu=mu, nu=nu, omega=omega, times=check_steps * h, occupations=occupations,
@@ -346,7 +347,7 @@ def compare_to_analytic(
     mask = (sim.omega > window[0]) & (sim.omega < window[1])
     omega = sim.omega[mask]
     simulated = sim.rate[mask]
-    analytic = kernel.emission_rate(omega, pump.v, pump.mass, pump.denominator_floor)
+    analytic = kernel.emission_rate(omega, pump.v, pump.mass)
     # v = 0 (or closed channel): nothing to normalize against
     degenerate = not analytic.any()
     devs = np.abs(simulated) if degenerate else np.abs(simulated / analytic - 1.0)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .kernel import DEFAULT_DENOMINATOR_FLOOR
 
 # pump velocity at which the omega = 1/2 resolvent factor vanishes:
 # 4 pi / sqrt(pi^2 + (4 - ln 3)^2), about 2.9385
@@ -23,8 +22,8 @@ RESONANCE_VELOCITY_PHOTON = 4.0 * math.pi / math.sqrt(
     math.pi**2 + (4.0 - math.log(3.0)) ** 2
 )
 
-_PLACEMENTS = ("open-uniform", "closed-uniform", "gauss-legendre")
-BLOCK_CELLS = 8192  # (pump, node) cells per kernel call of integrated_rates: bounds its memory
+_PLACEMENTS = ("closed-uniform", "gauss-legendre")
+BLOCK_CELLS = 8192  # (pump, node) cells per kernel call of a sweep: bounds its memory
 
 
 class NoResonance(Exception):
@@ -35,28 +34,24 @@ class NoResonance(Exception):
 @dataclass(frozen=True)
 class PumpConfig:
     """Physical pump parameters: dimensionless velocity v = V/c and the
-    emitted-boson mass (None = photon), plus the divergence floor."""
+    emitted-boson mass (None = photon)."""
 
     v: float
     mass: float | None = None
-    denominator_floor: float = DEFAULT_DENOMINATOR_FLOOR
 
     def __post_init__(self):
         if self.v < 0.0 or not math.isfinite(self.v):
             raise ValueError(f"pump velocity must be finite and >= 0, got {self.v!r}")
         if self.mass is not None and not 0.0 <= self.mass <= 0.5:
             raise ValueError(f"mass must lie in [0, 1/2], got {self.mass!r}")
-        if self.denominator_floor <= 0.0:
-            raise ValueError("denominator_floor must be > 0")
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
     """Frequency discretization on [omega_min, omega_max] inside [0, 1].
 
-    'open-uniform' is a midpoint grid (never touches the interval ends);
     'closed-uniform' is linspace with both ends (trapezoid weights);
-    'gauss-legendre' places Gauss nodes (open as well).
+    'gauss-legendre' places Gauss nodes (never touching the interval ends).
     """
 
     omega_min: float = 0.0
@@ -79,9 +74,6 @@ class SpectralGrid:
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         a, b, n = self.omega_min, self.omega_max, self.points
-        if self.placement == "open-uniform":
-            h = (b - a) / n
-            return a + h * (np.arange(n) + 0.5), np.full(n, h)
         if self.placement == "closed-uniform":
             h = (b - a) / (n - 1)
             w = np.full(n, h)
@@ -108,21 +100,38 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> SpectrumResult:
-    """Evaluate the emission rate at every grid node.
+def _blocks(rows: np.ndarray, cells_per_row: int):
+    """The row indices in consecutive blocks of at most BLOCK_CELLS cells
+    (at least one row per block), one broadcast kernel call each."""
+    size = max(1, BLOCK_CELLS // cells_per_row)
+    return (rows[start:start + size] for start in range(0, len(rows), size))
 
-    Divergent or singular nodes are flagged and do not abort the grid.
-    A node exactly at omega = 1/2 is nudged off by a fraction of the
-    spacing when the pump sits at its resonance velocity, so the grid
-    never samples the divergent point itself.
-    """
-    omega = grid.nodes()
-    if pump.v > 0.0:
-        v_res = _resonance_or_none(pump.mass)
-        if v_res is not None and abs(pump.v - v_res) < pump.denominator_floor:
-            spacing = (grid.omega_max - grid.omega_min) / grid.points
-            omega[omega == 0.5] += 1e-3 * spacing
-    rate = kernel.emission_rate(omega, pump.v, pump.mass, pump.denominator_floor)
+
+def scan_2d(v_values, grid: SpectralGrid, mass: float | None = None):
+    """Emission rates over pump velocities (rows) and grid nodes (columns), as
+    (omega, rate) arrays of shape (pumps, points): the frequencies each row was
+    evaluated at, and linear rates with inf on a divergent node and nan on a
+    branch point.  A resonant row's node at omega = 1/2 is nudged off by a
+    fraction of the spacing, so no row samples the divergence itself.  The rows
+    go to the kernel in blocks of at most BLOCK_CELLS cells."""
+    PumpConfig(0.0, mass)  # the mass check of one pump
+    v = np.asarray(v_values, dtype=float)
+    omega = np.tile(grid.nodes(), (len(v), 1))
+    v_res = _resonance_or_none(mass)
+    if v_res is not None:
+        resonant = (v > 0.0) & (np.abs(v - v_res) < kernel.DENOMINATOR_FLOOR)
+        omega[resonant[:, None] & (omega == 0.5)] += (
+            1e-3 * (grid.omega_max - grid.omega_min) / grid.points)
+    rate = np.empty_like(omega)
+    for block in _blocks(np.arange(len(v)), grid.points):
+        rate[block] = kernel.emission_rate(omega[block], v[block, None], mass)
+    return omega, rate
+
+
+def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> SpectrumResult:
+    """Emission rate at every grid node, scan_2d of [pump.v]; divergent or
+    singular nodes are flagged and do not abort the grid."""
+    omega, rate = (row[0] for row in scan_2d([pump.v], grid, pump.mass))
     flags = [(int(i), "singular" if math.isnan(rate[i]) else "resonant-divergence")
              for i in np.flatnonzero(~np.isfinite(rate))]
     return SpectrumResult(omega=omega, rate=rate, pump=pump, flags=flags)
@@ -140,8 +149,7 @@ def _edges(mass: float | None) -> list[float]:
     return sorted(edges)
 
 
-def integrated_rates(v_values, mass: float | None = None,
-                     denominator_floor: float = DEFAULT_DENOMINATOR_FLOOR) -> np.ndarray:
+def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     """Total emission rate, the integral of the spectrum over the pair band
     [0, 1], for every pump velocity of the vector v_values.
 
@@ -155,7 +163,7 @@ def integrated_rates(v_values, mass: float | None = None,
     per call.  A pump gets 0 at v = 0 and float('inf') when a node runs
     into the divergence floor; a node on a branch point raises SingularArgument.
     """
-    PumpConfig(0.0, mass, denominator_floor)  # the mass and floor checks of one pump
+    PumpConfig(0.0, mass)  # the mass check of one pump
     v = np.asarray(v_values, dtype=float)
     totals = np.zeros(len(v))
     edges, v_res = _edges(mass), _resonance_or_none(mass)
@@ -169,9 +177,8 @@ def integrated_rates(v_values, mass: float | None = None,
         x, w = _leggauss(n)
         mid, half = 0.5 * (panels[:-1] + panels[1:]), 0.5 * (panels[1:] - panels[:-1])
         nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-        pumps, rows = np.flatnonzero(pick & (v != 0.0)), max(1, BLOCK_CELLS // len(nodes))
-        for block in (pumps[start:start + rows] for start in range(0, len(pumps), rows)):
-            rates = kernel.emission_rate(nodes[None, :], v[block, None], mass, denominator_floor)
+        for block in _blocks(np.flatnonzero(pick & (v != 0.0)), len(nodes)):
+            rates = kernel.emission_rate(nodes[None, :], v[block, None], mass)
             if np.isnan(rates).any():  # would make a total a silent nan
                 raise kernel.SingularArgument(
                     f"a quadrature node sits on a branch point (mass {mass!r})")
@@ -182,7 +189,7 @@ def integrated_rates(v_values, mass: float | None = None,
 
 def integrated_rate(pump: PumpConfig) -> float:
     """Total emission rate of one pump: integrated_rates of [pump.v]."""
-    return float(integrated_rates([pump.v], pump.mass, pump.denominator_floor)[0])
+    return float(integrated_rates([pump.v], pump.mass)[0])
 
 
 def resonance_velocity(mass: float | None = None) -> float:
@@ -205,20 +212,6 @@ def _resonance_or_none(mass: float | None) -> float | None:
         return None
 
 
-def scan_2d(
-    v_values, grid: SpectralGrid, mass: float | None = None,
-    denominator_floor: float = DEFAULT_DENOMINATOR_FLOOR,
-) -> np.ndarray:
-    """Rate matrix over pump velocities (rows) and frequencies (columns).
-
-    Linear rates; divergent cells carry float('inf').  Downstream emitters
-    apply any log scaling.
-    """
-    return np.vstack([
-        spectrum_grid(PumpConfig(float(v), mass, denominator_floor), grid).rate for v in v_values
-    ])
-
-
 def stimulated_rate(
     omega: float, pump: PumpConfig, n_q: float
 ) -> tuple[float, float]:
@@ -230,7 +223,7 @@ def stimulated_rate(
     """
     if n_q < 0.0:
         raise ValueError(f"mode occupation must be >= 0, got {n_q!r}")
-    spontaneous = kernel.emission_rate(omega, pump.v, pump.mass, pump.denominator_floor)
+    spontaneous = kernel.emission_rate(omega, pump.v, pump.mass)
     enhanced = (1.0 + n_q) * spontaneous
     return enhanced, enhanced
 

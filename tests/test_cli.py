@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference
-from pairflux import cli, spectrum
+from pairflux import ModeRecurrenceWarning, cli, spectrum
 from pairflux.cli import (
     EXIT_INTEGRATOR,
     EXIT_IO,
@@ -334,9 +334,10 @@ class TestSimulateCommand:
         assert abs(float(line.split("monodromy spectral radius ")[1]) - 1.0) < 1e-9
 
     def test_instability_exit(self):
-        assert main([
-            "simulate", "--v", "40", "--kappa0", "8", "--t0", str(100 * math.pi),
-        ]) == EXIT_INTEGRATOR
+        with pytest.warns(ModeRecurrenceWarning):  # t0 = 100 pi > 2 pi kappa0
+            assert main([
+                "simulate", "--v", "40", "--kappa0", "8", "--t0", str(100 * math.pi),
+            ]) == EXIT_INTEGRATOR
 
 
 class TestEstimateCommand:

@@ -49,6 +49,43 @@ def cx_close(a: complex, b: complex, tol: float = 1e-14) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(b))
 
 
+def pv_mode_sum(big_omega: float, n: int = 64) -> float:
+    """(1/pi) PV integral over [0, 1] of w^2 / (w^2 - W^2), the oracle's mode
+    sum, by n-node Gauss-Legendre: around a pole W < 1 the window [W - d, W + d]
+    folds to the integral over [0, d] of (h(W + t) - h(W - t)) / t with
+    h(s) = s^2 / (s + W), and the rest of [0, 1] takes the plain rule."""
+    x, w = np.polynomial.legendre.leggauss(n)
+
+    def gauss(f, a, b):
+        half = 0.5 * (b - a)
+        return half * float(np.dot(w, f(0.5 * (a + b) + half * x))) if b > a else 0.0
+
+    def direct(s):
+        return s * s / (s * s - big_omega * big_omega)
+
+    if big_omega > 1.0:
+        return gauss(direct, 0.0, 1.0) / math.pi
+    d = min(big_omega, 1.0 - big_omega)
+    def h(s):
+        return s * s / (s + big_omega)
+
+    folded = gauss(lambda t: (h(big_omega + t) - h(big_omega - t)) / t, 0.0, d)
+    rest = gauss(direct, 0.0, big_omega - d) + gauss(direct, big_omega + d, 1.0)
+    return (folded + rest) / math.pi
+
+
+# each public kernel function and its arguments at a random point (x, v, m)
+# of [0, 1) x [0, 10) x ({None} or [0, 1/2))
+KERNEL_POINTS = [
+    (green_function, lambda x, v, m: (4.0 * x - 2.0,)),
+    (shifted_green_function, lambda x, v, m: (2.0 * x, 0.5 if m is None else m)),
+    (effective_green_function, lambda x, v, m: (2.0 * x, m)),
+    (resolvent_factor, lambda x, v, m: (x, v, m)),
+    (emission_rate, lambda x, v, m: (x, v, m)),
+    (perturbative_rate, lambda x, v, m: (x, v)),
+]
+
+
 class TestGreenFunction:
     def test_reference_points(self):
         assert cx_close(green_function(0.0), complex(1.0 / math.pi, 0.0))
@@ -79,6 +116,13 @@ class TestGreenFunction:
             green_function(math.inf)
         with pytest.raises(ValueError):
             green_function(math.nan)
+
+    @pytest.mark.parametrize(
+        "big_omega", [*(round(0.01 * k, 2) for k in range(1, 100)), 1.5, 2.0, 3.7])
+    def test_real_part_is_the_principal_value_mode_sum(self, big_omega):
+        # Re G(W) = (1/pi) PV int_0^1 w^2 / (w^2 - W^2) dw, inside the band and
+        # beyond it; the worst deviation measured is 4.9e-12 (at W = 0.99)
+        assert cx_close(pv_mode_sum(big_omega), green_function(big_omega).real, 1e-11)
 
 
 class TestShiftedGreenFunction:
@@ -143,6 +187,21 @@ class TestResolventFactor:
             resolvent_factor(0.5, -1.0)
 
 
+class TestFloatCalls:
+    @pytest.mark.parametrize("f, point", KERNEL_POINTS, ids=[f.__name__ for f, _ in KERNEL_POINTS])
+    def test_float_call_is_the_one_element_array_call(self, f, point):
+        # numpy's 0-d arithmetic can differ from its array loops in the last bit
+        # (v^2 G*(omega) G(1 - omega) did for 2% of random rates), so a float
+        # call evaluates the one-element array
+        rng = np.random.default_rng(7)
+        for x, v, m in zip(rng.random(500), 10.0 * rng.random(500), 0.5 * rng.random(500)):
+            for mass in (None, float(m)):
+                omega, *args = point(float(x), float(v), mass)
+                one, array = f(omega, *args), f(np.array([omega]), *args)
+                assert type(one) in (float, complex) and array.shape == (1,)
+                assert np.array([one]).tobytes() == array.tobytes(), (f.__name__, omega, *args)
+
+
 class TestEmissionRate:
     def test_reference_value(self):
         assert abs(emission_rate(0.5, 0.1) / RATE_HALF_V01 - 1.0) < 1e-13
@@ -154,9 +213,6 @@ class TestEmissionRate:
 
     def test_divergence_flagged_as_inf(self):
         assert emission_rate(0.5, V_RESONANCE) == math.inf
-
-    def test_floor_is_configurable(self):
-        assert math.isfinite(emission_rate(0.5, V_RESONANCE, denominator_floor=1e-300))
 
     @given(
         # below ~1e-3 the 1 - (1 - w) float roundtrip perturbs the argument
@@ -230,8 +286,6 @@ class TestEmissionRate:
             emission_rate(1.5, 1.0)
         with pytest.raises(ValueError):
             emission_rate(0.5, -0.1)
-        with pytest.raises(ValueError):
-            emission_rate(0.5, 1.0, denominator_floor=0.0)
 
     @pytest.mark.parametrize(
         "v", [math.nan, math.inf, 1e200, 8.424374178690127e154, 1.35e154, 5e154])
