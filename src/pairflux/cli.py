@@ -146,7 +146,7 @@ def _mass_arg(parser: argparse.ArgumentParser) -> None:
 
 def cmd_spectrum(args) -> int:
     pump = spectrum.PumpConfig(v=args.v, mass=args.mass)
-    grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points, "closed-uniform")
+    grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points)
     result = spectrum.spectrum_grid(pump, grid)  # nan on a branch point
     meta = _meta(
         args, v=args.v, mass="photon" if args.mass is None else args.mass,
@@ -173,8 +173,7 @@ def cmd_scan(args) -> int:
         columns, rows = ["v", "integrated_rate"], np.column_stack([v_values, totals])
     else:
         params.update(omega_min=args.omega_min, omega_max=args.omega_max, points=args.points)
-        grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points,
-                                     "closed-uniform")
+        grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points)
         omega, rate = spectrum.scan_2d(v_values, grid, args.mass)
         columns, rows = ["v", "omega", "rate"], np.column_stack(
             [np.repeat(v_values, grid.points), omega.ravel(), rate.ravel()])
@@ -193,12 +192,8 @@ def cmd_resonance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    divisor = args.dt_divisor * args.mode_multiplier  # two tiny factors can underflow to 0
-    if not (args.dt_divisor > 0.0 and args.mode_multiplier > 0.0 and divisor > 0.0):
-        raise ValueError("--dt-divisor and --mode-multiplier must be > 0")
-    dt = 2.0 * math.pi / divisor
     config = modesim.SimConfig(
-        kappa0=args.kappa0, v=args.v, t0=args.t0, dt=dt,
+        kappa0=args.kappa0, v=args.v, t0=args.t0, dt_divisor=args.dt_divisor,
         mode_multiplier=args.mode_multiplier,
     )
     matrix = modesim.evolve(modesim.build_sim(config))  # IntegratorUnstable -> exit 5

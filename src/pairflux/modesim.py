@@ -43,7 +43,10 @@ from .spectrum import PumpConfig
 # tests/test_modesim.py::test_rate_normalization_matches_perturbative_limit.
 MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 
-DEFAULT_DT_DIVISOR = 200.0  # dt = 2 pi / (divisor * omega_max)
+DEFAULT_DT_DIVISOR = 200.0  # RK4 steps per pump period, per unit of mode_multiplier
+CHECKPOINTS = 16  # occupation samples over the run; at least 8 fall in [t0/2, t0]
+AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
+COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
 
 # Work a SimConfig may ask of evolve: RK4 steps per pump period, pump periods
 # (one monodromy product each), and bytes of the 2K x 2K maps held at once
@@ -57,13 +60,13 @@ MAX_MAP_BYTES = 2**30
 
 
 def _ceil(x: float) -> int:
-    """ceil(x) forgiving a relative rounding excess, so that
-    2*pi / (2*pi/200) counts as 200 steps, not 201."""
+    """ceil(x) forgiving a relative rounding excess, so that a t0 of
+    q whole periods counts as q * n_p steps, not one more."""
     return math.ceil(x * (1.0 - 1e-9))
 
 
 class IntegratorUnstable(Exception):
-    """Amplitude norm blew past the configured bound during evolution."""
+    """An amplitude went non-finite or past AMPLITUDE_BOUND during evolution."""
 
 
 class ModeRecurrenceWarning(UserWarning):
@@ -75,21 +78,20 @@ class SimConfig:
     """Truncated-mode simulation parameters.
 
     kappa0 sets the mode count and spacing (delta omega = 1/kappa0); t0 is
-    the total modulation time; dt defaults to 2 pi / (200 * omega_max),
-    which keeps the per-row symplectic defect of the RK4 map below 1e-6
-    out to t0 = 400 pi.  The step is snapped to 2 pi / ceil(2 pi / dt), so
-    it divides the pump period and is never coarser than asked; the run
-    takes ceil(t0 / step) steps.  mode_multiplier > 1 adds modes above the
-    pump frequency to probe truncation sensitivity.
+    the total modulation time.  A pump period takes
+    ceil(dt_divisor * mode_multiplier) RK4 steps, so the step divides the
+    period and is never coarser than 2 pi / (dt_divisor * omega_max); the
+    default divisor 200 keeps the per-row symplectic defect of the RK4 map
+    below 1e-6 out to t0 = 400 pi.  The run takes ceil(t0 / step) steps.
+    mode_multiplier > 1 adds modes above the pump frequency to probe
+    truncation sensitivity.
     """
 
     kappa0: int
     v: float
     t0: float = 400.0 * math.pi
-    dt: float | None = None
+    dt_divisor: float = DEFAULT_DT_DIVISOR
     mode_multiplier: float = 1.0
-    checkpoints: int = 16
-    amplitude_bound: float = 1e6
 
     def __post_init__(self):
         # written as "not (valid)" so that nan fails every check
@@ -102,14 +104,13 @@ class SimConfig:
                 f"t0 must be finite and >= 100*pi (stationary extraction), got {self.t0}")
         if not 1.0 <= self.mode_multiplier < math.inf:
             raise ValueError(f"mode_multiplier must be finite and >= 1, got {self.mode_multiplier}")
-        if self.checkpoints < 4:
-            raise ValueError(f"checkpoints must be >= 4, got {self.checkpoints}")
-        omega_max = self.mode_multiplier
-        if self.dt is not None and not 0.0 < self.dt <= 2.0 * math.pi / (20.0 * omega_max):
-            raise ValueError(f"dt must be in (0, 2*pi/(20*omega_max)], got {self.dt}")
-        if self.steps_per_period > MAX_STEPS_PER_PERIOD:
-            raise ValueError(f"dt = {self.dt} needs {self.steps_per_period} steps per pump "
-                             f"period, more than {MAX_STEPS_PER_PERIOD}")
+        if not 20.0 <= self.dt_divisor < math.inf:
+            raise ValueError(f"dt_divisor must be finite and >= 20, got {self.dt_divisor}")
+        # the product of two large factors overflows to inf, which has no ceil
+        divisor = self.dt_divisor * self.mode_multiplier
+        if not divisor < math.inf or self.steps_per_period > MAX_STEPS_PER_PERIOD:
+            raise ValueError(f"dt_divisor * mode_multiplier = {divisor} needs more than "
+                             f"{MAX_STEPS_PER_PERIOD} steps per pump period")
         # near the float maximum t0 / step overflows before it reaches ceil
         if not self.t0 / self.step < math.inf or self.n_steps > MAX_PERIODS * self.steps_per_period:
             raise ValueError(f"t0 = {self.t0} spans more than {MAX_PERIODS} pump periods")
@@ -120,11 +121,9 @@ class SimConfig:
 
     @property
     def steps_per_period(self) -> int:
-        """RK4 steps per pump period 2 pi: the requested dt snapped down to
-        divide the period (so Floquet composition is exact)."""
-        dt = self.dt if self.dt is not None else (
-            2.0 * math.pi / (DEFAULT_DT_DIVISOR * self.mode_multiplier))
-        return _ceil(2.0 * math.pi / dt)
+        """RK4 steps per pump period 2 pi, a whole number so that Floquet
+        composition is exact."""
+        return _ceil(self.dt_divisor * self.mode_multiplier)
 
     @property
     def step(self) -> float:
@@ -138,7 +137,7 @@ class SimConfig:
     @property
     def checkpoint_steps(self) -> np.ndarray:
         """Step counts at which evolve records occupations."""
-        return np.linspace(0, self.n_steps, self.checkpoints + 1).astype(int)[1:]
+        return np.linspace(0, self.n_steps, CHECKPOINTS + 1).astype(int)[1:]
 
     @property
     def kept_remainders(self) -> set[int]:
@@ -181,10 +180,6 @@ class BogoliubovMatrix:
     occupations: np.ndarray
     config: SimConfig
     spectral_radius: float
-
-    def occupation(self) -> np.ndarray:
-        """Final per-mode pair occupation N_k = sum_j |nu_kj|^2."""
-        return (np.abs(self.nu) ** 2).sum(axis=1)
 
     def symplectic_defect(self) -> float:
         """max_k |sum_j (|mu_kj|^2 - |nu_kj|^2) - 1|, the unitarity residue."""
@@ -242,8 +237,8 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
     recorded at evenly spaced checkpoints for the stationary-rate fit in
     extract_rates.
 
-    Raises IntegratorUnstable if any amplitude is not finite or exceeds the
-    configured bound; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
+    Raises IntegratorUnstable if any amplitude is not finite or exceeds
+    AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
     """
     config = ensemble.config
     if config.v > 0.0 and config.t0 > config.recurrence_time:
@@ -291,7 +286,6 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
         v0 = -1j * omega * x0
         power, q_now = np.eye(2 * K), 0
         occupations = np.empty((len(check_steps), K))
-        bound = config.amplitude_bound
         for c, s in enumerate(check_steps):
             q, r = divmod(int(s), n_p)
             for _ in range(q - q_now):
@@ -300,9 +294,9 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
             F = partial[r] @ power if r else power
             Xc = F[:K, :K] * x0 + F[:K, K:] * v0
             t = s * h
-            if not np.isfinite(Xc).all() or np.abs(Xc).max() > bound:
+            if not np.isfinite(Xc).all() or np.abs(Xc).max() > AMPLITUDE_BOUND:
                 raise IntegratorUnstable(
-                    f"amplitude bound {bound:g} exceeded at t = {t:.4g} (v = {config.v})"
+                    f"amplitude bound {AMPLITUDE_BOUND:g} exceeded at t = {t:.4g} (v = {config.v})"
                 )
             mu, nu = _project(Xc, F[K:, :K] * x0 + F[K:, K:] * v0, omega, t)
             occupations[c] = (np.abs(nu) ** 2).sum(axis=1)
@@ -324,31 +318,24 @@ def extract_rates(matrix: BogoliubovMatrix) -> SimSpectrum:
     """
     config = matrix.config
     sel = matrix.times >= 0.5 * config.t0 - 1e-9 * config.t0
-    ts = matrix.times[sel]
-    if ts.size >= 3:
-        slopes = np.polyfit(ts, matrix.occupations[sel], deg=1)[0]
-    else:
-        slopes = matrix.occupations[-1] / matrix.times[-1]
+    slopes = np.polyfit(matrix.times[sel], matrix.occupations[sel], deg=1)[0]
     rate = config.kappa0 * slopes * MODE_SUM_TO_SPECTRAL
     interior = (matrix.omega > 0.1) & (matrix.omega < 0.9)
     return SimSpectrum(omega=matrix.omega[interior], rate=rate[interior], config=config)
 
 
-def compare_to_analytic(
-    sim: SimSpectrum,
-    pump: PumpConfig,
-    window: tuple[float, float] = (0.2, 0.8),
-    tolerance: float = 0.15,
-) -> DeviationReport:
+def compare_to_analytic(sim: SimSpectrum, pump: PumpConfig,
+                        tolerance: float = 0.15) -> DeviationReport:
     """Per-mode relative deviation of the simulated spectrum from the
-    closed-form emission rate inside the comparison window."""
-    if abs(pump.v - sim.config.v) > 1e-12:
-        raise ValueError(f"pump v = {pump.v} does not match simulation v = {sim.config.v}")
-    mask = (sim.omega > window[0]) & (sim.omega < window[1])
+    closed-form emission rate inside COMPARE_WINDOW.  The oracle's modes
+    are photons, so the pump must be the simulated one, without a mass."""
+    if pump.mass is not None or abs(pump.v - sim.config.v) > 1e-12:
+        raise ValueError(f"pump {pump} does not match the photon simulation at v = {sim.config.v}")
+    mask = (sim.omega > COMPARE_WINDOW[0]) & (sim.omega < COMPARE_WINDOW[1])
     omega = sim.omega[mask]
     simulated = sim.rate[mask]
-    analytic = kernel.emission_rate(omega, pump.v, pump.mass)
-    # v = 0 (or closed channel): nothing to normalize against
+    analytic = kernel.emission_rate(omega, pump.v)
+    # v = 0: nothing to normalize against
     degenerate = not analytic.any()
     devs = np.abs(simulated) if degenerate else np.abs(simulated / analytic - 1.0)
     median = float(np.median(devs)) if devs.size else 0.0

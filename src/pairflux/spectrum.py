@@ -22,7 +22,6 @@ RESONANCE_VELOCITY_PHOTON = 4.0 * math.pi / math.sqrt(
     math.pi**2 + (4.0 - math.log(3.0)) ** 2
 )
 
-_PLACEMENTS = ("closed-uniform", "gauss-legendre")
 BLOCK_CELLS = 8192  # (pump, node) cells per kernel call of a sweep: bounds its memory
 
 
@@ -48,16 +47,12 @@ class PumpConfig:
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Frequency discretization on [omega_min, omega_max] inside [0, 1].
-
-    'closed-uniform' is linspace with both ends (trapezoid weights);
-    'gauss-legendre' places Gauss nodes (never touching the interval ends).
-    """
+    """Frequency discretization on [omega_min, omega_max] inside [0, 1]:
+    linspace with both ends, trapezoid weights."""
 
     omega_min: float = 0.0
     omega_max: float = 1.0
     points: int = 256
-    placement: str = "gauss-legendre"
 
     def __post_init__(self):
         if not 0.0 <= self.omega_min < self.omega_max <= 1.0:
@@ -66,22 +61,16 @@ class SpectralGrid:
             )
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
-        if self.placement not in _PLACEMENTS:
-            raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
 
     def nodes(self) -> np.ndarray:
         return self.nodes_weights()[0]
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         a, b, n = self.omega_min, self.omega_max, self.points
-        if self.placement == "closed-uniform":
-            h = (b - a) / (n - 1)
-            w = np.full(n, h)
-            w[[0, -1]] = 0.5 * h
-            return np.linspace(a, b, n), w
-        x, w = _leggauss(n)
-        half = 0.5 * (b - a)
-        return 0.5 * (a + b) + half * x, w * half
+        h = (b - a) / (n - 1)
+        w = np.full(n, h)
+        w[[0, -1]] = 0.5 * h
+        return np.linspace(a, b, n), w
 
 
 @dataclass
@@ -114,7 +103,6 @@ def scan_2d(v_values, grid: SpectralGrid, mass: float | None = None):
     branch point.  A resonant row's node at omega = 1/2 is nudged off by a
     fraction of the spacing, so no row samples the divergence itself.  The rows
     go to the kernel in blocks of at most BLOCK_CELLS cells."""
-    PumpConfig(0.0, mass)  # the mass check of one pump
     v = np.asarray(v_values, dtype=float)
     omega = np.tile(grid.nodes(), (len(v), 1))
     v_res = _resonance_or_none(mass)
@@ -163,7 +151,6 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     per call.  A pump gets 0 at v = 0 and float('inf') when a node runs
     into the divergence floor; a node on a branch point raises SingularArgument.
     """
-    PumpConfig(0.0, mass)  # the mass check of one pump
     v = np.asarray(v_values, dtype=float)
     totals = np.zeros(len(v))
     edges, v_res = _edges(mass), _resonance_or_none(mass)
@@ -206,6 +193,8 @@ def resonance_velocity(mass: float | None = None) -> float:
 
 
 def _resonance_or_none(mass: float | None) -> float | None:
+    """resonance_velocity, or None where there is none; a mass outside
+    [0, 1/2] raises ValueError, which makes this the mass check of a sweep."""
     try:
         return resonance_velocity(mass)
     except (NoResonance, kernel.SingularArgument):  # mass 1/4 puts 2m at omega = 1/2
@@ -221,8 +210,8 @@ def stimulated_rate(
     both the same wavevector and the phase-conjugate partner -alpha q, so
     both returned rates equal (1 + n_q) * spontaneous.
     """
-    if n_q < 0.0:
-        raise ValueError(f"mode occupation must be >= 0, got {n_q!r}")
+    if not 0.0 <= n_q < math.inf:  # nan fails it too
+        raise ValueError(f"mode occupation must be finite and >= 0, got {n_q!r}")
     spontaneous = kernel.emission_rate(omega, pump.v, pump.mass)
     enhanced = (1.0 + n_q) * spontaneous
     return enhanced, enhanced

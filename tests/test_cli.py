@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference
-from pairflux import ModeRecurrenceWarning, cli, spectrum
+from pairflux import ModeRecurrenceWarning, cli
 from pairflux.cli import (
     EXIT_INTEGRATOR,
     EXIT_IO,
@@ -64,8 +64,9 @@ def _map_condition(tokens, mass):
 
 
 def _quadrature_condition(tokens):
-    # an integral of positive terms inherits the worst relative error of its nodes
-    nodes = spectrum.SpectralGrid().nodes()
+    # an integral of positive terms inherits the worst relative error of its
+    # nodes: here those of 256-node Gauss-Legendre on [0, 1]
+    nodes = 0.5 + 0.5 * np.polynomial.legendre.leggauss(256)[0]
     return np.array([scalar_reference.rates(nodes, float(row[0]))[1].max() for row in tokens])
 
 
@@ -311,11 +312,13 @@ class TestSimulateCommand:
         [("--dt-divisor", "0"), ("--dt-divisor", "-200"), ("--t0", "inf"), ("--v", "nan"),
          ("--dt-divisor", "1e12"), ("--kappa0", "100000"), ("--t0", "1e12"), ("--t0", "1e20"),
          ("--t0", "1e308"),
-         # 5e-324 * 5e-324 rounds to 0, the divisor of the step 2 pi / divisor
-         ("--dt-divisor", "5e-324", "--mode-multiplier", "5e-324")],
+         # 5e-324 * 5e-324 rounds to 0 steps per period
+         ("--dt-divisor", "5e-324", "--mode-multiplier", "5e-324"),
+         ("--dt-divisor", "inf"), ("--dt-divisor", "nan"), ("--dt-divisor", "19.9")],
         ids=["zero_divisor", "negative_divisor", "infinite_t0", "nan_v",
              "steps_per_period_over_limit", "period_maps_over_limit", "periods_over_limit",
-             "periods_beyond_int64_steps", "steps_beyond_float_range", "divisor_underflows"],
+             "periods_beyond_int64_steps", "steps_beyond_float_range", "divisor_underflows",
+             "infinite_divisor", "nan_divisor", "divisor_below_20"],
     )
     def test_invalid_input_exits_two(self, flags, capsys):
         argv = ["simulate", "--v", "0.1", "--kappa0", "8", "--t0", str(100 * math.pi)]

@@ -44,7 +44,7 @@ def stepped(config: SimConfig, h: float, n_steps: int):
 
     X = np.diag(1.0 / np.sqrt(2.0 * ens.omega)).astype(complex)
     V = -1j * w * X
-    checks = set(np.linspace(0, n_steps, config.checkpoints + 1).astype(int)[1:].tolist())
+    checks = set(np.linspace(0, n_steps, modesim.CHECKPOINTS + 1).astype(int)[1:].tolist())
     occupations = []
     for n in range(n_steps):
         t = n * h
@@ -90,12 +90,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(kappa0=32, v=0.1, t0=10.0)
         with pytest.raises(ValueError):
-            SimConfig(kappa0=32, v=0.1, dt=1.0)
+            SimConfig(kappa0=32, v=0.1, dt_divisor=1.0)
         with pytest.raises(ValueError):
             SimConfig(kappa0=32, v=0.1, mode_multiplier=0.5)
-        # nan and inf fail every check; a step must be positive
+        # nan and inf fail every check; a period takes at least 20 steps
         for bad in (dict(v=math.nan), dict(v=math.inf), dict(t0=math.inf), dict(t0=math.nan),
-                    dict(dt=0.0), dict(dt=-0.01), dict(dt=math.nan),
+                    dict(dt_divisor=0.0), dict(dt_divisor=-200.0), dict(dt_divisor=math.nan),
+                    dict(dt_divisor=math.inf), dict(dt_divisor=19.9),
                     dict(mode_multiplier=math.nan)):
             with pytest.raises(ValueError):
                 SimConfig(**{"kappa0": 32, "v": 0.1, **bad})
@@ -103,11 +104,11 @@ class TestConfig:
     def test_work_bounds(self):
         # judged from the configuration alone: nothing here allocates a map
         limit = modesim.MAX_STEPS_PER_PERIOD
-        assert SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / limit).steps_per_period == limit
+        assert SimConfig(kappa0=8, v=0.1, dt_divisor=limit).steps_per_period == limit
         with pytest.raises(ValueError, match="steps per pump period"):
-            SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / (limit + 1))
+            SimConfig(kappa0=8, v=0.1, dt_divisor=limit + 1)
         with pytest.raises(ValueError, match="steps per pump period"):
-            SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / 1e12)
+            SimConfig(kappa0=8, v=0.1, dt_divisor=1e12)
         periods = modesim.MAX_PERIODS
         assert SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * periods).n_steps == 200 * periods
         with pytest.raises(ValueError, match="pump periods"):
@@ -153,7 +154,7 @@ class TestFreeEvolution:
         assert np.abs(matrix.mu - np.eye(8)).max() < 1e-5
 
     def test_identity_bogoliubov_at_fine_step(self):
-        config = SimConfig(kappa0=8, v=0.0, t0=T0, dt=2.0 * math.pi / 3000.0)
+        config = SimConfig(kappa0=8, v=0.0, t0=T0, dt_divisor=3000.0)
         matrix = evolve(build_sim(config))
         assert np.abs(matrix.nu).max() < 1e-10
         assert np.abs(matrix.mu - np.eye(8)).max() < 1e-10
@@ -173,8 +174,8 @@ class TestFloquetAgainstStepping:
             # checkpoints 625 steps = 3.125 periods apart: non-zero remainders
             (SimConfig(kappa0=16, v=0.5, t0=T0), 2.0 * math.pi / 200, 10000),
             (SimConfig(kappa0=16, v=0.3, t0=T0, mode_multiplier=1.5), 2.0 * math.pi / 300, 15000),
-            # dt = 2 pi / 250.5 does not divide the period: snapped to 2 pi / 251
-            (SimConfig(kappa0=16, v=0.5, t0=T0, dt=2.0 * math.pi / 250.5),
+            # 250.5 steps do not divide the period: rounded up to 251
+            (SimConfig(kappa0=16, v=0.5, t0=T0, dt_divisor=250.5),
              2.0 * math.pi / 251, 12550),
         ],
         ids=["remainders", "mode_multiplier_1.5", "snapped_step"],
@@ -192,7 +193,7 @@ class TestFloquetAgainstStepping:
         assert SimConfig(kappa0=8, v=0.1, t0=4 * T0).n_steps == 40000
         config = SimConfig(kappa0=8, v=0.1, t0=314.16)
         assert (config.steps_per_period, config.n_steps) == (200, 10001)
-        assert SimConfig(kappa0=8, v=0.1, dt=2.0 * math.pi / 250.5).steps_per_period == 251
+        assert SimConfig(kappa0=8, v=0.1, dt_divisor=250.5).steps_per_period == 251
 
 
 class TestEvolve:
@@ -237,8 +238,10 @@ class TestEvolve:
         assert abs(free.spectral_radius - 1.0) < 1e-9
         assert matrix.spectral_radius > 1.001
 
-    def test_instability_detected(self):
-        config = SimConfig(kappa0=8, v=0.1, t0=T0, amplitude_bound=1e-3)
+    # v = 5 grows finite amplitudes past AMPLITUDE_BOUND; v = 1e10 overflows them to inf
+    @pytest.mark.parametrize("v", [5.0, 1e10], ids=["finite_over_bound", "non_finite"])
+    def test_instability_detected(self, v):
+        config = SimConfig(kappa0=8, v=v, t0=T0)
         with pytest.raises(IntegratorUnstable), warnings.catch_warnings():
             warnings.simplefilter("ignore", ModeRecurrenceWarning)
             evolve(build_sim(config))
@@ -305,8 +308,8 @@ class TestTruncation:
 
 class TestConvergence:
     def test_halving_dt_leaves_rates_unchanged(self):
-        base = SimConfig(kappa0=32, v=0.5, t0=T0, dt=2.0 * math.pi / 200.0)
-        fine = SimConfig(kappa0=32, v=0.5, t0=T0, dt=2.0 * math.pi / 400.0)
+        base = SimConfig(kappa0=32, v=0.5, t0=T0, dt_divisor=200.0)
+        fine = SimConfig(kappa0=32, v=0.5, t0=T0, dt_divisor=400.0)
         r_base = extract_rates(quiet_run(base))
         r_fine = extract_rates(quiet_run(fine))
         assert np.abs(r_base.rate / r_fine.rate - 1.0).max() < 0.01
@@ -346,3 +349,7 @@ class TestCompare:
         config, matrix = run_strong_pump
         with pytest.raises(ValueError):
             compare_to_analytic(extract_rates(matrix), PumpConfig(0.25))
+        # the oracle is photon-only; mass 0.3 >= 1/4 closes the pair channel,
+        # which would otherwise pass as a degenerate comparison against zeros
+        with pytest.raises(ValueError, match="photon"):
+            compare_to_analytic(extract_rates(matrix), PumpConfig(config.v, mass=0.3))

@@ -64,34 +64,25 @@ class TestConfigs:
             SpectralGrid(0.0, 1.2, 10)
         with pytest.raises(ValueError):
             SpectralGrid(0.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            SpectralGrid(0.0, 1.0, 10, placement="chebyshev")
-
-    def test_gauss_nodes_stay_open(self):
-        grid = SpectralGrid(0.2, 0.8, 32, "gauss-legendre")
-        nodes = grid.nodes()
-        assert nodes.min() > 0.2 and nodes.max() < 0.8
 
     def test_weights_sum_to_width(self):
-        for placement in ("closed-uniform", "gauss-legendre"):
-            grid = SpectralGrid(0.1, 0.7, 19, placement)
-            _, w = grid.nodes_weights()
-            assert abs(w.sum() - 0.6) < 1e-12
+        _, w = SpectralGrid(0.1, 0.7, 19).nodes_weights()
+        assert abs(w.sum() - 0.6) < 1e-12
 
 
 class TestSpectrumGrid:
     def test_no_pump_gives_zero_rates(self):
-        res = spectrum_grid(PumpConfig(0.0), SpectralGrid(1 / 66, 65 / 66, 33, "closed-uniform"))
+        res = spectrum_grid(PumpConfig(0.0), SpectralGrid(1 / 66, 65 / 66, 33))
         assert (res.rate == 0.0).all()
         assert res.flags == []
 
     def test_weak_pump_profile_symmetric_peak(self):
-        res = spectrum_grid(PumpConfig(0.1), SpectralGrid(0.0, 1.0, 101, "closed-uniform"))
+        res = spectrum_grid(PumpConfig(0.1), SpectralGrid(0.0, 1.0, 101))
         assert res.omega[np.argmax(res.rate)] == 0.5
         assert np.allclose(res.rate, res.rate[::-1], rtol=1e-12)
 
     def test_resonant_pump_dominates_grid_centre(self):
-        grid = SpectralGrid(0.0, 1.0, 101, "closed-uniform")
+        grid = SpectralGrid(0.0, 1.0, 101)
         near = spectrum_grid(PumpConfig(2.9385), grid)
         unit = spectrum_grid(PumpConfig(1.0), grid)
         centre = np.argmin(np.abs(near.omega - 0.5))
@@ -99,27 +90,27 @@ class TestSpectrumGrid:
         assert near.rate[centre] > 1e3 * unit.rate[centre]
 
     def test_grid_nudges_centre_node_at_exact_resonance(self):
-        res = spectrum_grid(PumpConfig(V_RESONANCE), SpectralGrid(0.0, 1.0, 101, "closed-uniform"))
+        res = spectrum_grid(PumpConfig(V_RESONANCE), SpectralGrid(0.0, 1.0, 101))
         assert not np.any(res.omega == 0.5)
         assert np.isfinite(res.rate).all()
         assert res.flags == []
 
     def test_divergent_nodes_are_flagged_not_fatal(self):
-        grid = SpectralGrid(0.5 - 1e-13, 0.5 + 1e-13, 2, "closed-uniform")
+        grid = SpectralGrid(0.5 - 1e-13, 0.5 + 1e-13, 2)
         res = spectrum_grid(PumpConfig(V_RESONANCE), grid)
         assert [f[1] for f in res.flags] == ["resonant-divergence"] * 2
         assert (res.rate == math.inf).all()
 
     def test_singular_nodes_are_flagged_not_fatal(self):
         # omega = 0.4 = 2m sits on the shifted branch point for mass 0.2
-        grid = SpectralGrid(0.35, 0.45, 2, "closed-uniform")
+        grid = SpectralGrid(0.35, 0.45, 2)
         res = spectrum_grid(PumpConfig(1.0, mass=0.175), grid)  # 2m = 0.35
         assert [f[1] for f in res.flags] == ["singular"]
         assert math.isnan(res.rate[0]) and math.isfinite(res.rate[1])
 
     def test_branch_point_at_half_frequency(self):
         # mass 1/4 puts 2m at omega = 1/2, where Geff and the resonance are undefined
-        grid = SpectralGrid(0.25, 0.75, 3, "closed-uniform")
+        grid = SpectralGrid(0.25, 0.75, 3)
         res = spectrum_grid(PumpConfig(1.0, mass=0.25), grid)
         assert res.flags == [(1, "singular")]
         assert res.rate[0] == res.rate[2] == 0.0
@@ -246,26 +237,26 @@ class TestResonanceVelocity:
 
 class TestScan2D:
     def test_zero_row(self):
-        grid = SpectralGrid(1 / 42, 41 / 42, 21, "closed-uniform")
+        grid = SpectralGrid(1 / 42, 41 / 42, 21)
         omega, matrix = scan_2d([0.0], grid)
         assert omega.shape == matrix.shape == (1, 21)
         assert (matrix == 0.0).all()
 
     def test_ridge_tracks_resonance(self):
         vs = [1.0, 2.0, 2.9385, 4.0, 8.0]
-        grid = SpectralGrid(1 / 82, 81 / 82, 41, "closed-uniform")
+        grid = SpectralGrid(1 / 82, 81 / 82, 41)
         _, matrix = scan_2d(vs, grid)
         centre = np.argmin(np.abs(grid.nodes() - 0.5))
         assert np.argmax(matrix[:, centre]) == 2
 
     def test_rows_symmetric(self):
-        grid = SpectralGrid(1 / 80, 79 / 80, 40, "closed-uniform")
+        grid = SpectralGrid(1 / 80, 79 / 80, 40)
         _, matrix = scan_2d([0.3, 1.7], grid)
         assert np.allclose(matrix, matrix[:, ::-1], rtol=1e-12)
 
     @pytest.mark.parametrize("mass", [None, 0.1])
     def test_only_the_resonant_row_is_nudged(self, mass):
-        grid = SpectralGrid(0.0, 1.0, 101, "closed-uniform")
+        grid = SpectralGrid(0.0, 1.0, 101)
         v_r = resonance_velocity(mass)
         # the last pump lies just outside the nudge tolerance DENOMINATOR_FLOOR
         omega, rate = scan_2d([0.0, 1.0, v_r, v_r + 2e-12], grid, mass)
@@ -281,7 +272,7 @@ class TestScan2D:
         (V_RESONANCE_MASSIVE[0.1], 0.1), (1.0, 0.25),  # a branch point 2m at omega = 1/2
     ])
     def test_spectrum_grid_is_row_zero_of_scan_2d(self, v, mass):
-        grid = SpectralGrid(0.0, 1.0, 101, "closed-uniform")
+        grid = SpectralGrid(0.0, 1.0, 101)
         res = spectrum_grid(PumpConfig(v, mass), grid)
         omega, rate = scan_2d([v], grid, mass)
         assert res.omega.tobytes() == omega[0].tobytes()
@@ -293,7 +284,7 @@ class TestScan2D:
         # 2 rows per kernel call at 3,001 points and 1 row above BLOCK_CELLS; the
         # rows hold v = 0, the resonance (its node at 1/2 nudged) and, for mass
         # 0.1, a nan column on the branch point omega = 0.2
-        grid = SpectralGrid(0.2, 0.8, points, "closed-uniform")
+        grid = SpectralGrid(0.2, 0.8, points)
         v = np.array([0.0, 0.3, resonance_velocity(mass), 1.0, 13.913, 7.5, 1e3])
         omega, rate = scan_2d(v, grid, mass)
         rows = [kernel.emission_rate(omega[i], float(v[i]), mass) for i in range(len(v))]
@@ -332,6 +323,13 @@ class TestStimulatedRate:
     def test_rejects_negative_occupation(self):
         with pytest.raises(ValueError):
             stimulated_rate(0.3, PumpConfig(0.7), -1.0)
+
+    @pytest.mark.parametrize("v", [0.0, 0.7])
+    @pytest.mark.parametrize("n_q", [math.nan, math.inf, -1.0])
+    def test_rejects_occupation_outside_finite_range(self, n_q, v):
+        # unchecked, nan (and inf times the zero rate of v = 0) gives (nan, nan)
+        with pytest.raises(ValueError, match="finite"):
+            stimulated_rate(0.3, PumpConfig(v), n_q)
 
 
 class TestConjugatePartner:
