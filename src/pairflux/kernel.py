@@ -44,7 +44,7 @@ def _checked(omega, domain, velocity: float | np.ndarray = 0.0) -> np.ndarray:
     if isinstance(velocity, float):  # Python floats: a square that overflows is a silent inf
         lo = hi = float(velocity)
     else:
-        lo, hi = float(np.min(velocity)), float(np.max(velocity))
+        lo, hi = float(np.min(velocity, initial=0.0)), float(np.max(velocity, initial=0.0))
     if not (lo >= 0.0 and hi * hi < np.inf):
         bad = next(v for v in np.ravel(velocity).tolist() if not (v >= 0.0 and v * v < np.inf))
         raise ValueError(f"velocity must be >= 0 with v * v finite, got {bad!r}")

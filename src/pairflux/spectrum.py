@@ -148,12 +148,17 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     |v - v_r|, panels ending at 1/2 +- 0.15 * 2^-k (k = 0..47) halve
     towards the peak and each carries 16 nodes.  The kernel evaluates the
     pumps of one rule against its nodes by broadcasting, BLOCK_CELLS cells
-    per call.  A pump gets 0 at v = 0 and float('inf') when a node runs
-    into the divergence floor; a node on a branch point raises SingularArgument.
+    per call.  A pump gets 0 at v = 0, and every pump gets 0 for a mass
+    >= 1/4, whose pair band (2m, 1 - 2m) is empty, with no node evaluated.
+    A pump gets float('inf') when a node runs into the divergence floor; a
+    node on a branch point raises SingularArgument.
     """
     v = np.asarray(v_values, dtype=float)
     totals = np.zeros(len(v))
     edges, v_res = _edges(mass), _resonance_or_none(mass)
+    if mass is not None and mass >= 0.25:
+        kernel.emission_rate(0.0, v, mass)  # the velocity check: omega = 0 is a 0 by limit
+        return totals
     near = np.zeros(len(v), bool) if v_res is None else np.abs(v - v_res) < 0.1
     steps = 0.15 * 0.5 ** np.arange(48)
     cuts = np.concatenate([0.5 - steps, 0.5 + steps])

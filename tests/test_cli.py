@@ -2,10 +2,13 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -261,6 +264,14 @@ class TestScanCommand:
     def test_bad_range_exits_two(self):
         assert main(["scan", "--v-min", "2", "--v-max", "1"]) == EXIT_USAGE
 
+    def test_integrated_scan_of_a_closed_channel_is_zero(self, tmp_path):
+        # the band (2m, 1 - 2m) is empty for mass >= 1/4; a window node at this
+        # mass sat on a branch point and the sweep used to exit 2
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--integrate", "--mass", "0.2500000000000355", "--v-min", "0.4",
+                     "--v-max", "0.5", "--v-points", "3", "--out", str(out)]) == EXIT_OK
+        assert [r[1] for r in read_csv(out)[2]] == ["0"] * 3
+
 
 class TestResonanceCommand:
     def test_photon_value(self, capsys):
@@ -277,6 +288,15 @@ class TestResonanceCommand:
 
     def test_threshold_mass_exit(self):
         assert main(["resonance", "--mass", "0.5"]) == EXIT_NO_RESONANCE
+
+    @pytest.mark.parametrize("mass, closed", [("0.2", False), ("0.2500000001", True),
+                                              ("0.3", True), ("0.45", True)])
+    def test_closed_channel_note(self, mass, closed, capsys):
+        assert main(["resonance", "--mass", mass]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("resonance_velocity = ")
+        note = "pairflux: note: the pair channel is closed for mass >= 1/4\n"
+        assert (note in captured.err) == closed
 
 
 class TestSimulateCommand:
@@ -341,6 +361,24 @@ class TestSimulateCommand:
             assert main([
                 "simulate", "--v", "40", "--kappa0", "8", "--t0", str(100 * math.pi),
             ]) == EXIT_INTEGRATOR
+
+    def test_recurrence_warning_is_one_line(self, tmp_path):
+        # a fresh interpreter: the test runner records warnings instead of printing them
+        argv = ["simulate", "--v", "0.2", "--kappa0", "16", "--t0", "314.16"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "pairflux", *argv], env=env,
+                             capture_output=True, text=True, check=False)
+        assert run.returncode == EXIT_OK
+        out = tmp_path / "sim.csv"
+        formatwarning = warnings.formatwarning
+        with pytest.warns(ModeRecurrenceWarning):
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert warnings.formatwarning is formatwarning  # main puts it back
+        assert run.stdout == out.read_text()  # the payload is unchanged
+        warning, finished = run.stderr.splitlines()
+        assert warning.startswith("pairflux: warning: t0 = 314.2 exceeds the mode-recurrence time")
+        assert finished.startswith("pairflux: simulate finished in ")
 
 
 class TestEstimateCommand:
@@ -436,6 +474,59 @@ class TestAtomicOutput:
             os.umask(umask)
         assert stat.S_IMODE(new.stat().st_mode) == 0o640  # as open(path, "w") makes it
         assert stat.S_IMODE(old.stat().st_mode) == 0o600  # kept, as open(path, "w") keeps it
+
+
+CSV_FRAMING, JSON_FRAMING = ("", ",", "\n"), ("    [", ", ", "],\n")
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, np.frombuffer(
+    np.uint64(0x7FF8000000000001).tobytes())[0].item(),  # a nan with a payload
+    math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _per_cell(rows, prefix, delimiter, suffix):
+    return "".join(prefix + delimiter.join("%.17g" % x for x in row) + suffix
+                   for row in rows.tolist())
+
+
+def _first_difference(got, want):
+    """None, or the first line where two texts differ: a short failure report
+    where a diff of two megabyte strings would take minutes."""
+    return next(((g, w) for g, w in itertools.zip_longest(
+        got.splitlines(True), want.splitlines(True)) if g != w), None)
+
+
+@settings(max_examples=60)
+@given(n_rows=st.sampled_from([1, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1]),
+       pools=st.lists(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                               min_size=1, max_size=12), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), framing=st.sampled_from([CSV_FRAMING, JSON_FRAMING]))
+def test_row_blocks_match_per_cell_formatting(n_rows, pools, seed, framing):
+    # each column draws its cells from a pool of at most 12 values: heavy repeats
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([np.array(pool)[rng.integers(0, len(pool), n_rows)] for pool in pools])
+    blocks = list(cli._row_blocks(rows, *framing))
+    assert len(blocks) == -(-n_rows // cli.BLOCK_ROWS)
+    assert _first_difference("".join(blocks), _per_cell(rows, *framing)) is None
+
+
+def test_long_form_json_quotes_non_finite_tokens():
+    # non-finite cells on both sides of the first block boundary and in the last row
+    rows = np.column_stack([np.repeat([0.5, 1.5, 2.5], 2000), np.tile(np.linspace(0, 1, 2000), 3),
+                            np.arange(6000.0)])
+    for i, value in [(0, math.nan), (cli.BLOCK_ROWS - 1, math.inf), (cli.BLOCK_ROWS, -math.inf),
+                     (5999, math.nan)]:
+        rows[i, 2] = value
+    stream = io.StringIO()
+    cli.write_json(stream, ["v", "omega", "rate"], rows, {"command": "scan"})
+
+    def token(x):
+        return '"%s"' % x if not math.isfinite(x) else "%.17g" % x
+    body = ",\n".join("    [" + ", ".join(map(token, row)) + "]" for row in rows.tolist())
+    assert _first_difference(stream.getvalue(), '{\n  "meta": {"command": "scan"},\n  "data": '
+                             '{"columns": ["v", "omega", "rate"], "rows": [\n' + body
+                             + "\n  ]}\n}\n") is None
+    assert [json.loads(stream.getvalue())["data"]["rows"][i][2]
+            for i in (0, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, 5999)] == ["nan", "inf", "-inf", "nan"]
 
 
 # every float flag of every subcommand, on runs small enough to take milliseconds

@@ -198,14 +198,27 @@ class TestIntegratedRate:
         assert totals[0] == 0.0 and (mass is not None or totals[1] == math.inf)
 
     def test_sweep_with_a_node_on_a_branch_point_raises(self):
-        # at this mass the window panel [1/2 - 0.15 * 2^-37, 2m] holds the branch
-        # point 1 - 2m and one of its nodes has 1 - omega == 2m exactly; the
-        # 256-node rule has no such node
-        mass = 0.2500000000000355
+        # at 1/4 - 3.55e-14 the edge 1 - 2m is dropped (within 1e-12 of 2m) and
+        # the window panel [2m, 1/2 + 0.15 * 2^-37] has a node with 1 - omega == 2m
+        # exactly; the 256-node rule has no such node
+        mass = 0.24999999999996447
         v = resonance_velocity(mass) + np.array([0.5, 0.01])
         assert integrated_rates(v[:1], mass).tolist() == [0.0]
         with pytest.raises(kernel.SingularArgument):
             integrated_rates(v, mass)
+        # its mirror above 1/4 used to raise the same way; the closed channel
+        # (an empty band (2m, 1 - 2m)) now returns 0 with no node evaluated
+        mass = 0.2500000000000355
+        v = resonance_velocity(mass) + np.array([0.5, 0.01])
+        assert integrated_rates(v, mass).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("mass", [0.25, 0.2500000000000355, 0.3, 0.5])
+    def test_closed_channel_still_checks_the_velocity(self, mass):
+        assert integrated_rates([0.0, 1.0, 1e150], mass).tolist() == [0.0] * 3
+        assert integrated_rates([], mass).tolist() == []
+        for bad in [math.nan, math.inf, -1.0, 1e160]:
+            with pytest.raises(ValueError, match="velocity"):
+                integrated_rates([1.0, bad], mass)
 
     def test_scan_peaks_at_resonance(self):
         vs = np.linspace(0.5, 5.0, 46)
