@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__, kernel, modesim, spectrum
+from . import __version__, modesim, spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -221,14 +221,13 @@ def cmd_simulate(args) -> int:
         _emit(outputs.enter_context(_output(args.out)), args.format, ["omega", "rate"],
               np.column_stack([sim.omega, sim.rate]), meta)
         if args.compare:
-            report = modesim.compare_to_analytic(sim, spectrum.PumpConfig(v=args.v),
-                                                 tolerance=args.tolerance)
+            report = modesim.compare_to_analytic(sim, spectrum.PumpConfig(v=args.v))
             rows = np.column_stack(
                 [report.omega, report.simulated, report.analytic, report.relative_deviation])
             extra = {
                 "max_relative_deviation": report.max_deviation,
                 "median_relative_deviation": report.median_deviation,
-                "tolerance": report.tolerance,
+                "tolerance": modesim.COMPARE_TOLERANCE,
                 "passed": report.passed,
                 "degenerate": report.degenerate,
             }
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt-divisor", type=float, default=modesim.DEFAULT_DT_DIVISOR)
     p.add_argument("--mode-multiplier", type=float, default=1.0)
     p.add_argument("--compare", action="store_true", help="also emit a deviation report (JSON)")
-    p.add_argument("--tolerance", type=float, default=0.15)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None, help="deviation report path (default stdout)")
@@ -317,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except modesim.IntegratorUnstable as exc:
         print(f"pairflux: integrator unstable: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
-    except (ValueError, kernel.SingularArgument) as exc:
+    except ValueError as exc:  # kernel.SingularArgument is one
         print(f"pairflux: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -37,10 +37,9 @@ _BAND = (lambda w: (0.0 <= w) & (w <= 1.0), "lie in [0, 1]")
 _OPEN_BAND = (lambda w: (0.0 < w) & (w < 1.0), "lie in (0, 1)")
 
 
-def _checked(omega, domain, velocity: float | np.ndarray = 0.0) -> np.ndarray:
-    """omega as a float array of at least one dimension (numpy's 0-d arithmetic can
-    differ from its array loops in the last bit), once it and every pump velocity are
-    valid: v >= 0 and v * v finite (below about 1.34e154), else the squares overflow."""
+def check_velocity(velocity: float | np.ndarray) -> None:
+    """Raise ValueError unless every pump velocity is valid: v >= 0 and v * v
+    finite (below about 1.34e154), else the squares overflow."""
     if isinstance(velocity, float):  # Python floats: a square that overflows is a silent inf
         lo = hi = float(velocity)
     else:
@@ -48,6 +47,13 @@ def _checked(omega, domain, velocity: float | np.ndarray = 0.0) -> np.ndarray:
     if not (lo >= 0.0 and hi * hi < np.inf):
         bad = next(v for v in np.ravel(velocity).tolist() if not (v >= 0.0 and v * v < np.inf))
         raise ValueError(f"velocity must be >= 0 with v * v finite, got {bad!r}")
+
+
+def _checked(omega, domain, velocity: float | np.ndarray = 0.0) -> np.ndarray:
+    """omega as a float array of at least one dimension (numpy's 0-d arithmetic can
+    differ from its array loops in the last bit), once it and every pump velocity
+    (check_velocity) are valid."""
+    check_velocity(velocity)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     ok = domain[0](w)
     if not ok.all():

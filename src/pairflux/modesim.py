@@ -47,6 +47,7 @@ DEFAULT_DT_DIVISOR = 200.0  # RK4 steps per pump period, per unit of mode_multip
 CHECKPOINTS = 16  # occupation samples over the run; at least 8 fall in [t0/2, t0]
 AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
 COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
+COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance criterion 8)
 
 # Work a SimConfig may ask of evolve: RK4 steps per pump period, pump periods
 # (one monodromy product each), and bytes of the 2K x 2K maps held at once
@@ -83,8 +84,8 @@ class SimConfig:
     period and is never coarser than 2 pi / (dt_divisor * omega_max); the
     default divisor 200 keeps the per-row symplectic defect of the RK4 map
     below 1e-6 out to t0 = 400 pi.  The run takes ceil(t0 / step) steps.
-    mode_multiplier > 1 adds modes above the pump frequency to probe
-    truncation sensitivity.
+    mode_multiplier > 1 adds modes above the pump frequency, which widens the
+    band the pump couples: it changes the model and does not test truncation.
     """
 
     kappa0: int
@@ -97,8 +98,7 @@ class SimConfig:
         # written as "not (valid)" so that nan fails every check
         if self.kappa0 < 8:
             raise ValueError(f"kappa0 must be >= 8, got {self.kappa0}")
-        if not 0.0 <= self.v < math.inf:
-            raise ValueError(f"v must be finite and >= 0, got {self.v}")
+        kernel.check_velocity(self.v)
         if not 100.0 * math.pi <= self.t0 < math.inf:
             raise ValueError(
                 f"t0 must be finite and >= 100*pi (stationary extraction), got {self.t0}")
@@ -206,7 +206,6 @@ class DeviationReport:
     relative_deviation: np.ndarray
     max_deviation: float
     median_deviation: float
-    tolerance: float
     passed: bool
     degenerate: bool = False
 
@@ -324,10 +323,10 @@ def extract_rates(matrix: BogoliubovMatrix) -> SimSpectrum:
     return SimSpectrum(omega=matrix.omega[interior], rate=rate[interior], config=config)
 
 
-def compare_to_analytic(sim: SimSpectrum, pump: PumpConfig,
-                        tolerance: float = 0.15) -> DeviationReport:
+def compare_to_analytic(sim: SimSpectrum, pump: PumpConfig) -> DeviationReport:
     """Per-mode relative deviation of the simulated spectrum from the
-    closed-form emission rate inside COMPARE_WINDOW.  The oracle's modes
+    closed-form emission rate inside COMPARE_WINDOW; the comparison passes
+    when the median is at most COMPARE_TOLERANCE.  The oracle's modes
     are photons, so the pump must be the simulated one, without a mass."""
     if pump.mass is not None or abs(pump.v - sim.config.v) > 1e-12:
         raise ValueError(f"pump {pump} does not match the photon simulation at v = {sim.config.v}")
@@ -342,6 +341,6 @@ def compare_to_analytic(sim: SimSpectrum, pump: PumpConfig,
     return DeviationReport(
         omega=omega, simulated=simulated, analytic=analytic,
         relative_deviation=devs, max_deviation=float(devs.max(initial=0.0)),
-        median_deviation=median, tolerance=tolerance,
-        passed=degenerate or median <= tolerance, degenerate=degenerate,
+        median_deviation=median, passed=degenerate or median <= COMPARE_TOLERANCE,
+        degenerate=degenerate,
     )

@@ -39,8 +39,7 @@ class PumpConfig:
     mass: float | None = None
 
     def __post_init__(self):
-        if self.v < 0.0 or not math.isfinite(self.v):
-            raise ValueError(f"pump velocity must be finite and >= 0, got {self.v!r}")
+        kernel.check_velocity(self.v)
         if self.mass is not None and not 0.0 <= self.mass <= 0.5:
             raise ValueError(f"mass must lie in [0, 1/2], got {self.mass!r}")
 
@@ -125,55 +124,41 @@ def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> SpectrumResult:
     return SpectrumResult(omega=omega, rate=rate, pump=pump, flags=flags)
 
 
-def _edges(mass: float | None) -> list[float]:
-    """[0, 1] with the massive branch points 2m and 1 - 2m, where
-    Im Geff(omega) and Im Geff(1 - omega) jump, as panel edges.  A cut within
-    1e-12 of an edge kept before it is dropped, because the panel between
-    them would be so narrow that its Gauss nodes round onto an edge."""
-    edges = [0.0, 1.0]
-    for cut in [] if mass is None else [2.0 * mass, 1.0 - 2.0 * mass]:
-        if min(abs(cut - e) for e in edges) > 1e-12:
-            edges.append(cut)
-    return sorted(edges)
-
-
 def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
-    """Total emission rate, the integral of the spectrum over the pair band
-    [0, 1], for every pump velocity of the vector v_values.
+    """Total emission rate, the integral of the spectrum over the pair band,
+    for every pump velocity of the vector v_values.  The band is [0, 1] for a
+    photon and (2m, 1 - 2m) for a massive boson, outside which the numerator
+    4 Im Geff(omega) Im Geff(1 - omega) is 0.
 
-    Composite Gauss-Legendre rule, split for a massive boson at the branch
-    points 2m and 1 - 2m.  Away from resonance 256 nodes are shared out
-    over those panels.  When the pump velocity is within 0.1 of the
-    resonance velocity, whose peak at omega = 1/2 has a width of order
-    |v - v_r|, panels ending at 1/2 +- 0.15 * 2^-k (k = 0..47) halve
-    towards the peak and each carries 16 nodes.  The kernel evaluates the
-    pumps of one rule against its nodes by broadcasting, BLOCK_CELLS cells
-    per call.  A pump gets 0 at v = 0, and every pump gets 0 for a mass
-    >= 1/4, whose pair band (2m, 1 - 2m) is empty, with no node evaluated.
-    A pump gets float('inf') when a node runs into the divergence floor; a
-    node on a branch point raises SingularArgument.
+    Gauss-Legendre rule on the band: one panel of 256 nodes, or, when the pump
+    velocity is within 0.1 of the resonance velocity, whose peak at omega =
+    1/2 has a width of order |v - v_r|, 16-node panels halving towards the
+    peak at the cuts 1/2 +- 0.15 * 2^-k (k = 0..47) that lie inside the band
+    and more than 1e-12 from its edges.  The pumps of one rule share its
+    nodes, BLOCK_CELLS cells per kernel call.  A pump gets 0 at v = 0 and
+    float('inf') when a node runs into the divergence floor.  A band narrower
+    than 1e-11 (every mass >= 1/4) is the closed channel: every pump gets 0,
+    with only the velocities checked.
     """
     v = np.asarray(v_values, dtype=float)
     totals = np.zeros(len(v))
-    edges, v_res = _edges(mass), _resonance_or_none(mass)
-    if mass is not None and mass >= 0.25:
-        kernel.emission_rate(0.0, v, mass)  # the velocity check: omega = 0 is a 0 by limit
+    v_res = _resonance_or_none(mass)  # the mass check
+    lo, hi = (0.0, 1.0) if mass is None else (2.0 * mass, 1.0 - 2.0 * mass)
+    if hi - lo < 1e-11:  # too narrow for nodes to stay off its edges, the branch points
+        kernel.check_velocity(v)
         return totals
-    near = np.zeros(len(v), bool) if v_res is None else np.abs(v - v_res) < 0.1
+    near = np.abs(v - v_res) < 0.1  # an open band has a resonance
     steps = 0.15 * 0.5 ** np.arange(48)
     cuts = np.concatenate([0.5 - steps, 0.5 + steps])
-    cuts = cuts[np.abs(cuts[:, None] - edges).min(axis=1) > 1e-12]  # the rule of _edges
+    cuts = cuts[(cuts > lo + 1e-12) & (cuts < hi - 1e-12)]
     # no cut repeats an edge, so a sort is np.union1d (whose first call takes 20 ms)
-    for pick, panels, n in [(~near, np.asarray(edges), -(-256 // (len(edges) - 1))),
-                            (near, np.sort(np.concatenate([edges, cuts])), 16)]:
+    for pick, panels, n in [(~near, np.array([lo, hi]), 256),
+                            (near, np.sort(np.concatenate([[lo, hi], cuts])), 16)]:
         x, w = _leggauss(n)
         mid, half = 0.5 * (panels[:-1] + panels[1:]), 0.5 * (panels[1:] - panels[:-1])
         nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
         for block in _blocks(np.flatnonzero(pick & (v != 0.0)), len(nodes)):
             rates = kernel.emission_rate(nodes[None, :], v[block, None], mass)
-            if np.isnan(rates).any():  # would make a total a silent nan
-                raise kernel.SingularArgument(
-                    f"a quadrature node sits on a branch point (mass {mass!r})")
             for i, row in zip(block, rates):
                 totals[i] = math.inf if np.isinf(row).any() else float(np.dot(weights, row))
     return totals
@@ -187,22 +172,27 @@ def integrated_rate(pump: PumpConfig) -> float:
 def resonance_velocity(mass: float | None = None) -> float:
     """Pump velocity nulling the omega = 1/2 resolvent factor, 1/|Geff(1/2)|.
 
-    Photon branch: equals 4 pi / sqrt(pi^2 + (4 - ln 3)^2) ~ 2.94.
-    Raises NoResonance when Geff(1/2) vanishes (threshold mass = 1/2).
+    Photon branch: equals 4 pi / sqrt(pi^2 + (4 - ln 3)^2) ~ 2.94.  At mass
+    1/4 the branch point 2m sits at omega = 1/2, where |Geff| grows without
+    bound, and the limit 0 is returned.  Raises NoResonance when Geff(1/2)
+    vanishes (threshold mass = 1/2).
     """
-    g = kernel.effective_green_function(0.5, mass)
-    modulus = abs(g)
+    try:
+        modulus = abs(kernel.effective_green_function(0.5, mass))
+    except kernel.SingularArgument:
+        return 0.0
     if modulus == 0.0:
         raise NoResonance(f"effective Green function vanishes at omega = 1/2 for mass {mass!r}")
     return 1.0 / modulus
 
 
 def _resonance_or_none(mass: float | None) -> float | None:
-    """resonance_velocity, or None where there is none; a mass outside
-    [0, 1/2] raises ValueError, which makes this the mass check of a sweep."""
+    """resonance_velocity, or None where no pump reaches one (mass 1/2, and
+    the limit 0 at mass 1/4); a mass outside [0, 1/2] raises ValueError,
+    which makes this the mass check of a sweep."""
     try:
-        return resonance_velocity(mass)
-    except (NoResonance, kernel.SingularArgument):  # mass 1/4 puts 2m at omega = 1/2
+        return resonance_velocity(mass) or None
+    except NoResonance:
         return None
 
 

@@ -290,11 +290,13 @@ class TestResonanceCommand:
         assert main(["resonance", "--mass", "0.5"]) == EXIT_NO_RESONANCE
 
     @pytest.mark.parametrize("mass, closed", [("0.2", False), ("0.2500000001", True),
-                                              ("0.3", True), ("0.45", True)])
+                                              ("0.3", True), ("0.45", True), ("0.25", True)])
     def test_closed_channel_note(self, mass, closed, capsys):
         assert main(["resonance", "--mass", mass]) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.startswith("resonance_velocity = ")
+        if mass == "0.25":  # the branch point 2m = 1/2: the limit v_r -> 0
+            assert float(captured.out.splitlines()[0].split("=")[1]) == 0.0
         note = "pairflux: note: the pair channel is closed for mass >= 1/4\n"
         assert (note in captured.err) == closed
 
@@ -334,11 +336,12 @@ class TestSimulateCommand:
          ("--t0", "1e308"),
          # 5e-324 * 5e-324 rounds to 0 steps per period
          ("--dt-divisor", "5e-324", "--mode-multiplier", "5e-324"),
-         ("--dt-divisor", "inf"), ("--dt-divisor", "nan"), ("--dt-divisor", "19.9")],
+         ("--dt-divisor", "inf"), ("--dt-divisor", "nan"), ("--dt-divisor", "19.9"),
+         ("--v", "1e160")],
         ids=["zero_divisor", "negative_divisor", "infinite_t0", "nan_v",
              "steps_per_period_over_limit", "period_maps_over_limit", "periods_over_limit",
              "periods_beyond_int64_steps", "steps_beyond_float_range", "divisor_underflows",
-             "infinite_divisor", "nan_divisor", "divisor_below_20"],
+             "infinite_divisor", "nan_divisor", "divisor_below_20", "v_squared_overflows"],
     )
     def test_invalid_input_exits_two(self, flags, capsys):
         argv = ["simulate", "--v", "0.1", "--kappa0", "8", "--t0", str(100 * math.pi)]
@@ -537,7 +540,7 @@ FLOAT_FLAGS = [
     (["scan", "--integrate", "--v-points", "2"], ["--v-min", "--v-max", "--mass"]),
     (["resonance"], ["--mass"]),
     (["simulate", "--v", "0.2", "--kappa0", "8", "--dt-divisor", "20", "--compare"],
-     ["--v", "--t0", "--dt-divisor", "--mode-multiplier", "--tolerance"]),
+     ["--v", "--t0", "--dt-divisor", "--mode-multiplier"]),
     (["estimate", "--n2", "1e-15", "--omega-l-over-c", "1e5"],
      ["--n2", "--omega-l-over-c", "--v-target"]),
 ]

@@ -87,6 +87,8 @@ class TestConfig:
             SimConfig(kappa0=4, v=0.1)
         with pytest.raises(ValueError):
             SimConfig(kappa0=32, v=-0.1)
+        with pytest.raises(ValueError, match="velocity"):
+            SimConfig(kappa0=8, v=1e160)  # v * v overflows: the kernel's check
         with pytest.raises(ValueError):
             SimConfig(kappa0=32, v=0.1, t0=10.0)
         with pytest.raises(ValueError):

@@ -40,14 +40,19 @@ def midpoint_sum(v, n, mass=None):
     return kernel.emission_rate((np.arange(n) + 0.5) / n, v, mass).sum() / n
 
 
-def graded_gauss_sum(v):
-    """16-node Gauss on panels graded towards the resonant peak at 1/2."""
+def graded_gauss_sum(v, mass=None):
+    """16-node Gauss over [0, 1] on panels graded towards the resonant peak at
+    1/2 and, for a massive boson, towards the branch points 2m and 1 - 2m,
+    where Im Geff jumps."""
     steps = 2.0 ** -np.arange(1, 45)
-    edges = np.unique(np.concatenate([[0.0, 1.0], 0.5 - steps, 0.5 + steps]))
+    edges = [[0.0, 1.0], 0.5 - steps, 0.5 + steps]
+    for cut in [] if mass is None else [2.0 * mass, 1.0 - 2.0 * mass]:
+        edges += [[cut], cut - steps, cut + steps]
+    edges = np.unique(np.clip(np.concatenate(edges), 0.0, 1.0))
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     x, w = np.polynomial.legendre.leggauss(16)
     nodes = (mid[:, None] + half[:, None] * x).ravel()
-    return float(np.dot((half[:, None] * w).ravel(), kernel.emission_rate(nodes, v)))
+    return float(np.dot((half[:, None] * w).ravel(), kernel.emission_rate(nodes, v, mass)))
 
 
 class TestConfigs:
@@ -56,6 +61,8 @@ class TestConfigs:
             PumpConfig(v=-0.1)
         with pytest.raises(ValueError):
             PumpConfig(v=1.0, mass=0.7)
+        with pytest.raises(ValueError, match="velocity"):
+            PumpConfig(1e160)  # v * v overflows: the kernel's check
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -153,9 +160,8 @@ class TestIntegratedRate:
     @pytest.mark.parametrize("dm", [-3e-14, -1.5e-15, 1.5e-15, 3e-14])
     @pytest.mark.parametrize("v", [1.0, 20.0, "v_r+0.01"])
     def test_mass_next_to_a_quarter(self, dm, v):
-        # 2m and 1 - 2m lie within 1e-12 of each other: the second is dropped as
-        # a panel edge, where a panel between them used to put nodes on both;
-        # the numerator is non-zero only on the sliver (2m, 1 - 2m)
+        # 2m and 1 - 2m lie within 1e-12 of each other; the numerator is non-zero
+        # only on the sliver (2m, 1 - 2m), too narrow for nodes off its edges
         mass = 0.25 + dm
         v = resonance_velocity(mass) + 0.01 if v == "v_r+0.01" else v
         total = integrated_rate(PumpConfig(v, mass=mass))
@@ -167,7 +173,7 @@ class TestIntegratedRate:
     @pytest.mark.parametrize("mass", [1e-14, 0.5 - 1e-14])
     @pytest.mark.parametrize("v", [1.0, 20.0])
     def test_mass_next_to_an_interval_end(self, mass, v):
-        # a branch point within 1e-12 of 0 or 1 is dropped as a panel edge
+        # a band edge within 1e-12 of 0 or 1 (mass 1e-14), or an empty band
         total = integrated_rate(PumpConfig(v, mass=mass))
         assert total == pytest.approx(midpoint_sum(v, 400_000, mass=mass), rel=1e-4, abs=0.0)
 
@@ -197,20 +203,32 @@ class TestIntegratedRate:
         assert totals.tolist() == [integrated_rate(PumpConfig(float(x), mass)) for x in v]
         assert totals[0] == 0.0 and (mass is not None or totals[1] == math.inf)
 
-    def test_sweep_with_a_node_on_a_branch_point_raises(self):
-        # at 1/4 - 3.55e-14 the edge 1 - 2m is dropped (within 1e-12 of 2m) and
-        # the window panel [2m, 1/2 + 0.15 * 2^-37] has a node with 1 - omega == 2m
-        # exactly; the 256-node rule has no such node
-        mass = 0.24999999999996447
-        v = resonance_velocity(mass) + np.array([0.5, 0.01])
-        assert integrated_rates(v[:1], mass).tolist() == [0.0]
-        with pytest.raises(kernel.SingularArgument):
-            integrated_rates(v, mass)
-        # its mirror above 1/4 used to raise the same way; the closed channel
-        # (an empty band (2m, 1 - 2m)) now returns 0 with no node evaluated
-        mass = 0.2500000000000355
+    @pytest.mark.parametrize("mass", [0.24999999999996447, 0.2500000000000355])
+    def test_sweep_over_a_band_too_narrow_for_nodes_is_zero(self, mass):
+        # the band (2m, 1 - 2m) is 1.4e-13 wide or empty, too narrow for nodes off
+        # its edges (a window node of a rule over [0, 1] had 1 - omega == 2m here)
         v = resonance_velocity(mass) + np.array([0.5, 0.01])
         assert integrated_rates(v, mass).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("mass, rtol", [
+        *((m, 2e-6) for m in (1e-3, 0.01, 0.1, 0.2, 0.24)),
+        *((m, 1e-8) for m in (1e-11, 4e-13, 1e-14)),
+    ])
+    @pytest.mark.parametrize("v", [0.5, 2.0, 20.0])
+    def test_band_rule_agrees_with_graded_reference(self, mass, rtol, v):
+        # one 256-node panel on (2m, 1 - 2m), whose log edges a graded rule resolves
+        total = integrated_rates([v], mass)[0]
+        assert abs(total / graded_gauss_sum(v, mass) - 1.0) <= rtol
+
+    @pytest.mark.parametrize("v", [1.0, 20.0, "v_r+0.01", "v_r-0.05"])
+    def test_no_node_on_a_branch_point_below_a_quarter(self, v):
+        # bands (2m, 1 - 2m) from 4e-16 to 4e-8 wide around 1/2: nodes of either
+        # rule stay off the edges, and a band narrower than 1e-11 gives 0
+        for mass in (0.25 - np.geomspace(1e-16, 1e-8, 200)).tolist():
+            dv = {"v_r+0.01": 0.01, "v_r-0.05": -0.05}.get(v)
+            pump = v if dv is None else resonance_velocity(mass) + dv
+            total = integrated_rates([pump], mass)[0]
+            assert math.isfinite(total) and total >= 0.0, mass
 
     @pytest.mark.parametrize("mass", [0.25, 0.2500000000000355, 0.3, 0.5])
     def test_closed_channel_still_checks_the_velocity(self, mass):
@@ -241,6 +259,14 @@ class TestResonanceVelocity:
     def test_threshold_mass_has_no_resonance(self):
         with pytest.raises(NoResonance):
             resonance_velocity(0.5)
+
+    def test_quarter_mass_gives_the_limit_zero(self):
+        # 2m = 1/2 is a branch point of Geff(1/2), whose modulus grows without
+        # bound as 2m -> 1/2, so v_r falls towards 0 from either side
+        assert resonance_velocity(0.25) == 0.0
+        for side in (-1.0, 1.0):
+            v_r = [resonance_velocity(0.25 + side * dm) for dm in (1e-6, 1e-12, 1e-15)]
+            assert v_r == sorted(v_r, reverse=True) and 0.0 < v_r[-1] < 0.4
 
     def test_nulls_the_resolvent(self):
         for m in (None, 0.1, 0.3):
