@@ -54,13 +54,13 @@ def _token(x, json: bool = False) -> str:
     return _NONFINITE.sub(r'"\g<0>"', token) if json else token
 
 
-def _row_blocks(rows, prefix: str, delimiter: str, suffix: str):
+def _row_blocks(rows, prefix: str, delimiter: str, suffix: str, json: bool = False):
     """The float rows as text, BLOCK_ROWS rows per block; each row is
     prefix, its %.17g cells joined by delimiter, then suffix (none of which
     holds a NUL).  Each distinct value of a column of a block is formatted
     once, with its framing, and the cells gather those strings.  Values are
     told apart by their bit pattern, so -0.0 and 0.0 (and any two nan
-    payloads) never share a string."""
+    payloads) never share a string.  As JSON the non-finite words are quoted."""
     rows = np.asarray(rows, dtype=float)
     ends = [delimiter] * (rows.shape[1] - 1) + [suffix]
     templates = [(prefix if c == 0 else "") + "%.17g" + end + "\0" for c, end in enumerate(ends)]
@@ -71,7 +71,11 @@ def _row_blocks(rows, prefix: str, delimiter: str, suffix: str):
             bits, inverse = np.unique(block[:, c].view(np.int64), return_inverse=True)
             # one % call for the column, split at the NULs: faster than a % call per value
             text = (template * len(bits)) % tuple(bits.view(float).tolist())
-            cells[:, c] = np.array(text.split("\0"), object)[inverse]
+            strings = np.array(text.split("\0"), object)
+            if json:  # quote the nan and inf words once per distinct value
+                for i in np.flatnonzero(~np.isfinite(bits.view(float))):
+                    strings[i] = _NONFINITE.sub(r'"\g<0>"', strings[i])
+            cells[:, c] = strings[inverse]
         yield "".join(cells.ravel().tolist())
 
 
@@ -91,9 +95,9 @@ def write_json(stream, columns: list[str], rows, meta: dict, extra: dict | None 
     lines = "".join(f"  {_token(k, True)}: {_token(v, True)},\n" for k, v in (extra or {}).items())
     names = ", ".join(_token(c, True) for c in columns)
     stream.write(f'{{\n  "meta": {{{fields}}},\n{lines}  "data": {{"columns": [{names}], "rows": [\n')
-    for i, text in enumerate(_row_blocks(rows, "    [", ", ", "],\n")):
+    for i, text in enumerate(_row_blocks(rows, "    [", ", ", "],\n", json=True)):
         # every row ends in ",\n"; the separator before the next block restores it
-        stream.write((",\n" if i else "") + _NONFINITE.sub(r'"\g<0>"', text[:-2]))
+        stream.write((",\n" if i else "") + text[:-2])
     stream.write("\n  ]}\n}\n")
 
 

@@ -49,12 +49,12 @@ AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
 COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
 COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance criterion 8)
 
-# Work a SimConfig may ask of evolve: RK4 steps per pump period, pump periods
-# (one monodromy product each), and bytes of the 2K x 2K maps held at once
-# (one per kept remainder, plus the monodromy, its power and a checkpoint
-# product).  kappa0 256, 3000 steps and 200 periods stay far below, and a run
-# inside the recurrence time 2 pi kappa0 of any kappa0 the map bound admits
-# spans fewer than 3,400 periods.
+# Work a SimConfig may ask of evolve: RK4 steps per pump period, pump periods,
+# and bytes of the 2K x 2K maps held at once: the kept maps, plus at most 8 more
+# at the measured peak (monodromy, power and successor, a checkpoint product,
+# matrix_power's temporaries, the complex checkpoint arrays).  kappa0 256, 3000
+# steps and 200 periods stay far below, and a run inside the recurrence time
+# 2 pi kappa0 of any kappa0 the map bound admits spans fewer than 2,000 periods.
 MAX_STEPS_PER_PERIOD = 100_000
 MAX_PERIODS = 10_000
 MAX_MAP_BYTES = 2**30
@@ -114,7 +114,7 @@ class SimConfig:
         # near the float maximum t0 / step overflows before it reaches ceil
         if not self.t0 / self.step < math.inf or self.n_steps > MAX_PERIODS * self.steps_per_period:
             raise ValueError(f"t0 = {self.t0} spans more than {MAX_PERIODS} pump periods")
-        map_bytes = (len(self.kept_remainders) + 3) * (2 * self.n_modes) ** 2 * 8
+        map_bytes = (sum(map(len, self.kept_maps)) + 8) * (2 * self.n_modes) ** 2 * 8
         if map_bytes > MAX_MAP_BYTES:
             raise ValueError(f"{self.n_modes} modes need {map_bytes / 2**30:.3g} GiB of "
                              f"period maps, more than {MAX_MAP_BYTES / 2**30:.3g} GiB")
@@ -140,10 +140,13 @@ class SimConfig:
         return np.linspace(0, self.n_steps, CHECKPOINTS + 1).astype(int)[1:]
 
     @property
-    def kept_remainders(self) -> set[int]:
-        """Non-zero remainders modulo steps_per_period of the checkpoint
-        steps: the partial-period maps evolve keeps."""
-        return {int(s) % self.steps_per_period for s in self.checkpoint_steps} - {0}
+    def kept_maps(self) -> tuple[set[int], set[int]]:
+        """(remainders, gaps): the non-zero remainders r of the checkpoint
+        steps modulo steps_per_period and the distinct numbers g of whole
+        periods between checkpoints (the first from t = 0; t0 >= 100 pi keeps
+        g >= 3), whose partial maps P_r and leaps M^g evolve keeps."""
+        periods, remainders = np.divmod(self.checkpoint_steps, self.steps_per_period)
+        return set(remainders.tolist()) - {0}, set(np.diff(periods, prepend=0).tolist())
 
     @property
     def n_modes(self) -> int:
@@ -232,9 +235,9 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
     the period into n_p steps, so the map over s = q n_p + r steps is
     P_r M^q (Floquet).  One period of RK4 on the real 2K x 2K fundamental
     of (x, x') gives the monodromy M and the partial maps P_r the
-    checkpoints need; M^q is built by repeated products.  Occupations are
-    recorded at evenly spaced checkpoints for the stationary-rate fit in
-    extract_rates.
+    checkpoints need; M^q is a product of leaps M^g, one matrix_power per
+    distinct gap of g periods between checkpoints.  Occupations are recorded
+    at evenly spaced checkpoints for the stationary-rate fit in extract_rates.
 
     Raises IntegratorUnstable if any amplitude is not finite or exceeds
     AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
@@ -253,16 +256,14 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
     K = omega.size
     n_p, h = config.steps_per_period, config.step
     check_steps = config.checkpoint_steps
-    remainders = config.kept_remainders
+    remainders, gaps = config.kept_maps
 
-    omega_col = omega[:, None]
-    cpl_col = ensemble.coupling[:, None]
-    two_v = 2.0 * config.v
+    # a w (Q - self term) - w^2 X, a = 2 v cos t, is rank one plus diagonal: a w (c . X) - (w^2 + a w c) X
+    omega_sq, omega_cpl = omega * omega, omega * ensemble.coupling
 
     def acc(t: float, X: np.ndarray) -> np.ndarray:
-        # -w^2 x + 2 v cos(t) omega (Q - self term), one column per solution
-        pump = (two_v * math.cos(t)) * omega_col * (ensemble.coupling @ X - cpl_col * X)
-        return pump - omega_col * omega_col * X
+        a = 2.0 * config.v * math.cos(t)
+        return (a * omega)[:, None] * (ensemble.coupling @ X) - (omega_sq + a * omega_cpl)[:, None] * X
 
     with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
         X = np.eye(K, 2 * K)          # x rows of the fundamental: x(0) = [1 0]
@@ -271,24 +272,29 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
         for r in range(1, n_p + 1):
             t = (r - 1) * h
             k1 = acc(t, X)
-            k2 = acc(t + 0.5 * h, X + 0.5 * h * V)
-            k3 = acc(t + 0.5 * h, X + 0.5 * h * V + 0.25 * h * h * k1)
-            k4 = acc(t + h, X + h * V + 0.5 * h * h * k2)
-            X, V = (X + h * V + (h * h / 6.0) * (k1 + k2 + k3),
-                    V + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+            Y = X + (0.5 * h) * V  # serves k2 and k3
+            k2 = acc(t + 0.5 * h, Y)
+            k3 = acc(t + 0.5 * h, Y + (0.25 * h * h) * k1)
+            X += h * V  # serves k4 and the X update
+            k4 = acc(t + h, X + (0.5 * h * h) * k2)
+            k2 += k3  # serves the X and the V update
+            k1 += k2
+            X += (h * h / 6.0) * k1
+            V += (h / 6.0) * (k1 + k2 + k4)
             if r in remainders:
                 partial[r] = np.vstack([X, V])
         monodromy = np.vstack([X, V])
+        del X, V, Y, k1, k2, k3, k4  # 3.5 maps of stage arrays, freed before the leaps
 
         # initial columns x(0) = 1/sqrt(2 w), x'(0) = -i w x(0) on the fundamental
         x0 = 1.0 / np.sqrt(2.0 * omega)
         v0 = -1j * omega * x0
+        leaps = {g: np.linalg.matrix_power(monodromy, g) for g in gaps}
         power, q_now = np.eye(2 * K), 0
         occupations = np.empty((len(check_steps), K))
         for c, s in enumerate(check_steps):
             q, r = divmod(int(s), n_p)
-            for _ in range(q - q_now):
-                power = monodromy @ power
+            power = leaps[q - q_now] @ power
             q_now = q
             F = partial[r] @ power if r else power
             Xc = F[:K, :K] * x0 + F[:K, K:] * v0

@@ -315,6 +315,22 @@ class TestSimulateCommand:
         doc = json.loads(report.read_text())
         assert doc["degenerate"] is True and doc["passed"] is True
 
+    def test_golden_numbers(self, tmp_path):
+        # guards any rewrite of the oracle: metadata and omega byte for byte, the
+        # rates within 1e-12 relative, and the unitarity residue, whose rounding
+        # moves in its 8th digit, within 1e-6
+        out = tmp_path / "simulate.csv"
+        argv = ["simulate", "--v", "0.2", "--kappa0", "64", "--t0", "314.16", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        meta, columns, rows = read_csv(out)
+        want_meta, want_columns, want_rows = read_csv(GOLDEN / "simulate.csv")
+        defect, want_defect = (float(m.pop("symplectic_defect")) for m in (meta, want_meta))
+        assert (meta, columns) == (want_meta, want_columns)
+        assert [row[0] for row in rows] == [row[0] for row in want_rows]
+        rate, want = (np.array([row[1] for row in t], dtype=float) for t in (rows, want_rows))
+        assert np.abs(rate / want - 1.0).max() <= 1e-12
+        assert abs(defect / want_defect - 1.0) <= 1e-6
+
     def test_compare_report_within_tolerance(self, tmp_path):
         out, report = tmp_path / "sim.csv", tmp_path / "rep.json"
         code = main([
@@ -479,16 +495,18 @@ class TestAtomicOutput:
         assert stat.S_IMODE(old.stat().st_mode) == 0o600  # kept, as open(path, "w") keeps it
 
 
-CSV_FRAMING, JSON_FRAMING = ("", ",", "\n"), ("    [", ", ", "],\n")
+# prefix, delimiter, suffix, and whether the non-finite words are quoted
+CSV_FRAMING, JSON_FRAMING = ("", ",", "\n", False), ("    [", ", ", "],\n", True)
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, np.frombuffer(
     np.uint64(0x7FF8000000000001).tobytes())[0].item(),  # a nan with a payload
     math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
     1.7976931348623157e308, -1.7976931348623157e308]
 
 
-def _per_cell(rows, prefix, delimiter, suffix):
-    return "".join(prefix + delimiter.join("%.17g" % x for x in row) + suffix
-                   for row in rows.tolist())
+def _per_cell(rows, prefix, delimiter, suffix, json):
+    def cell(x):
+        return ('"%.17g"' if json and not math.isfinite(x) else "%.17g") % x
+    return "".join(prefix + delimiter.join(map(cell, row)) + suffix for row in rows.tolist())
 
 
 def _first_difference(got, want):

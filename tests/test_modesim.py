@@ -6,6 +6,7 @@ specifically about crossing it.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -118,13 +119,27 @@ class TestConfig:
         for t0 in (1e12, 1e20):  # 1e20 gives more steps than checkpoint_steps' int64 holds
             with pytest.raises(ValueError, match="pump periods"):
                 SimConfig(kappa0=8, v=0.0, t0=t0)
-        # default t0 = 400 pi keeps one partial map: 4 maps of (2K)^2 doubles
-        assert len(SimConfig(kappa0=2896, v=0.1).kept_remainders) == 1
-        assert 4 * (2 * 2896) ** 2 * 8 <= modesim.MAX_MAP_BYTES < 4 * (2 * 2897) ** 2 * 8
+        # default t0 = 400 pi keeps one partial map and the leaps M^12 and M^13:
+        # with the 8 working maps, 11 maps of (2K)^2 doubles
+        assert SimConfig(kappa0=1746, v=0.1).kept_maps == ({100}, {12, 13})
+        assert 11 * (2 * 1746) ** 2 * 8 <= modesim.MAX_MAP_BYTES < 11 * (2 * 1747) ** 2 * 8
         with pytest.raises(ValueError, match="GiB"):
-            SimConfig(kappa0=2897, v=0.1)
+            SimConfig(kappa0=1747, v=0.1)
         with pytest.raises(ValueError, match="GiB"):
             SimConfig(kappa0=10_000, v=0.1)
+
+    @pytest.mark.parametrize("t0", [T0, 4 * T0, 2.0 * math.pi * 64],
+                             ids=["7_partial_maps", "1_partial_map", "whole_periods"])
+    def test_map_bound_covers_the_measured_peak(self, t0):
+        # the bound counts the kept maps plus 8: numpy reports its arrays to tracemalloc
+        config = SimConfig(kappa0=64, v=0.2, t0=t0)
+        tracemalloc.start()
+        try:
+            quiet_run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (sum(map(len, config.kept_maps)) + 8) * (2 * 64) ** 2 * 8
 
     def test_default_step_scales_with_band_top(self):
         assert SimConfig(kappa0=32, v=0.1).step == 2.0 * math.pi / 200.0
@@ -188,6 +203,14 @@ class TestFloquetAgainstStepping:
         mu, nu, occupations = stepped(config, h, n_steps)
         for got, want in ((matrix.occupations, occupations), (matrix.mu, mu), (matrix.nu, nu)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_leaps_do_not_depend_on_the_gap(self):
+        # t0 = 200 pi leaps 6 or 7 periods between checkpoints, 400 pi 12 or 13;
+        # the 8 checkpoints they share must read the same occupations
+        short, long = (quiet_run(SimConfig(kappa0=16, v=0.3, t0=t0)) for t0 in (2 * T0, 4 * T0))
+        assert (short.config.kept_maps[1], long.config.kept_maps[1]) == ({6, 7}, {12, 13})
+        assert np.array_equal(short.times[1::2], long.times[:8])
+        assert np.abs(short.occupations[1::2] / long.occupations[:8] - 1.0).max() <= 1e-12
 
     def test_step_snapping(self):
         # the default step divides the period as is; a fractional divisor
