@@ -172,8 +172,7 @@ class BogoliubovMatrix:
 
     mu[k, j], nu[k, j]: coefficients of a_j, a_j^dagger in the out-mode k.
     occupations[c, k] = N_k at checkpoint time times[c].
-    spectral_radius: largest |eigenvalue| of the one-period (monodromy)
-    map; above 1 the pumped modes grow parametrically.
+    monodromy: the one-period map M of the real fundamental (x, x').
     """
 
     mu: np.ndarray
@@ -182,7 +181,12 @@ class BogoliubovMatrix:
     times: np.ndarray
     occupations: np.ndarray
     config: SimConfig
-    spectral_radius: float
+    monodromy: np.ndarray
+
+    def spectral_radius(self) -> float:
+        """Largest |eigenvalue| of the monodromy; above 1 the pumped modes
+        grow parametrically."""
+        return float(np.abs(np.linalg.eigvals(self.monodromy)).max())
 
     def symplectic_defect(self) -> float:
         """max_k |sum_j (|mu_kj|^2 - |nu_kj|^2) - 1|, the unitarity residue."""
@@ -308,7 +312,7 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
 
     return BogoliubovMatrix(
         mu=mu, nu=nu, omega=omega, times=check_steps * h, occupations=occupations,
-        config=config, spectral_radius=float(np.abs(np.linalg.eigvals(monodromy)).max()),
+        config=config, monodromy=monodromy,
     )
 
 

@@ -2,7 +2,7 @@
 
 Criterion 8 (oracle equivalence) carries the run cost: the kappa0 ladder
 {32, 64, 128, 256} at v = 0.2, t0 = 400 pi is evolved once in a module
-fixture (2.3-2.8 seconds on 2 cores) and shared with criterion 9.  The
+fixture (1.3-1.5 seconds on 2 cores) and shared with criterion 9.  The
 kappa0 = 32 rung exceeds the finite-resonator recurrence time and cannot
 reproduce the continuum spectrum; it is kept as a strict xfail with the
 measured number (analysis in the decisions ledger).

@@ -137,6 +137,60 @@ def test_invalid_grid_input_exits_two(argv, capsys):
         assert "velocity" in captured.err and "e+154" in captured.err
 
 
+# (option strings, default, type, required, choices) of every option, as the
+# parser declared them one subcommand at a time before the shared option groups
+FORMAT = (("--format",), "csv", None, False, ("csv", "json"))
+OUT = (("--out",), None, None, False, None)
+MASS = (("--mass",), None, float, False, None)
+GRID = [(("--omega-min",), 0.001, float, False, None), (("--omega-max",), 0.999, float, False, None),
+        (("--points",), 512, int, False, None)]
+PARSER_TABLE = {
+    "spectrum": [(("--v",), None, float, True, None), MASS, *GRID, FORMAT, OUT],
+    "scan": [(("--v-min",), 0.1, float, False, None), (("--v-max",), 30.0, float, False, None),
+             (("--v-points",), 200, int, False, None), MASS, *GRID,
+             (("--integrate",), False, None, False, None), FORMAT, OUT],
+    "resonance": [MASS],
+    "simulate": [(("--v",), None, float, True, None), (("--kappa0",), 32, int, False, None),
+                 (("--t0",), 400.0 * math.pi, float, False, None),
+                 (("--dt-divisor",), 200.0, float, False, None),
+                 (("--mode-multiplier",), 1.0, float, False, None),
+                 (("--compare",), False, None, False, None), FORMAT, OUT,
+                 (("--report",), None, None, False, None)],
+    "estimate": [(("--n2",), None, float, True, None), (("--omega-l-over-c",), None, float, True, None),
+                 (("--v-target",), None, float, False, None)],
+}
+
+
+def test_parser_options_match_the_table():
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    assert list(subparsers.choices) == list(PARSER_TABLE)
+    for name, want in PARSER_TABLE.items():
+        got = [(tuple(a.option_strings), a.default, a.type, a.required, a.choices)
+               for a in subparsers.choices[name]._actions if a.dest != "help"]
+        assert sorted(got, key=repr) == sorted(want, key=repr), name
+
+
+@pytest.mark.parametrize("argv", [[]] + [[name] for name in PARSER_TABLE])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pairflux")
+
+
+def test_handler_is_looked_up_when_main_runs(monkeypatch, capsys):
+    # the parser is cached; a handler replaced on the module after it was built still runs
+    assert main(["resonance"]) == EXIT_OK
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_resonance", lambda args: "stub note")
+    assert main(["resonance"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pairflux: resonance finished in ")
+    assert captured.err.endswith("s, stub note\n")
+
+
 class TestSpectrumCommand:
     def test_zero_pump_rows(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -260,8 +260,8 @@ class TestEvolve:
         # the pump makes the one-period map grow
         _, matrix = run_strong_pump
         free = quiet_run(SimConfig(kappa0=64, v=0.0, t0=T0))
-        assert abs(free.spectral_radius - 1.0) < 1e-9
-        assert matrix.spectral_radius > 1.001
+        assert abs(free.spectral_radius() - 1.0) < 1e-9
+        assert matrix.spectral_radius() > 1.001
 
     # v = 5 grows finite amplitudes past AMPLITUDE_BOUND; v = 1e10 overflows them to inf
     @pytest.mark.parametrize("v", [5.0, 1e10], ids=["finite_over_bound", "non_finite"])
