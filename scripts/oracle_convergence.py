@@ -16,7 +16,7 @@ import sys
 import time
 import warnings
 
-from pairflux import modesim, spectrum
+from pairflux import modesim
 
 LADDER = (32, 64, 128, 256)
 
@@ -24,15 +24,14 @@ LADDER = (32, 64, 128, 256)
 def main() -> None:
     v = float(sys.argv[1]) if len(sys.argv) > 1 else 0.2
     t0 = float(sys.argv[2]) if len(sys.argv) > 2 else 400.0 * math.pi
-    pump = spectrum.PumpConfig(v)
     print(f"v = {v}, t0 = {t0:.4g}  (recurrence-safe above kappa0 = {t0 / (2 * math.pi):.0f})")
     for kappa0 in LADDER:
         config = modesim.SimConfig(kappa0=kappa0, v=v, t0=t0)
         start = time.time()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", modesim.ModeRecurrenceWarning)
-            matrix = modesim.evolve(modesim.build_sim(config))
-        report = modesim.compare_to_analytic(modesim.extract_rates(matrix), pump)
+            matrix = modesim.evolve(config)
+        report = modesim.compare_to_analytic(modesim.extract_rates(matrix))
         regime = "recurrence" if t0 > config.recurrence_time else "continuum "
         print(
             f"  kappa0 = {kappa0:4d} [{regime}]  median dev = {report.median_deviation:8.2%}  "

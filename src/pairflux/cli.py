@@ -10,8 +10,8 @@ with the same fields under "meta"/"data" keys.  Identical invocations
 produce byte-identical files (no timestamps in the payload; wall time goes
 to stderr).
 
-Exit codes: 0 ok, 2 usage/validation, 3 unwritable output, 4 no resonance,
-5 integrator instability.
+Exit codes: 0 ok, 2 usage/validation or a run too large for memory,
+3 unwritable output, 4 no resonance, 5 integrator instability.
 """
 
 from __future__ import annotations
@@ -205,7 +205,13 @@ def cmd_simulate(args) -> str:
         kappa0=args.kappa0, v=args.v, t0=args.t0, dt_divisor=args.dt_divisor,
         mode_multiplier=args.mode_multiplier,
     )
-    matrix = modesim.evolve(modesim.build_sim(config))  # IntegratorUnstable -> exit 5
+    if args.compare and {args.out, args.report}.isdisjoint({None, "-"}):
+        # renamed onto one file, the report would replace the table; a FIFO or a device takes both
+        target = os.path.realpath(args.out)
+        renamed = os.path.isfile(target) or not os.path.exists(target)
+        if renamed and target == os.path.realpath(args.report):
+            raise ValueError(f"--out {args.out} and --report {args.report} are the same file")
+    matrix = modesim.evolve(config)  # IntegratorUnstable -> exit 5
     sim = modesim.extract_rates(matrix)
     meta = _meta(
         args, v=args.v, kappa0=args.kappa0, t0=args.t0, dt_divisor=args.dt_divisor,
@@ -216,7 +222,7 @@ def cmd_simulate(args) -> str:
         _emit(outputs.enter_context(_output(args.out)), args.format, ["omega", "rate"],
               np.column_stack([sim.omega, sim.rate]), meta)
         if args.compare:
-            report = modesim.compare_to_analytic(sim, spectrum.PumpConfig(v=args.v))
+            report = modesim.compare_to_analytic(sim)
             rows = np.column_stack(
                 [report.omega, report.simulated, report.analytic, report.relative_deviation])
             extra = {
@@ -308,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTEGRATOR
     except ValueError as exc:  # kernel.SingularArgument is one
         print(f"pairflux: invalid arguments: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy refuses an array too large for memory before allocating it
+        print(f"pairflux: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"pairflux: cannot write output: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .spectrum import PumpConfig
 
 # Converts the raw mode-sum growth rate (occupation per unit time, per unit
 # frequency) to the spectral convention of kernel.emission_rate.  Fixed
@@ -158,15 +157,6 @@ class SimConfig:
 
 
 @dataclass
-class ModeEnsemble:
-    """Mode frequencies and pump-coupling weights for one SimConfig."""
-
-    config: SimConfig
-    omega: np.ndarray       # omega_k = k / kappa0
-    coupling: np.ndarray    # k / (pi kappa0^2), the Q-expansion weight
-
-
-@dataclass
 class BogoliubovMatrix:
     """Final-state Bogoliubov coefficients plus occupation history.
 
@@ -217,12 +207,11 @@ class DeviationReport:
     degenerate: bool = False
 
 
-def build_sim(config: SimConfig) -> ModeEnsemble:
-    """Lay out the mode ladder and coupling weights for the configuration."""
+def build_sim(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The mode ladder (omega, coupling): the frequencies k / kappa0 and the
+    Q-expansion weights k / (pi kappa0^2)."""
     k = np.arange(1, config.n_modes + 1, dtype=float)
-    omega = k / config.kappa0
-    coupling = k / (math.pi * config.kappa0**2)
-    return ModeEnsemble(config=config, omega=omega, coupling=coupling)
+    return k / config.kappa0, k / (math.pi * config.kappa0**2)
 
 
 def _project(X: np.ndarray, V: np.ndarray, omega: np.ndarray, t: float):
@@ -232,8 +221,9 @@ def _project(X: np.ndarray, V: np.ndarray, omega: np.ndarray, t: float):
     return pref * (X + dx), pref * np.conj(X - dx)
 
 
-def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
-    """Propagate the fundamental solution and extract (mu, nu).
+def evolve(config: SimConfig) -> BogoliubovMatrix:
+    """Propagate the fundamental solution on the mode ladder of build_sim
+    and extract (mu, nu).
 
     The equations are linear and 2 pi-periodic and the RK4 step h divides
     the period into n_p steps, so the map over s = q n_p + r steps is
@@ -246,7 +236,6 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
     Raises IntegratorUnstable if any amplitude is not finite or exceeds
     AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
     """
-    config = ensemble.config
     if config.v > 0.0 and config.t0 > config.recurrence_time:
         warnings.warn(
             f"t0 = {config.t0:.4g} exceeds the mode-recurrence time "
@@ -256,18 +245,18 @@ def evolve(ensemble: ModeEnsemble) -> BogoliubovMatrix:
             stacklevel=2,
         )
 
-    omega = ensemble.omega
+    omega, coupling = build_sim(config)  # a module lookup: a build_sim wrapped on the module runs
     K = omega.size
     n_p, h = config.steps_per_period, config.step
     check_steps = config.checkpoint_steps
     remainders, gaps = config.kept_maps
 
     # a w (Q - self term) - w^2 X, a = 2 v cos t, is rank one plus diagonal: a w (c . X) - (w^2 + a w c) X
-    omega_sq, omega_cpl = omega * omega, omega * ensemble.coupling
+    omega_sq, omega_cpl = omega * omega, omega * coupling
 
     def acc(t: float, X: np.ndarray) -> np.ndarray:
         a = 2.0 * config.v * math.cos(t)
-        return (a * omega)[:, None] * (ensemble.coupling @ X) - (omega_sq + a * omega_cpl)[:, None] * X
+        return (a * omega)[:, None] * (coupling @ X) - (omega_sq + a * omega_cpl)[:, None] * X
 
     with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
         X = np.eye(K, 2 * K)          # x rows of the fundamental: x(0) = [1 0]
@@ -333,17 +322,15 @@ def extract_rates(matrix: BogoliubovMatrix) -> SimSpectrum:
     return SimSpectrum(omega=matrix.omega[interior], rate=rate[interior], config=config)
 
 
-def compare_to_analytic(sim: SimSpectrum, pump: PumpConfig) -> DeviationReport:
+def compare_to_analytic(sim: SimSpectrum) -> DeviationReport:
     """Per-mode relative deviation of the simulated spectrum from the
-    closed-form emission rate inside COMPARE_WINDOW; the comparison passes
-    when the median is at most COMPARE_TOLERANCE.  The oracle's modes
-    are photons, so the pump must be the simulated one, without a mass."""
-    if pump.mass is not None or abs(pump.v - sim.config.v) > 1e-12:
-        raise ValueError(f"pump {pump} does not match the photon simulation at v = {sim.config.v}")
+    photon closed-form emission rate at the simulated v, inside
+    COMPARE_WINDOW; the comparison passes when the median is at most
+    COMPARE_TOLERANCE.  The oracle's modes are photons, so no mass enters."""
     mask = (sim.omega > COMPARE_WINDOW[0]) & (sim.omega < COMPARE_WINDOW[1])
     omega = sim.omega[mask]
     simulated = sim.rate[mask]
-    analytic = kernel.emission_rate(omega, pump.v)
+    analytic = kernel.emission_rate(omega, sim.config.v)
     # v = 0: nothing to normalize against
     degenerate = not analytic.any()
     devs = np.abs(simulated) if degenerate else np.abs(simulated / analytic - 1.0)

@@ -40,10 +40,8 @@ def oracle_ladder():
         config = modesim.SimConfig(kappa0=kappa0, v=PINNED_V, t0=PINNED_T0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", modesim.ModeRecurrenceWarning)
-            matrix = modesim.evolve(modesim.build_sim(config))
-        report = modesim.compare_to_analytic(
-            modesim.extract_rates(matrix), spectrum.PumpConfig(PINNED_V)
-        )
+            matrix = modesim.evolve(config)
+        report = modesim.compare_to_analytic(modesim.extract_rates(matrix))
         results[kappa0] = (config, matrix, report)
     return results
 

@@ -191,6 +191,24 @@ def test_handler_is_looked_up_when_main_runs(monkeypatch, capsys):
     assert captured.err.endswith("s, stub note\n")
 
 
+ALLOCATION = "Unable to allocate 256. TiB for an array with shape (35184372088832,)"
+
+
+@pytest.mark.parametrize("message, shown", [(ALLOCATION, ALLOCATION), ("", "allocation failed")],
+                         ids=["numpy_refusal", "bare"])
+def test_memory_error_is_one_line(message, shown, monkeypatch, capsys):
+    # numpy refuses an array too large for memory before allocating it; a stub raises
+    # here, since a real huge request may be touched under an overcommitting kernel
+    def refuse(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_scan", refuse)
+    assert main(["scan", "--integrate"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pairflux: out of memory: {shown}\n"
+
+
 class TestSpectrumCommand:
     def test_zero_pump_rows(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -501,6 +519,25 @@ class TestAtomicOutput:
         out.write_text("old")
         assert main(argv) == EXIT_IO
         assert _listing(tmp_path) == ["a.csv"] and out.read_text() == "old"
+
+    def test_same_out_and_report_exits_two_before_evolving(self, tmp_path, monkeypatch, capsys):
+        # two renames onto one file would keep only the report
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.modesim, "evolve", lambda config: pytest.fail("evolved"))
+        argv = ["simulate", "--v", "0.2", "--kappa0", "8", "--compare"]
+        assert main(argv + ["--out", "P", "--report", "./P"]) == EXIT_USAGE
+        assert _listing(tmp_path) == []
+        Path("P").write_text("old")
+        Path("link").symlink_to("P")
+        assert main(argv + ["--out", "link", "--report", str(tmp_path / "P")]) == EXIT_USAGE
+        assert _listing(tmp_path) == ["P", "link"] and Path("P").read_text() == "old"
+        err = capsys.readouterr().err
+        assert err.count("pairflux: invalid arguments: --out") == 2 and "Traceback" not in err
+
+    def test_same_device_takes_out_and_report(self, capsys):
+        argv = ["simulate", "--v", "0", "--kappa0", "8", "--t0", str(100 * math.pi), "--compare"]
+        assert main(argv + ["--out", os.devnull, "--report", os.devnull]) == EXIT_OK
+        assert capsys.readouterr().out == ""
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         out = tmp_path / "s.csv"
