@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from pairflux import RESONANCE_VELOCITY_PHOTON, cli
+from pairflux import cli
+from pairflux.spectrum import RESONANCE_VELOCITY_PHOTON
 
 
 def main() -> int:

@@ -10,7 +10,8 @@ with the same fields under "meta"/"data" keys.  Identical invocations
 produce byte-identical files (no timestamps in the payload; wall time goes
 to stderr).
 
-Exit codes: 0 ok, 2 usage/validation or a run too large for memory,
+Exit codes: 0 ok, 2 usage/validation (an invalid omega grid in either scan
+mode, simulate --report without --compare) or a run too large for memory,
 3 unwritable output, 4 no resonance, 5 integrator instability.
 """
 
@@ -172,6 +173,7 @@ def cmd_scan(args) -> None:
     if not (0.0 < args.v_min < args.v_max < math.inf) or args.v_points < 2:
         raise ValueError("need 0 < v-min < v-max < inf and v-points >= 2")
     v_values = np.geomspace(args.v_min, args.v_max, args.v_points)
+    grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points)  # checked in both modes
     params = {
         "v_min": args.v_min, "v_max": args.v_max, "v_points": args.v_points,
         "mass": "photon" if args.mass is None else args.mass,
@@ -182,7 +184,6 @@ def cmd_scan(args) -> None:
         columns, rows = ["v", "integrated_rate"], np.column_stack([v_values, totals])
     else:
         params.update(omega_min=args.omega_min, omega_max=args.omega_max, points=args.points)
-        grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points)
         omega, rate = spectrum.scan_2d(v_values, grid, args.mass)
         columns, rows = ["v", "omega", "rate"], np.column_stack(
             [np.repeat(v_values, grid.points), omega.ravel(), rate.ravel()])
@@ -205,6 +206,8 @@ def cmd_simulate(args) -> str:
         kappa0=args.kappa0, v=args.v, t0=args.t0, dt_divisor=args.dt_divisor,
         mode_multiplier=args.mode_multiplier,
     )
+    if args.report is not None and not args.compare:  # only --compare makes a report
+        raise ValueError("--report needs --compare")
     if args.compare and {args.out, args.report}.isdisjoint({None, "-"}):
         # renamed onto one file, the report would replace the table; a FIFO or a device takes both
         target = os.path.realpath(args.out)

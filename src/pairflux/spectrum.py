@@ -79,7 +79,6 @@ class SpectrumResult:
 
     omega: np.ndarray
     rate: np.ndarray
-    pump: PumpConfig
     flags: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -121,7 +120,7 @@ def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> SpectrumResult:
     omega, rate = (row[0] for row in scan_2d([pump.v], grid, pump.mass))
     flags = [(int(i), "singular" if math.isnan(rate[i]) else "resonant-divergence")
              for i in np.flatnonzero(~np.isfinite(rate))]
-    return SpectrumResult(omega=omega, rate=rate, pump=pump, flags=flags)
+    return SpectrumResult(omega=omega, rate=rate, flags=flags)
 
 
 def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference
-from pairflux import ModeRecurrenceWarning, cli
+from pairflux import cli
 from pairflux.cli import (
     EXIT_INTEGRATOR,
     EXIT_IO,
@@ -29,6 +29,7 @@ from pairflux.cli import (
     EXIT_USAGE,
     main,
 )
+from pairflux.modesim import ModeRecurrenceWarning
 
 
 def read_csv(path):
@@ -122,10 +123,12 @@ def test_golden_output(tmp_path, name, argv, n_grid, condition):
     ["scan", "--integrate", "--v-max", "1e200", "--v-points", "2"],
     ["spectrum", "--v", "6e154", "--points", "3"],  # v * v overflows: nan rows before
     ["scan", "--integrate", "--v-max", "5e154", "--v-points", "2"],
+    ["scan", "--integrate", "--points", "0"],  # the omega grid is checked in both modes
+    ["scan", "--integrate", "--omega-min", "0.9", "--omega-max", "0.1"],
 ], ids=["spectrum_points_0", "scan_points_0", "spectrum_points_1", "reversed_omega_range",
         "scan_v_max_inf", "scan_v_min_nan", "integrate_v_max_inf", "spectrum_v_overflows",
         "scan_v_max_overflows", "integrate_v_max_overflows", "spectrum_v_squared_overflows",
-        "integrate_v_squared_overflows"])
+        "integrate_v_squared_overflows", "integrate_points_0", "integrate_reversed_omega_range"])
 def test_invalid_grid_input_exits_two(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a leaked numpy warning fails the test
@@ -189,6 +192,21 @@ def test_handler_is_looked_up_when_main_runs(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("pairflux: resonance finished in ")
     assert captured.err.endswith("s, stub note\n")
+
+
+def test_the_package_is_only_its_modules():
+    # a fresh interpreter: this one imported every module long ago
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    code = ("import pairflux, sys; print(pairflux.__version__); print(sorted(name for name in "
+            "sys.modules if name.startswith('pairflux.') or name.split('.')[0] == 'numpy'))")
+    imported = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+    version, loaded = imported.stdout.splitlines()
+    assert loaded == "[]"  # no submodule and no numpy: each name comes from its module
+    printed = subprocess.run([sys.executable, "-m", "pairflux", "--version"], env=env,
+                             capture_output=True, text=True, check=True)
+    assert printed.stdout == f"pairflux {version}\n"
 
 
 ALLOCATION = "Unable to allocate 256. TiB for an array with shape (35184372088832,)"
@@ -506,7 +524,7 @@ def _listing(path):
     return sorted(p.name for p in path.iterdir())
 
 
-@pytest.mark.filterwarnings("ignore::pairflux.ModeRecurrenceWarning")
+@pytest.mark.filterwarnings("ignore::pairflux.modesim.ModeRecurrenceWarning")
 class TestAtomicOutput:
     SPECTRUM = ["spectrum", "--v", "0.1", "--points", "4"]
 
@@ -533,6 +551,16 @@ class TestAtomicOutput:
         assert _listing(tmp_path) == ["P", "link"] and Path("P").read_text() == "old"
         err = capsys.readouterr().err
         assert err.count("pairflux: invalid arguments: --out") == 2 and "Traceback" not in err
+
+    def test_report_without_compare_exits_two_before_evolving(self, tmp_path, monkeypatch, capsys):
+        # without --compare no report is made, so asking for one is an error
+        monkeypatch.setattr(cli.modesim, "evolve", lambda config: pytest.fail("evolved"))
+        argv = ["simulate", "--v", "0.2", "--kappa0", "8",
+                "--out", str(tmp_path / "Q"), "--report", str(tmp_path / "R")]
+        assert main(argv) == EXIT_USAGE
+        assert _listing(tmp_path) == []
+        err = capsys.readouterr().err
+        assert err == "pairflux: invalid arguments: --report needs --compare\n"
 
     def test_same_device_takes_out_and_report(self, capsys):
         argv = ["simulate", "--v", "0", "--kappa0", "8", "--t0", str(100 * math.pi), "--compare"]
@@ -661,7 +689,7 @@ EDGE_FLOATS = st.one_of(
 ).map(repr)
 
 
-@pytest.mark.filterwarnings("ignore::pairflux.ModeRecurrenceWarning")
+@pytest.mark.filterwarnings("ignore::pairflux.modesim.ModeRecurrenceWarning")
 @settings(max_examples=150)
 @given(data=st.data())
 def test_float_flags_never_end_in_a_traceback(data):
