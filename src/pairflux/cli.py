@@ -11,7 +11,8 @@ produce byte-identical files (no timestamps in the payload; wall time goes
 to stderr).
 
 Exit codes: 0 ok, 2 usage/validation (an invalid omega grid in either scan
-mode, simulate --report without --compare) or a run too large for memory,
+mode, simulate --report without --compare, simulate --compare with both
+payloads on stdout) or a run too large for memory,
 3 unwritable output, 4 no resonance, 5 integrator instability.
 """
 
@@ -40,7 +41,14 @@ EXIT_NO_RESONANCE = 4
 EXIT_INTEGRATOR = 5
 
 UNITS_NOTE = "omega0 = 1, c = 1"
-BLOCK_ROWS = 4096  # rows per formatted block: one block of cells is held as Python strings
+BLOCK_ROWS = 4096  # rows per formatted block: one block is held as a byte matrix
+CELL = 29  # bytes of a formatted cell: sign, '0.000', 17 digits and a point, 'e-308'
+_CELL_ITEM = np.dtype(f"V{CELL}")  # a cell as one item: a row of the byte matrix takes it in one copy
+# distinct values of a column block from which the digit kernel formats them:
+# below about 200-260 (2 cores, numpy 2.4) % is faster than its fixed cost
+FORMAT_CROSSOVER = 256
+_K_MIN, _K_MAX = -291, 300  # decimal exponents of the kernel's range [1e-290, 1e300)
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's split of a double into two 26-bit halves
 _NONFINITE = re.compile(r"-?inf|nan")
 
 
@@ -56,29 +64,140 @@ def _token(x, json: bool = False) -> str:
     return _NONFINITE.sub(r'"\g<0>"', token) if json else token
 
 
+@functools.cache
+def _digit_tables():
+    """The %.17g kernel's tables: the ASCII of 0000 to 9999 as one uint32
+    each, and for each decimal exponent k in [_K_MIN, _K_MAX] of a value:
+    10**(16 - k) as the nearest double hi (also split into two 26-bit halves)
+    and the nearest double lo to the rest, the text before the digits ('0.00'
+    for k = -3) and after them ('e+17'), the digit the point follows (16 for
+    a fixed value below 1, whose head holds the point) and the last digit
+    that keeps its trailing zeros."""
+    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    powers, heads, tails, layout = [], [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den  # int / int rounds correctly
+        a, b = hi.as_integer_ratio()
+        mantissa, exponent = math.frexp(hi)
+        upper = mantissa * _SPLIT  # on [0.5, 1), where it cannot overflow
+        upper = math.ldexp(upper - (upper - mantissa), exponent)
+        powers.append((hi, upper, hi - upper, (num * b - a * den) / (den * b)))
+        fixed = -4 <= k < 17  # %g's choice for 17 significant digits
+        heads.append("0." + "0" * (-k - 1) if k < 0 and fixed else "")
+        tails.append("" if fixed else f"e{k:+03d}")
+        layout.append((16, 0) if k < 0 and fixed else (k, k) if fixed else (0, 0))
+    tables = (quads.astype(np.uint8).view(np.uint32).ravel(), np.array(powers).T,
+              np.array(heads, "S5"), np.array(tails, "S5"), np.array(layout).T)
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'%.17g' % x of each value x as a column of CELL bytes, padded with
+    NULs, and whether the column holds it: the rest are left for %.
+
+    x 10**(16 - k), k = floor(log10 |x|), is P + E exactly by Dekker's
+    two-product, with P an integer-valued double in [1e16, 1e17); adding
+    x lo leaves an error below 1e-14, so rounding gives the 17 digits that
+    % gives wherever the fraction lies farther than 1e-6 from 1/2.  Left
+    for %: 0, nan, inf, |x| outside [1e-290, 1e300) (a split would leave
+    the double range), near-ties, and digits that miss [1e16, 1e17) (a
+    misjudged k or a carry).
+
+    The kernel fills one byte position of every cell at a time.  Sorted
+    values (as np.unique gives them) keep each layout in one run of cells:
+    one run per sign and exponent of the fixed notation, one for the other
+    fixed values below 1 and one per sign and side for the exponent form."""
+    cells = np.zeros((CELL, len(values)), np.uint8)
+    mag = np.abs(values)
+    ok = (mag >= 1e-290) & (mag < 1e300)
+    quads, powers, heads, tails, (leads, wholes) = _digit_tables()
+    mag = np.where(ok, mag, 1.0)
+    k = np.floor(np.log10(mag)).astype(np.intp) - _K_MIN
+    hi, upper, lower, lo = (column[k] for column in powers)
+    big = mag * hi
+    split = mag * _SPLIT
+    top = split - (split - mag)
+    bottom = mag - top
+    rest = ((top * upper - big) + top * lower + bottom * upper) + bottom * lower + mag * lo
+    step = np.rint(rest)
+    frac = rest - step
+    n = big.astype(np.int64) + step.astype(np.int64)
+    # n = 1e16 with a negative fraction: |x| < 10**k, so k was misjudged
+    ok &= (np.abs(np.abs(frac) - 0.5) > 1e-6) & (n < 10**17) & (
+        (n > 10**16) | (n == 10**16) & (frac >= 0.0))
+    first, n = np.divmod(np.where(ok, n, 10**16), 10**16)
+    upper8, lower8 = np.divmod(n, 10**8)
+    groups = np.column_stack(np.divmod(upper8, 10**4) + np.divmod(lower8, 10**4))
+    digits = np.empty((17, len(values)), np.uint8)
+    digits[0] = first + ord("0")
+    digits[1:] = quads[groups].view(np.uint8).reshape(-1, 16).T
+    # %g drops the fraction's trailing zeros, and the point if no digit follows it
+    position = np.arange(17, dtype=np.uint8)[:, None]
+    last = np.max((digits != ord("0")) * position, axis=0)
+    digits *= position <= np.maximum(last, wholes[k])
+    lead = leads[k]
+    point = np.where(last > lead, np.uint8(ord(".")), np.uint8(0))
+    cells[0] = np.signbit(values) * np.uint8(ord("-"))
+    cells[1:6] = heads[k].view(np.uint8).reshape(-1, 5).T
+    edges = [0, *np.flatnonzero(np.diff(lead)) + 1, len(values)]
+    for a, b in zip(edges[:-1], edges[1:]):  # the digits, the point after digit j, the rest
+        j = lead[a]
+        cells[6:7 + j, a:b] = digits[:j + 1, a:b]
+        cells[7 + j, a:b] = point[a:b]
+        cells[8 + j:24, a:b] = digits[j + 1:, a:b]
+    cells[24:29] = tails[k].view(np.uint8).reshape(-1, 5).T
+    return ok, cells
+
+
+def _percent_cells(values: np.ndarray, json: bool) -> np.ndarray:
+    """'%.17g' % x of each value x as one item of CELL bytes, from one %
+    call that pads each with spaces, which become NULs.  As JSON the
+    non-finite words are quoted, in place of two of their spaces."""
+    text = f"%-{CELL}.17g" * len(values) % tuple(values.tolist())
+    if json and not np.isfinite(values).all():
+        for word in ("-inf", "inf", "nan"):  # "-inf" first: "inf  " would match inside it
+            text = text.replace(word + "  ", f'"{word}"')
+    return np.frombuffer(text.replace(" ", "\0").encode(), _CELL_ITEM)
+
+
+def _cells(values: np.ndarray, json: bool) -> np.ndarray:
+    """'%.17g' % x of each value x as one item of CELL bytes, padded with
+    NULs: from the digit kernel, or from % for what it leaves and for all of
+    fewer than FORMAT_CROSSOVER values, where the kernel's fixed cost exceeds
+    what it saves."""
+    if len(values) < FORMAT_CROSSOVER:
+        return _percent_cells(values, json)
+    ok, cells = _digit_cells(values)
+    cells = np.ascontiguousarray(cells.T).view(_CELL_ITEM)[:, 0]
+    declined = np.flatnonzero(~ok)
+    if declined.size:
+        cells[declined] = _percent_cells(values[declined], json)
+    return cells
+
+
 def _row_blocks(rows, prefix: str, delimiter: str, suffix: str, json: bool = False):
     """The float rows as text, BLOCK_ROWS rows per block; each row is
     prefix, its %.17g cells joined by delimiter, then suffix (none of which
     holds a NUL).  Each distinct value of a column of a block is formatted
-    once, with its framing, and the cells gather those strings.  Values are
-    told apart by their bit pattern, so -0.0 and 0.0 (and any two nan
-    payloads) never share a string.  As JSON the non-finite words are quoted."""
+    once into a cell of CELL bytes; the block's rows gather their cells into
+    one byte matrix that holds the framing, and its NULs are dropped.
+    Values are told apart by their bit pattern, so -0.0 and 0.0 (and any two
+    nan payloads) never share a cell.  As JSON the non-finite words are quoted."""
     rows = np.asarray(rows, dtype=float)
-    ends = [delimiter] * (rows.shape[1] - 1) + [suffix]
-    templates = [(prefix if c == 0 else "") + "%.17g" + end + "\0" for c, end in enumerate(ends)]
+    template = (prefix + delimiter.join(["\0" * CELL] * rows.shape[1]) + suffix).encode()
+    matrix = np.empty((min(len(rows), BLOCK_ROWS), len(template)), np.uint8)
+    matrix[:] = np.frombuffer(template, np.uint8)
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start:start + BLOCK_ROWS]
-        cells = np.empty(block.shape, dtype=object)
-        for c, template in enumerate(templates):
+        lines = matrix[:len(block)]
+        for c in range(rows.shape[1]):
             bits, inverse = np.unique(block[:, c].view(np.int64), return_inverse=True)
-            # one % call for the column, split at the NULs: faster than a % call per value
-            text = (template * len(bits)) % tuple(bits.view(float).tolist())
-            strings = np.array(text.split("\0"), object)
-            if json:  # quote the nan and inf words once per distinct value
-                for i in np.flatnonzero(~np.isfinite(bits.view(float))):
-                    strings[i] = _NONFINITE.sub(r'"\g<0>"', strings[i])
-            cells[:, c] = strings[inverse]
-        yield "".join(cells.ravel().tolist())
+            at = len(prefix) + c * (CELL + len(delimiter))
+            lines[:, at:at + CELL].view(_CELL_ITEM)[:, 0] = _cells(bits.view(float), json)[inverse]
+        yield lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_csv(stream, columns: list[str], rows, meta: dict) -> None:
@@ -208,6 +327,9 @@ def cmd_simulate(args) -> str:
     )
     if args.report is not None and not args.compare:  # only --compare makes a report
         raise ValueError("--report needs --compare")
+    if args.compare and args.out in (None, "-") and args.report in (None, "-"):
+        # the table and the report in one stream would be neither valid CSV nor valid JSON
+        raise ValueError("--compare writes a table and a report: give --out or --report")
     if args.compare and {args.out, args.report}.isdisjoint({None, "-"}):
         # renamed onto one file, the report would replace the table; a FIFO or a device takes both
         target = os.path.realpath(args.out)

@@ -8,6 +8,7 @@ from their files as they are.
 
 import importlib.util
 import math
+import os
 from pathlib import Path
 
 from pairflux import cli, kernel, modesim, spectrum
@@ -29,7 +30,8 @@ def test_tracer_wraps_every_name_and_restores_it(capsys):
     with tracer.install():
         wrapped = [getattr(module, attr) for module, _, attr, _ in tracer.targets]
         # v = 0 keeps the 8-mode run free of the recurrence warning
-        argv = ["simulate", "--v", "0", "--kappa0", "8", "--t0", str(100 * math.pi), "--compare"]
+        argv = ["simulate", "--v", "0", "--kappa0", "8", "--t0", str(100 * math.pi), "--compare",
+                "--out", os.devnull, "--report", os.devnull]
         assert tracer.run(lambda: cli.main(argv)) == cli.EXIT_OK
     capsys.readouterr()
     assert all(w is not o for w, o in zip(wrapped, originals))

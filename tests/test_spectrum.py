@@ -243,6 +243,29 @@ class TestIntegratedRate:
         totals = [integrated_rate(PumpConfig(float(v))) for v in vs]
         assert 2.8 <= vs[int(np.argmax(totals))] <= 3.1
 
+    @pytest.mark.parametrize("mass, residue", [(None, 0.0688719), (0.1, 0.185069), (0.2, 0.0741671)])
+    def test_total_rate_has_the_resonant_pole(self, mass, residue):
+        # near (omega, v) = (1/2, v_r) the denominator is -2 d / v_r + i b x, with
+        # x = omega - 1/2, d = v - v_r and b = 2 v_r^2 Im(G*(1/2) G'(1/2)) (G for
+        # Geff), so the total rate is C / |d|, C = pi v_r N0 / (2 |b|), N0 the
+        # numerator at 1/2: an independent check of the near-resonance panels
+        def band(w, edge):  # the kernel's band function and its derivative in omega
+            log = math.log(abs(edge - w) / (1.0 + w))
+            return (complex((1.0 + 0.5 * w * log) / math.pi, 0.5 * w * (w < edge)),
+                    complex((0.5 * log + 0.5 * w * (1.0 / (w - edge) - 1.0 / (1.0 + w))) / math.pi,
+                            0.5 * (w < edge)))
+
+        g, slope = band(0.5, 1.0)
+        if mass is not None:
+            g, slope = (a - b for a, b in zip((g, slope), band(0.5, 2.0 * mass)))
+        v_r = resonance_velocity(mass)
+        b = 2.0 * v_r**2 * (g.conjugate() * slope).imag
+        c = math.pi * v_r * (v_r / (2.0 * math.pi)) ** 2 * 4.0 * g.imag**2 / (2.0 * abs(b))
+        assert abs(c / residue - 1.0) < 1e-5
+        for delta, rtol in [(1e-6, 2e-6), (1e-8, 1e-7)]:
+            totals = integrated_rates([v_r - delta, v_r + delta], mass)
+            assert np.abs(totals * delta / c - 1.0).max() <= rtol
+
 
 class TestResonanceVelocity:
     def test_photon_matches_closed_form_constant(self):
