@@ -23,7 +23,6 @@ import contextlib
 import functools
 import math
 import os
-import re
 import stat
 import sys
 import tempfile
@@ -44,12 +43,8 @@ UNITS_NOTE = "omega0 = 1, c = 1"
 BLOCK_ROWS = 4096  # rows per formatted block: one block is held as a byte matrix
 CELL = 29  # bytes of a formatted cell: sign, '0.000', 17 digits and a point, 'e-308'
 _CELL_ITEM = np.dtype(f"V{CELL}")  # a cell as one item: a row of the byte matrix takes it in one copy
-# distinct values of a column block from which the digit kernel formats them:
-# below about 200-260 (2 cores, numpy 2.4) % is faster than its fixed cost
-FORMAT_CROSSOVER = 256
 _K_MIN, _K_MAX = -291, 300  # decimal exponents of the kernel's range [1e-290, 1e300)
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's split of a double into two 26-bit halves
-_NONFINITE = re.compile(r"-?inf|nan")
 
 
 def _token(x, json: bool = False) -> str:
@@ -61,7 +56,7 @@ def _token(x, json: bool = False) -> str:
     if json and isinstance(x, bool):
         return "true" if x else "false"
     token = str(int(x)) if isinstance(x, (int, np.integer)) else f"{float(x):.17g}"
-    return _NONFINITE.sub(r'"\g<0>"', token) if json else token
+    return f'"{token}"' if json and token in ("nan", "inf", "-inf") else token
 
 
 @functools.cache
@@ -96,13 +91,13 @@ def _digit_tables():
 
 def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """'%.17g' % x of each value x as a column of CELL bytes, padded with
-    NULs, and whether the column holds it: the rest are left for %.
+    NULs, and whether the column holds it: the rest are left for _token.
 
     x 10**(16 - k), k = floor(log10 |x|), is P + E exactly by Dekker's
     two-product, with P an integer-valued double in [1e16, 1e17); adding
     x lo leaves an error below 1e-14, so rounding gives the 17 digits that
     % gives wherever the fraction lies farther than 1e-6 from 1/2.  Left
-    for %: 0, nan, inf, |x| outside [1e-290, 1e300) (a split would leave
+    for _token: 0, nan, inf, |x| outside [1e-290, 1e300) (a split would leave
     the double range), near-ties, and digits that miss [1e16, 1e17) (a
     misjudged k or a carry).
 
@@ -122,15 +117,18 @@ def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top = split - (split - mag)
     bottom = mag - top
     rest = ((top * upper - big) + top * lower + bottom * upper) + bottom * lower + mag * lo
+    del mag, hi, upper, lower, lo, split, top, bottom  # freed early: they set the peak memory
     step = np.rint(rest)
     frac = rest - step
     n = big.astype(np.int64) + step.astype(np.int64)
+    del big, rest, step
     # n = 1e16 with a negative fraction: |x| < 10**k, so k was misjudged
     ok &= (np.abs(np.abs(frac) - 0.5) > 1e-6) & (n < 10**17) & (
         (n > 10**16) | (n == 10**16) & (frac >= 0.0))
     first, n = np.divmod(np.where(ok, n, 10**16), 10**16)
     upper8, lower8 = np.divmod(n, 10**8)
     groups = np.column_stack(np.divmod(upper8, 10**4) + np.divmod(lower8, 10**4))
+    del n, upper8, lower8
     digits = np.empty((17, len(values)), np.uint8)
     digits[0] = first + ord("0")
     digits[1:] = quads[groups].view(np.uint8).reshape(-1, 16).T
@@ -142,7 +140,7 @@ def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point = np.where(last > lead, np.uint8(ord(".")), np.uint8(0))
     cells[0] = np.signbit(values) * np.uint8(ord("-"))
     cells[1:6] = heads[k].view(np.uint8).reshape(-1, 5).T
-    edges = [0, *np.flatnonzero(np.diff(lead)) + 1, len(values)]
+    edges = [*np.flatnonzero(np.diff(lead, prepend=-1)), len(values)]
     for a, b in zip(edges[:-1], edges[1:]):  # the digits, the point after digit j, the rest
         j = lead[a]
         cells[6:7 + j, a:b] = digits[:j + 1, a:b]
@@ -152,51 +150,36 @@ def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ok, cells
 
 
-def _percent_cells(values: np.ndarray, json: bool) -> np.ndarray:
-    """'%.17g' % x of each value x as one item of CELL bytes, from one %
-    call that pads each with spaces, which become NULs.  As JSON the
-    non-finite words are quoted, in place of two of their spaces."""
-    text = f"%-{CELL}.17g" * len(values) % tuple(values.tolist())
-    if json and not np.isfinite(values).all():
-        for word in ("-inf", "inf", "nan"):  # "-inf" first: "inf  " would match inside it
-            text = text.replace(word + "  ", f'"{word}"')
-    return np.frombuffer(text.replace(" ", "\0").encode(), _CELL_ITEM)
-
-
 def _cells(values: np.ndarray, json: bool) -> np.ndarray:
     """'%.17g' % x of each value x as one item of CELL bytes, padded with
-    NULs: from the digit kernel, or from % for what it leaves and for all of
-    fewer than FORMAT_CROSSOVER values, where the kernel's fixed cost exceeds
-    what it saves."""
-    if len(values) < FORMAT_CROSSOVER:
-        return _percent_cells(values, json)
+    NULs: from the digit kernel, and from _token for what it leaves (as JSON
+    the non-finite words are quoted)."""
     ok, cells = _digit_cells(values)
     cells = np.ascontiguousarray(cells.T).view(_CELL_ITEM)[:, 0]
-    declined = np.flatnonzero(~ok)
-    if declined.size:
-        cells[declined] = _percent_cells(values[declined], json)
+    cells[~ok] = np.array([_token(x, json).encode() for x in values[~ok].tolist()], _CELL_ITEM)
     return cells
 
 
 def _row_blocks(rows, prefix: str, delimiter: str, suffix: str, json: bool = False):
     """The float rows as text, BLOCK_ROWS rows per block; each row is
     prefix, its %.17g cells joined by delimiter, then suffix (none of which
-    holds a NUL).  Each distinct value of a column of a block is formatted
-    once into a cell of CELL bytes; the block's rows gather their cells into
-    one byte matrix that holds the framing, and its NULs are dropped.
-    Values are told apart by their bit pattern, so -0.0 and 0.0 (and any two
-    nan payloads) never share a cell.  As JSON the non-finite words are quoted."""
+    holds a NUL).  The distinct values of a block, over all its columns, are
+    formatted by one _cells call into cells of CELL bytes; the block's rows
+    gather their cells into one byte matrix that holds the framing, and its
+    NULs are dropped.  Values are told apart by their bit pattern, so -0.0
+    and 0.0 (and any two nan payloads) never share a cell."""
     rows = np.asarray(rows, dtype=float)
     template = (prefix + delimiter.join(["\0" * CELL] * rows.shape[1]) + suffix).encode()
     matrix = np.empty((min(len(rows), BLOCK_ROWS), len(template)), np.uint8)
     matrix[:] = np.frombuffer(template, np.uint8)
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start:start + BLOCK_ROWS]
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        cells = _cells(bits.view(float), json)[inverse.reshape(block.shape)]
         lines = matrix[:len(block)]
         for c in range(rows.shape[1]):
-            bits, inverse = np.unique(block[:, c].view(np.int64), return_inverse=True)
             at = len(prefix) + c * (CELL + len(delimiter))
-            lines[:, at:at + CELL].view(_CELL_ITEM)[:, 0] = _cells(bits.view(float), json)[inverse]
+            lines[:, at:at + CELL].view(_CELL_ITEM)[:, 0] = cells[:, c]
         yield lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -277,12 +260,12 @@ def _log10_column(rates: np.ndarray) -> np.ndarray:
 def cmd_spectrum(args) -> None:
     pump = spectrum.PumpConfig(v=args.v, mass=args.mass)
     grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points)
-    result = spectrum.spectrum_grid(pump, grid)  # nan on a branch point
+    omega, rate = spectrum.spectrum_grid(pump, grid)  # nan on a branch point
     meta = _meta(
         args, v=args.v, mass="photon" if args.mass is None else args.mass,
         omega_min=args.omega_min, omega_max=args.omega_max, points=args.points,
     )
-    rows = np.column_stack([result.omega, result.rate, _log10_column(result.rate)])
+    rows = np.column_stack([omega, rate, _log10_column(rate)])
     with _output(args.out) as stream:
         _emit(stream, args.format, ["omega", "rate", "log10_rate"], rows, meta)
 

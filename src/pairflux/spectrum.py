@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,16 +72,6 @@ class SpectralGrid:
         return np.linspace(a, b, n), w
 
 
-@dataclass
-class SpectrumResult:
-    """Rates sampled on a grid.  flags holds (index, reason) for nodes that
-    diverged ('resonant-divergence') or sat on a branch point ('singular')."""
-
-    omega: np.ndarray
-    rate: np.ndarray
-    flags: list[tuple[int, str]] = field(default_factory=list)
-
-
 @functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
@@ -114,13 +104,11 @@ def scan_2d(v_values, grid: SpectralGrid, mass: float | None = None):
     return omega, rate
 
 
-def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> SpectrumResult:
-    """Emission rate at every grid node, scan_2d of [pump.v]; divergent or
-    singular nodes are flagged and do not abort the grid."""
-    omega, rate = (row[0] for row in scan_2d([pump.v], grid, pump.mass))
-    flags = [(int(i), "singular" if math.isnan(rate[i]) else "resonant-divergence")
-             for i in np.flatnonzero(~np.isfinite(rate))]
-    return SpectrumResult(omega=omega, rate=rate, flags=flags)
+def spectrum_grid(pump: PumpConfig, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, rate) at every grid node, row 0 of scan_2d of [pump.v]: inf on
+    a divergent node and nan on a branch point, neither aborting the grid."""
+    omega, rate = scan_2d([pump.v], grid, pump.mass)
+    return omega[0], rate[0]
 
 
 def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:

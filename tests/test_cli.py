@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -704,30 +705,44 @@ def _log_uniform(n=10**5):
 
 
 def _specials():
-    # with enough ordinary values that the column reaches the digit kernel
+    # the values the digit kernel leaves to _token, among ordinary ones
     subnormals = np.random.default_rng(4).integers(1, 2**52, 100, dtype=np.uint64).view(float)
     edges = [1e-290, np.nextafter(1e-290, 0.0), 1e300, np.nextafter(1e300, 0.0)]
     return np.concatenate([SPECIAL_FLOATS, subnormals, -subnormals, edges, _log_uniform(1000)])
 
 
-def _one_column(values, prefix, delimiter, suffix, json):
-    """A column of cells rendered by one '%.17g' call, the reference of a long column."""
-    cells = ("%.17g\0" * len(values) % tuple(values.tolist())).split("\0")[:-1]
-    if json:
-        cells = [c if math.isfinite(x) else f'"{c}"' for c, x in zip(cells, values.tolist())]
-    return prefix + (suffix + prefix).join(cells) + suffix
+FAMILIES = {"powers_of_ten": _powers_of_ten, "ties": _ties, "random_bits": _random_bits,
+            "log_uniform": _log_uniform, "specials": _specials}
 
 
-@pytest.mark.parametrize("values, framing", [
-    (_powers_of_ten, CSV_FRAMING), (_ties, CSV_FRAMING), (_random_bits, CSV_FRAMING),
-    (_log_uniform, CSV_FRAMING), (_specials, CSV_FRAMING), (_specials, JSON_FRAMING),
-], ids=["powers_of_ten", "ties", "random_bits", "log_uniform", "specials", "specials_json"])
-def test_digit_kernel_matches_percent_formatting(values, framing):
-    # one column of distinct values, BLOCK_ROWS to a block, each block above
-    # FORMAT_CROSSOVER: the digit kernel formats all but what it leaves to %
-    values = values()
-    got = "".join(cli._row_blocks(values[:, None], *framing))
-    assert _first_difference(got, _one_column(values, *framing)) is None
+@pytest.mark.parametrize("family, columns, framing", [
+    *(pytest.param(name, 1, CSV_FRAMING, id=name) for name in FAMILIES),
+    pytest.param("specials", 1, JSON_FRAMING, id="specials_json"),
+    *(pytest.param(name, 4, framing, id=f"{name}_4_columns_{kind}") for name in FAMILIES
+      for kind, framing in (("csv", CSV_FRAMING), ("json", JSON_FRAMING))),
+])
+def test_digit_kernel_matches_percent_formatting(family, columns, framing):
+    # distinct values, BLOCK_ROWS rows to a block: the digit kernel formats all
+    # but what it leaves to _token; in 4 columns one kernel call mixes the
+    # layouts of every column of a block
+    values = FAMILIES[family]()
+    rows = values[:len(values) // columns * columns].reshape(-1, columns)
+    got = "".join(cli._row_blocks(rows, *framing))
+    assert _first_difference(got, _per_cell(rows, *framing)) is None
+
+
+def test_emitter_memory_is_bounded_by_the_block():
+    # every cell distinct: a table-wide dedup or a whole-table buffer would grow with the rows
+    tables = [np.random.default_rng(5).uniform(0.0, 1.0, (n, 3)) for n in (20_000, 80_000)]
+    cli._digit_tables()  # built once, outside the traced runs
+    peaks = []
+    with open(os.devnull, "w") as sink:
+        for rows in tables:
+            tracemalloc.start()
+            cli.write_json(sink, ["a", "b", "c"], rows, {"command": "test"})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_digit_kernel_leaves_only_near_ties():
