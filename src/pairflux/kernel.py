@@ -42,8 +42,9 @@ def check_velocity(velocity: float | np.ndarray) -> None:
     finite (below about 1.34e154), else the squares overflow."""
     if isinstance(velocity, float):  # Python floats: a square that overflows is a silent inf
         lo = hi = float(velocity)
-    else:
-        lo, hi = float(np.min(velocity, initial=0.0)), float(np.max(velocity, initial=0.0))
+    else:  # the ufuncs' own reductions: np.min and np.max add a Python layer to each block call
+        lo = float(np.minimum.reduce(velocity, axis=None, initial=0.0))
+        hi = float(np.maximum.reduce(velocity, axis=None, initial=0.0))
     if not (lo >= 0.0 and hi * hi < np.inf):
         bad = next(v for v in np.ravel(velocity).tolist() if not (v >= 0.0 and v * v < np.inf))
         raise ValueError(f"velocity must be >= 0 with v * v finite, got {bad!r}")
@@ -95,10 +96,6 @@ def _geff(omega: np.ndarray, mass: float | None) -> np.ndarray:
     return g if mass is None else g - _band(omega, _edge(mass))
 
 
-def _resolvent(g_w: np.ndarray, g_p: np.ndarray, velocity: float) -> np.ndarray:
-    return 1.0 - velocity * velocity * np.conj(g_w) * g_p
-
-
 def green_function(omega):
     """Band Green function G(omega) of the sub-pump mode continuum.
 
@@ -140,15 +137,47 @@ def effective_green_function(omega, mass: float | None = None):
     return _scalar_or_array(_geff(w, mass), omega)
 
 
+class PairTerms:
+    """What pair_terms returns (a plain class: a dataclass adds 1 ms to the import)."""
+
+    __slots__ = ("omega", "re", "im", "numerator")
+
+    def __init__(self, omega, re, im, numerator):
+        self.omega, self.re, self.im, self.numerator = omega, re, im, numerator
+
+    @property
+    def size(self) -> int:  # the node count, which a trace of emission_rate counts
+        return self.omega.size
+
+
+def pair_terms(omega, mass: float | None = None) -> PairTerms:
+    """The part of the pair rate at omega in [0, 1] that no pump changes: the
+    nodes, re and im of P = Geff*(omega) Geff(1 - omega), and the numerator
+    4 Im Geff(omega) Im Geff(1 - omega), 0 at omega in {0, 1}; nan on a branch point."""
+    w = _checked(omega, _BAND)
+    g_w, g_p = _geff(w, mass), _geff(1.0 - w, mass)
+    with np.errstate(all="ignore"):
+        p = np.conj(g_w) * g_p
+        numerator = np.where((w == 0.0) | (w == 1.0), 0.0, 4.0 * g_w.imag * g_p.imag)
+    return PairTerms(w, p.real.copy(), p.imag.copy(), numerator)
+
+
+def _resolvent_parts(terms: PairTerms, velocity) -> tuple[np.ndarray, np.ndarray]:
+    """(t, u) with 1 - v^2 P = t - i u: t = 1 - v^2 Re P and u = v^2 Im P."""
+    v2 = velocity * velocity
+    with np.errstate(all="ignore"):
+        t = v2 * terms.re
+        return np.subtract(1.0, t, out=t), v2 * terms.im
+
+
 def resolvent_factor(omega, velocity: float, mass: float | None = None):
     """Resolvent denominator factor 1 - v^2 Geff*(omega) Geff(1-omega).
 
     Its squared modulus divides the pair spectrum; its zero at
     (omega = 1/2, v = v_r) is the resonant enhancement of the emission.
     """
-    w = _checked(omega, _OPEN_BAND, velocity)
-    return _scalar_or_array(
-        _resolvent(_geff(w, mass), _geff(1.0 - w, mass), velocity), omega, velocity)
+    t, u = _resolvent_parts(pair_terms(_checked(omega, _OPEN_BAND, velocity), mass), velocity)
+    return _scalar_or_array(t - 1j * u, omega, velocity)
 
 
 def emission_rate(omega, velocity: float | np.ndarray, mass: float | None = None):
@@ -164,21 +193,30 @@ def emission_rate(omega, velocity: float | np.ndarray, mass: float | None = None
 
     omega and velocity are floats or arrays that broadcast together; the
     Green functions are evaluated on omega's shape only, so a sweep passes
-    nodes[None, :] and v[:, None].  Endpoints omega in {0, 1} return 0 by
-    limit.  A denominator modulus below DENOMINATOR_FLOOR is reported as
-    inf - a flagged divergence, not an error.  A branch point of the
-    massive branch raises SingularArgument for a float and gives nan in
-    an array.
+    nodes[None, :] and v[:, None].  omega may also be the PairTerms of
+    pair_terms(nodes, mass), which then holds the mass (the mass argument
+    is not used) and gives an array result: a sweep computes the node part
+    once for all its pumps.  The squared modulus of the resolvent factor
+    1 - v^2 P is t^2 + u^2, with t = 1 - v^2 Re P and u = v^2 Im P, in real
+    arithmetic.  Endpoints omega in {0, 1} return 0 by limit.  A
+    denominator modulus below DENOMINATOR_FLOOR is reported as inf - a
+    flagged divergence, not an error.  A branch point of the massive branch
+    raises SingularArgument for a float and gives nan in an array.
     """
-    w = _checked(omega, _BAND, velocity)
-    g_w, g_p = _geff(w, mass), _geff(1.0 - w, mass)
+    check_velocity(velocity)
+    terms = omega if isinstance(omega, PairTerms) else pair_terms(omega, mass)
+    t, u = _resolvent_parts(terms, velocity)
     with np.errstate(all="ignore"):
         # C pow, like a float's ** 2 (np.power squares: an ulp off for ~1 v in 1,200)
-        numerator = np.float_power(velocity / TWO_PI, 2) * 4.0 * g_w.imag * g_p.imag
-        factor = np.abs(_resolvent(g_w, g_p, velocity))
-        rate = np.where(factor < DENOMINATOR_FLOOR, np.inf, numerator / factor**2)
-    rate = np.where((numerator == 0.0) | (w == 0.0) | (w == 1.0), 0.0, rate)
-    return _scalar_or_array(rate, omega, velocity)
+        numerator = np.float_power(velocity / TWO_PI, 2) * terms.numerator
+        t *= t
+        u *= u
+        modulus2 = np.add(t, u, out=t)
+        rate = numerator / modulus2
+    rate[modulus2 < DENOMINATOR_FLOOR**2] = np.inf
+    rate[numerator == 0.0] = 0.0
+    # a PairTerms gives an array: its omega has at least one dimension
+    return _scalar_or_array(rate, terms.omega if terms is omega else omega, velocity)
 
 
 def perturbative_rate(omega, velocity: float):

@@ -322,6 +322,20 @@ def extract_rates(matrix: BogoliubovMatrix) -> SimSpectrum:
     return SimSpectrum(omega=matrix.omega[interior], rate=rate[interior], config=config)
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-d array, bit for bit, and 0.0 when it is empty: the
+    middle value of the sorted array or the mean of the two middle ones, nan
+    when any value is nan.  np.median's own nan check imports numpy.ma, 10-20 ms
+    of a cold start."""
+    s = np.sort(values)  # nan sorts last
+    if not s.size:
+        return 0.0
+    if np.isnan(s[-1]):
+        return math.nan
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
 def compare_to_analytic(sim: SimSpectrum) -> DeviationReport:
     """Per-mode relative deviation of the simulated spectrum from the
     photon closed-form emission rate at the simulated v, inside
@@ -334,7 +348,7 @@ def compare_to_analytic(sim: SimSpectrum) -> DeviationReport:
     # v = 0: nothing to normalize against
     degenerate = not analytic.any()
     devs = np.abs(simulated) if degenerate else np.abs(simulated / analytic - 1.0)
-    median = float(np.median(devs)) if devs.size else 0.0
+    median = _median(devs)
     return DeviationReport(
         omega=omega, simulated=simulated, analytic=analytic,
         relative_deviation=devs, max_deviation=float(devs.max(initial=0.0)),

@@ -122,17 +122,20 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     1/2 has a width of order |v - v_r|, 16-node panels halving towards the
     peak at the cuts 1/2 +- 0.15 * 2^-k (k = 0..47) that lie inside the band
     and more than 1e-12 from its edges.  The pumps of one rule share its
-    nodes, BLOCK_CELLS cells per kernel call.  A pump gets 0 at v = 0 and
-    float('inf') when a node runs into the divergence floor.  A band narrower
-    than 1e-11 (every mass >= 1/4) is the closed channel: every pump gets 0,
-    with only the velocities checked.
+    nodes: kernel.pair_terms computes the node part of the rate once per
+    rule, and each kernel call combines it with a block of pumps, BLOCK_CELLS
+    cells, whose totals are the row-wise weighted sums.  The velocities are
+    checked once, up front.  A pump gets 0 at v = 0 and float('inf') when a
+    node runs into the divergence floor.  A band narrower than 1e-11 (every
+    mass >= 1/4) is the closed channel: every pump gets 0, with only the
+    velocities checked.
     """
     v = np.asarray(v_values, dtype=float)
     totals = np.zeros(len(v))
     v_res = _resonance_or_none(mass)  # the mass check
+    kernel.check_velocity(v)
     lo, hi = (0.0, 1.0) if mass is None else (2.0 * mass, 1.0 - 2.0 * mass)
     if hi - lo < 1e-11:  # too narrow for nodes to stay off its edges, the branch points
-        kernel.check_velocity(v)
         return totals
     near = np.abs(v - v_res) < 0.1  # an open band has a resonance
     steps = 0.15 * 0.5 ** np.arange(48)
@@ -141,13 +144,19 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     # no cut repeats an edge, so a sort is np.union1d (whose first call takes 20 ms)
     for pick, panels, n in [(~near, np.array([lo, hi]), 256),
                             (near, np.sort(np.concatenate([[lo, hi], cuts])), 16)]:
+        rows = np.flatnonzero(pick & (v != 0.0))
+        if not rows.size:
+            continue
         x, w = _leggauss(n)
         mid, half = 0.5 * (panels[:-1] + panels[1:]), 0.5 * (panels[1:] - panels[:-1])
         nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-        for block in _blocks(np.flatnonzero(pick & (v != 0.0)), len(nodes)):
-            rates = kernel.emission_rate(nodes[None, :], v[block, None], mass)
-            for i, row in zip(block, rates):
-                totals[i] = math.inf if np.isinf(row).any() else float(np.dot(weights, row))
+        terms = kernel.pair_terms(nodes, mass)
+        for block in _blocks(rows, len(nodes)):
+            rates = kernel.emission_rate(terms, v[block, None])
+            # a row-wise sum, not rates @ weights: BLAS rounds a 1-row product
+            # differently from a 5-row one, and a total must not depend on its block
+            sums = (rates * weights).sum(axis=1)
+            totals[block] = np.where(np.isinf(rates).any(axis=1), np.inf, sums)
     return totals
 
 

@@ -53,7 +53,11 @@ def emission_rate(w, v, mass=None, floor=1e-12):
     factor = abs(1.0 - product)
     if factor < floor:
         return math.inf, math.inf
-    return numerator / factor**2, 1.0 + abs(product) / factor
+    try:
+        square = factor**2
+    except OverflowError:  # a square past the float range: the rate is 0
+        square = math.inf
+    return numerator / square, 1.0 + abs(product) / factor
 
 
 def rates(omega, v, mass=None):

@@ -212,6 +212,22 @@ def test_the_package_is_only_its_modules():
     assert printed.stdout == f"pairflux {version}\n"
 
 
+def test_simulate_compare_does_not_import_numpy_ma(tmp_path):
+    # a fresh interpreter: the compare's median imported numpy.ma, 10-20 ms of a cold start
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    argv = ["simulate", "--v", "0.2", "--kappa0", "16", "--t0", "314.16", "--compare",
+            "--out", str(tmp_path / "sim.csv"), "--report", str(tmp_path / "report.json")]
+    code = (f"import sys; from pairflux.cli import main; code = main({argv!r}); "
+            "print(code, 'numpy.ma' in sys.modules, 'numpy' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "0 False True\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    deviations = [row[3] for row in report["data"]["rows"]]
+    assert deviations and report["median_relative_deviation"] == np.median(deviations)
+
+
 ALLOCATION = "Unable to allocate 256. TiB for an array with shape (35184372088832,)"
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from pairflux import kernel, spectrum
 from pairflux.kernel import (
     SingularArgument,
     effective_green_function,
@@ -340,7 +341,7 @@ class TestPerturbativeRate:
 class TestScalarReference:
     """The kernel against the scalar math evaluation it replaced, on the
     omega grid of the long-form scan and every tenth of its 200 pump
-    velocities."""
+    velocities, and at the quadrature nodes of integrated_rates."""
 
     @pytest.mark.parametrize("mass", [None, 0.1, 0.3])
     def test_matches_on_map_grid(self, mass):
@@ -349,3 +350,24 @@ class TestScalarReference:
             want, condition = scalar_reference.rates(omega, v, mass)
             got = emission_rate(omega, v, mass)
             scalar_reference.assert_close(got, want, condition)
+
+    @pytest.mark.parametrize("mass", [None, 0.1, 0.2])
+    def test_matches_at_the_sweep_nodes(self, mass, monkeypatch):
+        # the PairTerms integrated_rates builds, one per rule: the 256-node band rule
+        # and the graded nodes near omega = 1/2, where the resolvent cancels most,
+        # each combined with a block of pumps as the sweep combines them
+        rules = []
+        pair_terms = kernel.pair_terms
+        monkeypatch.setattr(kernel, "pair_terms",
+                            lambda nodes, m: rules.append(pair_terms(nodes, m)) or rules[-1])
+        v_r = spectrum.resonance_velocity(mass)
+        spectrum.integrated_rates([1.0, v_r + 0.01], mass)
+        assert len(rules) == 2 and rules[0].size == 256
+        if mass is None:
+            assert rules[1].size == 1552
+        pumps = [v_r + d for d in (-1e-3, 1e-3, -1e-6, 1e-6, -1e-9, 1e-9)] + [0.0, 1e-150, 1e150]
+        for terms in rules:
+            got = emission_rate(terms, np.array(pumps)[:, None])
+            for v, row in zip(pumps, got):
+                want, condition = scalar_reference.rates(terms.omega, v, mass)
+                scalar_reference.assert_close(row, want, condition)

@@ -375,3 +375,14 @@ class TestCompare:
         report = compare_to_analytic(extract_rates(matrix))
         assert report.omega.size
         assert np.array_equal(report.analytic, kernel.emission_rate(report.omega, config.v))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 50, 51, 1000, 1001])
+    def test_median_matches_numpy(self, size):
+        rng = np.random.default_rng(size)
+        repeated = np.repeat(rng.random(3), size)
+        for values in (rng.random(size), rng.lognormal(0.0, 3.0, size), repeated):
+            assert modesim._median(values) == np.median(values)
+        values = rng.random(size)
+        values[size // 3] = math.nan
+        assert math.isnan(modesim._median(values)) and math.isnan(np.median(values))
+        assert modesim._median(np.array([])) == 0.0

@@ -44,6 +44,21 @@ def test_tracer_wraps_every_name_and_restores_it(capsys):
     assert summary["modesim.build_s"] > 0.0 and summary["modesim.modes"] == 8
 
 
+def test_tracer_counts_the_nodes_of_each_sweep_block(capsys):
+    # integrated_rates passes each block the rule's PairTerms through the module
+    # attribute kernel.emission_rate, and the span counts its size, the node count
+    spans = _load("spans")
+    tracer = spans.Tracer(cli, spectrum, modesim, kernel)
+    with tracer.install():
+        argv = ["scan", "--integrate", "--v-min", "2.9", "--v-max", "3.0", "--v-points", "7",
+                "--format", "json", "--out", os.devnull]
+        assert tracer.run(lambda: cli.main(argv)) == cli.EXIT_OK
+    capsys.readouterr()
+    summary = spans.summarize(tracer.names, tracer.last)
+    # 7 pumps near resonance: blocks of 5 and 2 pumps on the 1,552-node rule
+    assert (summary["kernel.calls"], summary["kernel.points"]) == (2, 2 * 1552)
+
+
 def test_probe_node_call_runs():
     nodes, weights = spectrum.SpectralGrid().nodes_weights()
     assert nodes.size == weights.size > 0

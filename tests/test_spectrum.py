@@ -200,6 +200,24 @@ class TestIntegratedRate:
         assert totals.tolist() == [integrated_rate(PumpConfig(float(x), mass)) for x in v]
         assert totals[0] == 0.0 and (mass is not None or totals[1] == math.inf)
 
+    @pytest.mark.parametrize("mass", [None, 0.1])
+    def test_green_functions_once_per_rule(self, mass, monkeypatch):
+        # the node part of the rate is computed once per rule and shared by all its
+        # blocks: 7 pumps take one block a rule, 700 pumps take 11 + 70 blocks
+        calls = []
+        geff = kernel._geff
+        monkeypatch.setattr(kernel, "_geff", lambda w, m: calls.append(w.size) or geff(w, m))
+        v_r = resonance_velocity(mass)
+        sizes = []
+        for n in (7, 700):
+            calls.clear()
+            far = np.geomspace(0.1, v_r - 0.2, n // 2)
+            near = v_r + np.linspace(-0.08, 0.08, n - n // 2)
+            integrated_rates(np.concatenate([far, near]), mass)
+            sizes.append(list(calls))
+        # Geff(omega) and Geff(1 - omega) per rule, and the resonance velocity's Geff(1/2)
+        assert sizes[0] == sizes[1] and len([s for s in sizes[0] if s > 1]) <= 2 * 2
+
     @pytest.mark.parametrize("mass", [0.24999999999996447, 0.2500000000000355])
     def test_sweep_over_a_band_too_narrow_for_nodes_is_zero(self, mass):
         # the band (2m, 1 - 2m) is 1.4e-13 wide or empty, too narrow for nodes off
