@@ -121,10 +121,14 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     velocity is within 0.1 of the resonance velocity, whose peak at omega =
     1/2 has a width of order |v - v_r|, 16-node panels halving towards the
     peak at the cuts 1/2 +- 0.15 * 2^-k (k = 0..47) that lie inside the band
-    and more than 1e-12 from its edges.  The pumps of one rule share its
-    nodes: kernel.pair_terms computes the node part of the rate once per
-    rule, and each kernel call combines it with a block of pumps, BLOCK_CELLS
-    cells, whose totals are the row-wise weighted sums.  The velocities are
+    and more than 1e-12 from its edges, and at 1/2.  The rate and the band
+    are symmetric under omega <-> 1 - omega, so each rule is folded: only
+    its half below 1/2 is evaluated, weights doubled, 128 nodes of the band
+    panel or 784 (photon) of the window panels, which the cut at 1/2 keeps
+    from straddling it.  The pumps of one rule share its nodes:
+    kernel.pair_terms computes the node part of the rate once per rule, and
+    each kernel call combines it with a block of pumps, BLOCK_CELLS cells,
+    whose totals are the row-wise weighted sums.  The velocities are
     checked once, up front.  A pump gets 0 at v = 0 and float('inf') when a
     node runs into the divergence floor.  A band narrower than 1e-11 (every
     mass >= 1/4) is the closed channel: every pump gets 0, with only the
@@ -138,25 +142,24 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     if hi - lo < 1e-11:  # too narrow for nodes to stay off its edges, the branch points
         return totals
     near = np.abs(v - v_res) < 0.1  # an open band has a resonance
-    steps = 0.15 * 0.5 ** np.arange(48)
-    cuts = np.concatenate([0.5 - steps, 0.5 + steps])
-    cuts = cuts[(cuts > lo + 1e-12) & (cuts < hi - 1e-12)]
-    # no cut repeats an edge, so a sort is np.union1d (whose first call takes 20 ms)
-    for pick, panels, n in [(~near, np.array([lo, hi]), 256),
-                            (near, np.sort(np.concatenate([[lo, hi], cuts])), 16)]:
+    # each rule folded at 1/2, its lower half with doubled weights: the nodes x < 0
+    # (the first 128, ascending) of the band panel, and the window panels below 1/2
+    cuts = 0.5 - 0.15 * 0.5 ** np.arange(48)  # ascending
+    window = np.concatenate([[lo], cuts[cuts > lo + 1e-12], [0.5]])
+    for pick, panels, n, kept in [(~near, np.array([lo, hi]), 256, 128), (near, window, 16, 16)]:
         rows = np.flatnonzero(pick & (v != 0.0))
         if not rows.size:
             continue
-        x, w = _leggauss(n)
+        x, w = (a[:kept] for a in _leggauss(n))
         mid, half = 0.5 * (panels[:-1] + panels[1:]), 0.5 * (panels[1:] - panels[:-1])
-        nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+        nodes = (mid[:, None] + half[:, None] * x).ravel()
+        weights = (2.0 * half[:, None] * w).ravel()
         terms = kernel.pair_terms(nodes, mass)
         for block in _blocks(rows, len(nodes)):
-            rates = kernel.emission_rate(terms, v[block, None])
             # a row-wise sum, not rates @ weights: BLAS rounds a 1-row product
-            # differently from a 5-row one, and a total must not depend on its block
-            sums = (rates * weights).sum(axis=1)
-            totals[block] = np.where(np.isinf(rates).any(axis=1), np.inf, sums)
+            # differently from a 5-row one, and a total must not depend on its block;
+            # every term is >= 0 and every weight > 0, so an inf node makes the total inf
+            totals[block] = (kernel.emission_rate(terms, v[block, None]) * weights).sum(axis=1)
     return totals
 
 

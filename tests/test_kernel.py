@@ -353,8 +353,8 @@ class TestScalarReference:
 
     @pytest.mark.parametrize("mass", [None, 0.1, 0.2])
     def test_matches_at_the_sweep_nodes(self, mass, monkeypatch):
-        # the PairTerms integrated_rates builds, one per rule: the 256-node band rule
-        # and the graded nodes near omega = 1/2, where the resolvent cancels most,
+        # the PairTerms integrated_rates builds, one per rule: the lower 128 nodes of the
+        # band rule and the graded nodes below omega = 1/2, where the resolvent cancels most,
         # each combined with a block of pumps as the sweep combines them
         rules = []
         pair_terms = kernel.pair_terms
@@ -362,9 +362,9 @@ class TestScalarReference:
                             lambda nodes, m: rules.append(pair_terms(nodes, m)) or rules[-1])
         v_r = spectrum.resonance_velocity(mass)
         spectrum.integrated_rates([1.0, v_r + 0.01], mass)
-        assert len(rules) == 2 and rules[0].size == 256
+        assert len(rules) == 2 and rules[0].size == 128
         if mass is None:
-            assert rules[1].size == 1552
+            assert rules[1].size == 784
         pumps = [v_r + d for d in (-1e-3, 1e-3, -1e-6, 1e-6, -1e-9, 1e-9)] + [0.0, 1e-150, 1e150]
         for terms in rules:
             got = emission_rate(terms, np.array(pumps)[:, None])

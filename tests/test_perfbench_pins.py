@@ -50,13 +50,13 @@ def test_tracer_counts_the_nodes_of_each_sweep_block(capsys):
     spans = _load("spans")
     tracer = spans.Tracer(cli, spectrum, modesim, kernel)
     with tracer.install():
-        argv = ["scan", "--integrate", "--v-min", "2.9", "--v-max", "3.0", "--v-points", "7",
+        argv = ["scan", "--integrate", "--v-min", "2.9", "--v-max", "3.0", "--v-points", "12",
                 "--format", "json", "--out", os.devnull]
         assert tracer.run(lambda: cli.main(argv)) == cli.EXIT_OK
     capsys.readouterr()
     summary = spans.summarize(tracer.names, tracer.last)
-    # 7 pumps near resonance: blocks of 5 and 2 pumps on the 1,552-node rule
-    assert (summary["kernel.calls"], summary["kernel.points"]) == (2, 2 * 1552)
+    # 12 pumps near resonance: blocks of 10 and 2 pumps on the 784-node rule
+    assert (summary["kernel.calls"], summary["kernel.points"]) == (2, 2 * 784)
 
 
 def test_probe_node_call_runs():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scalar_reference
 from pairflux import kernel
 from pairflux.spectrum import (
     BLOCK_CELLS,
@@ -188,13 +189,41 @@ class TestIntegratedRate:
     def test_exact_resonance_reports_divergence(self):
         assert integrated_rate(PumpConfig(V_RESONANCE)) == math.inf
 
+    @pytest.mark.parametrize("mass", [None, 0.1, 0.2])
+    def test_folded_rules_match_the_unfolded_rules(self, mass):
+        # integrated_rates evaluates each rule below omega = 1/2 only, weights doubled;
+        # here the whole rules: the 256-node band panel, and 16-node panels on the
+        # window cuts, 1/2 included.  The fold rests on rate(1 - omega) == rate(omega),
+        # checked on pairs that sum to 1 exactly: rounding 1 - omega alone moves the
+        # rate at omega = 2e-5 by 5e-12
+        v_r = resonance_velocity(mass)
+        lo, hi = (0.0, 1.0) if mass is None else (2.0 * mass, 1.0 - 2.0 * mass)
+        steps = 0.15 * 0.5 ** np.arange(48)
+        cuts = np.concatenate([[0.5], 0.5 - steps, 0.5 + steps])
+        window = np.sort(np.concatenate([[lo, hi], cuts[(cuts > lo + 1e-12) & (cuts < hi - 1e-12)]]))
+        far = [0.3, 1.0, 2.0, v_r - 0.15, v_r + 0.2, 30.0]
+        near = [v_r + d for d in (-0.099, -1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2, 0.099)]
+        for pumps, panels, n in [(far, np.array([lo, hi]), 256), (near, window, 16)]:
+            x, w = np.polynomial.legendre.leggauss(n)
+            mid, half = 0.5 * (panels[:-1] + panels[1:]), 0.5 * (panels[1:] - panels[:-1])
+            nodes, weights = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+            got = integrated_rates(pumps, mass)
+            for v, total in zip(pumps, got):
+                rates = kernel.emission_rate(nodes, v, mass)
+                condition = scalar_reference.rates(nodes, v, mass)[1]
+                pairs = 1.0 - (1.0 - nodes)
+                scalar_reference.assert_close(kernel.emission_rate(1.0 - pairs, v, mass),
+                                              kernel.emission_rate(pairs, v, mass), condition)
+                # an integral of positive terms inherits the worst error of its nodes
+                scalar_reference.assert_close(total, (rates * weights).sum(), condition.max())
+
     @pytest.mark.parametrize("mass", [None, 0.1, 0.16, 0.2, 0.25 - 1.5e-15, 0.25 + 1.5e-15, 0.3])
     def test_sweep_equals_single_pumps_bit_for_bit(self, mass):
-        # more pumps than one kernel call takes, for both rules: the 256-node
-        # rule takes 31 or 32 pumps a call, the ~1,550-node window rule 5
+        # more pumps than one kernel call takes, for both rules: the folded 128-node
+        # band rule takes 64 pumps a call, the folded window rule (768 or 784 nodes) 10
         v_r = resonance_velocity(mass)
-        far = np.geomspace(0.05, 30.0, 2 * BLOCK_CELLS // 256)
-        near = v_r + np.linspace(-0.095, 0.095, 3 * BLOCK_CELLS // 1550)
+        far = np.geomspace(0.05, 30.0, 3 * BLOCK_CELLS // 128)
+        near = v_r + np.linspace(-0.095, 0.095, 3 * BLOCK_CELLS // 784)
         v = np.concatenate([[0.0, V_RESONANCE], far, near])
         totals = integrated_rates(v, mass)
         assert totals.tolist() == [integrated_rate(PumpConfig(float(x), mass)) for x in v]
@@ -203,7 +232,7 @@ class TestIntegratedRate:
     @pytest.mark.parametrize("mass", [None, 0.1])
     def test_green_functions_once_per_rule(self, mass, monkeypatch):
         # the node part of the rate is computed once per rule and shared by all its
-        # blocks: 7 pumps take one block a rule, 700 pumps take 11 + 70 blocks
+        # blocks: 7 pumps take one block a rule, 700 pumps take 6 + 35 blocks
         calls = []
         geff = kernel._geff
         monkeypatch.setattr(kernel, "_geff", lambda w, m: calls.append(w.size) or geff(w, m))
