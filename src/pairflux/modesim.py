@@ -51,12 +51,15 @@ COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance 
 # Work a SimConfig may ask of evolve: RK4 steps per pump period, pump periods,
 # and bytes of the 2K x 2K maps held at once: the kept maps, plus at most 8 more
 # at the measured peak (monodromy, power and successor, a checkpoint product,
-# matrix_power's temporaries, the complex checkpoint arrays).  kappa0 256, 3000
+# matrix_power's temporaries, the complex checkpoint arrays).  The period's own
+# working set, two state buffers, one broadcast temporary and the step tables of
+# STEP_BLOCK steps, is smaller and is freed before the leaps.  kappa0 256, 3000
 # steps and 200 periods stay far below, and a run inside the recurrence time
 # 2 pi kappa0 of any kappa0 the map bound admits spans fewer than 2,000 periods.
 MAX_STEPS_PER_PERIOD = 100_000
 MAX_PERIODS = 10_000
 MAX_MAP_BYTES = 2**30
+STEP_BLOCK = 16  # RK4 steps whose coefficients _step_maps builds at once
 
 
 def _ceil(x: float) -> int:
@@ -221,6 +224,50 @@ def _project(X: np.ndarray, V: np.ndarray, omega: np.ndarray, t: float):
     return pref * (X + dx), pref * np.conj(X - dx)
 
 
+def _step_maps(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: np.ndarray):
+    """One classical RK4 step of length h from each time in t, in closed form.
+
+    The acceleration a w (Q - self term) - w^2 X, a = 2 v cos t, is rank one
+    plus diagonal: alpha (c . X) - d X with alpha = a w and d = w^2 + a w c.
+    The four stages are then linear in the state Z = [X; V] through four
+    functionals u = R Z, the c-weighted sums the stages evaluate, so a step is
+    Z <- D Z + B u.  Returns D (S, 2, 2, K, 1), the per-mode diagonals
+    [[px, qx], [pv, qv]]; R (S, 4, 2K); and B (S, 2K, 4), for S = len(t).
+    """
+    w, c, hh = omega, coupling, h * h
+    S, K = len(t), len(w)
+    a = 2.0 * v * np.cos(t + np.array([[0.0], [0.5 * h], [h]]))[:, :, None]  # stage times
+    al1, al2, al4 = a * w
+    d = w * w + a * (w * c)
+    d1, d2, d4 = d
+    m4, m2 = 1.0 - hh / 4.0 * d2, 1.0 - hh / 2.0 * d2
+    D = np.empty((S, 2, 2, K, 1))
+    D[:, 0, 0, :, 0] = 1.0 - hh / 6.0 * (d1 * m4 + 2.0 * d2)
+    D[:, 0, 1, :, 0] = h * (1.0 - hh / 6.0 * d2)
+    D[:, 1, 0, :, 0] = -h / 6.0 * ((d1 + d4) * m2 + 4.0 * d2)
+    D[:, 1, 1, :, 0] = 1.0 - hh / 6.0 * (d4 * m4 + 2.0 * d2)
+    # u1 = c.X, u2 = c.(X + h V / 2), u3 = u2 + h^2 c.k1 / 4, u4 = c.(X + h V) + h^2 c.k2 / 2,
+    # where c.k_j = (a_j c.w) c.X_j - (c d_j).X_j at the stage's argument X_j
+    e1, e2 = hh / 4.0 * c * (a[:2] * (c @ w) - d[:2])
+    R = np.empty((S, 4, 2, K))
+    R[:, :, 0] = c
+    R[:, 0, 1] = 0.0
+    R[:, 1:3, 1] = 0.5 * h * c
+    R[:, 2, 0] += e1
+    R[:, 3, 0] += 2.0 * e2
+    R[:, 3, 1] = h * (c + e2)
+    # the u terms of X += h^2 (k1 + k2 + k3) / 6 and V += h (k1 + 2 k2 + 2 k3 + k4) / 6
+    B = np.empty((S, 2, K, 4))
+    B[:, 0, :, 0] = hh / 6.0 * al1 * m4
+    B[:, 0, :, 1] = B[:, 0, :, 2] = hh / 6.0 * al2
+    B[:, 0, :, 3] = 0.0
+    B[:, 1, :, 0] = h / 6.0 * al1 * m2
+    B[:, 1, :, 1] = h / 6.0 * al2 * (2.0 - hh / 2.0 * d4)
+    B[:, 1, :, 2] = h / 3.0 * al2
+    B[:, 1, :, 3] = h / 6.0 * al4
+    return D, R.reshape(S, 4, 2 * K), B.reshape(S, 2 * K, 4)
+
+
 def evolve(config: SimConfig) -> BogoliubovMatrix:
     """Propagate the fundamental solution on the mode ladder of build_sim
     and extract (mu, nu).
@@ -228,10 +275,14 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     The equations are linear and 2 pi-periodic and the RK4 step h divides
     the period into n_p steps, so the map over s = q n_p + r steps is
     P_r M^q (Floquet).  One period of RK4 on the real 2K x 2K fundamental
-    of (x, x') gives the monodromy M and the partial maps P_r the
-    checkpoints need; M^q is a product of leaps M^g, one matrix_power per
-    distinct gap of g periods between checkpoints.  Occupations are recorded
-    at evenly spaced checkpoints for the stationary-rate fit in extract_rates.
+    Z = [x; x'] gives the monodromy M and the partial maps P_r the
+    checkpoints need.  Each step is Z <- D Z + B (R Z) (_step_maps): one
+    (4 x 2K)(2K x 2K) product, one (2K x 4)(4 x 2K) product into the second
+    buffer and two per-mode multiply-adds, with the coefficients built for
+    STEP_BLOCK steps at a time.  M^q is a product of leaps M^g, one
+    matrix_power per distinct gap of g periods between checkpoints.
+    Occupations are recorded at evenly spaced checkpoints for the
+    stationary-rate fit in extract_rates.
 
     Raises IntegratorUnstable if any amplitude is not finite or exceeds
     AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
@@ -251,33 +302,24 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     check_steps = config.checkpoint_steps
     remainders, gaps = config.kept_maps
 
-    # a w (Q - self term) - w^2 X, a = 2 v cos t, is rank one plus diagonal: a w (c . X) - (w^2 + a w c) X
-    omega_sq, omega_cpl = omega * omega, omega * coupling
-
-    def acc(t: float, X: np.ndarray) -> np.ndarray:
-        a = 2.0 * config.v * math.cos(t)
-        return (a * omega)[:, None] * (coupling @ X) - (omega_sq + a * omega_cpl)[:, None] * X
-
     with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
-        X = np.eye(K, 2 * K)          # x rows of the fundamental: x(0) = [1 0]
-        V = np.eye(K, 2 * K, K)       # x' rows: x'(0) = [0 1]
+        Z, W = np.eye(2 * K), np.empty((2 * K, 2 * K))  # the fundamental [x; x'] starts at I
+        Z3, W3 = Z.reshape(2, K, 2 * K), W.reshape(2, K, 2 * K)
+        u = np.empty((4, 2 * K))
         partial = {}
-        for r in range(1, n_p + 1):
-            t = (r - 1) * h
-            k1 = acc(t, X)
-            Y = X + (0.5 * h) * V  # serves k2 and k3
-            k2 = acc(t + 0.5 * h, Y)
-            k3 = acc(t + 0.5 * h, Y + (0.25 * h * h) * k1)
-            X += h * V  # serves k4 and the X update
-            k4 = acc(t + h, X + (0.5 * h * h) * k2)
-            k2 += k3  # serves the X and the V update
-            k1 += k2
-            X += (h * h / 6.0) * k1
-            V += (h / 6.0) * (k1 + k2 + k4)
-            if r in remainders:
-                partial[r] = np.vstack([X, V])
-        monodromy = np.vstack([X, V])
-        del X, V, Y, k1, k2, k3, k4  # 3.5 maps of stage arrays, freed before the leaps
+        for start in range(0, n_p, STEP_BLOCK):
+            D, R, B = _step_maps(omega, coupling, config.v, h,
+                                 h * np.arange(start, min(start + STEP_BLOCK, n_p)))
+            for s in range(len(D)):
+                np.matmul(R[s], Z, out=u)
+                np.matmul(B[s], u, out=W)
+                W3 += D[s, :, 0] * Z3[0]
+                W3 += D[s, :, 1] * Z3[1]
+                Z, W, Z3, W3 = W, Z, W3, Z3
+                if start + s + 1 in remainders:
+                    partial[start + s + 1] = Z.copy()
+        monodromy = Z
+        del Z, W, Z3, W3, u, D, R, B  # the second buffer, its view and the step tables
 
         # initial columns x(0) = 1/sqrt(2 w), x'(0) = -i w x(0) on the fundamental
         x0 = 1.0 / np.sqrt(2.0 * omega)

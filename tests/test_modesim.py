@@ -60,6 +60,22 @@ def stepped(config: SimConfig, h: float, n_steps: int):
     return mu, nu, np.array(occupations)
 
 
+def stage_step(config: SimConfig, t: float, h: float, X: np.ndarray, V: np.ndarray):
+    """Reference: one classical RK4 step of (X, V) from t through the four
+    acceleration stages."""
+    omega, coupling = build_sim(config)
+    w, c = omega[:, None], coupling[:, None]
+
+    def acc(t, X):
+        return 2.0 * config.v * math.cos(t) * w * ((c * X).sum(axis=0) - c * X) - w * w * X
+
+    k1 = acc(t, X)
+    k2 = acc(t + h / 2, X + h / 2 * V)
+    k3 = acc(t + h / 2, X + h / 2 * V + h * h / 4 * k1)
+    k4 = acc(t + h, X + h * V + h * h / 2 * k2)
+    return X + h * V + h * h / 6 * (k1 + k2 + k3), V + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 @pytest.fixture(scope="module")
 def run_strong_pump():
     """kappa0 = 64, v = 0.5: even mode count, pre-recurrence."""
@@ -127,11 +143,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="GiB"):
             SimConfig(kappa0=10_000, v=0.1)
 
-    @pytest.mark.parametrize("t0", [T0, 4 * T0, 2.0 * math.pi * 64],
-                             ids=["7_partial_maps", "1_partial_map", "whole_periods"])
-    def test_map_bound_covers_the_measured_peak(self, t0):
+    @pytest.mark.parametrize(
+        "t0, dt_divisor",
+        [(T0, 200.0), (4 * T0, 200.0), (2.0 * math.pi * 64, 200.0),
+         # 125 blocks of step tables: none may outlive the period
+         (T0, 2000.0)],
+        ids=["7_partial_maps", "1_partial_map", "whole_periods", "fine_step"])
+    def test_map_bound_covers_the_measured_peak(self, t0, dt_divisor):
         # the bound counts the kept maps plus 8: numpy reports its arrays to tracemalloc
-        config = SimConfig(kappa0=64, v=0.2, t0=t0)
+        config = SimConfig(kappa0=64, v=0.2, t0=t0, dt_divisor=dt_divisor)
         tracemalloc.start()
         try:
             quiet_run(config)
@@ -175,6 +195,35 @@ class TestFreeEvolution:
         matrix = evolve(config)
         assert np.abs(matrix.nu).max() < 1e-10
         assert np.abs(matrix.mu - np.eye(8)).max() < 1e-10
+
+
+class TestStepForm:
+    """evolve's step D Z + B (R Z) is the RK4 step through the stages, regrouped."""
+
+    @pytest.mark.parametrize("v", [0.0, 0.5, 3.8])
+    def test_one_step_matches_the_stages(self, v):
+        config = SimConfig(kappa0=16, v=v, t0=T0, mode_multiplier=1.5)
+        omega, coupling = build_sim(config)
+        K, h = omega.size, config.step
+        t = 17.3 * h + 0.41  # off the step grid
+        Z = np.random.default_rng(20).standard_normal((2 * K, 2 * K))
+        D, R, B = modesim._step_maps(omega, coupling, v, h, np.array([t]))
+        Z3 = Z.reshape(2, K, 2 * K)
+        got = (D[0, :, 0] * Z3[0] + D[0, :, 1] * Z3[1]).reshape(2 * K, 2 * K) + B[0] @ (R[0] @ Z)
+        want = np.vstack(stage_step(config, t, h, Z[:K], Z[K:]))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        if v == 0.0:  # free evolution stays per-mode: the rank-4 factor is exactly 0
+            assert not B.any()
+
+    def test_period_matches_the_stages(self, run_strong_pump):
+        # the benchmark's size: kappa0 64, one pump period of 200 steps
+        config, matrix = run_strong_pump
+        K, h = config.n_modes, config.step
+        X, V = np.eye(K, 2 * K), np.eye(K, 2 * K, K)
+        for n in range(config.steps_per_period):
+            X, V = stage_step(config, n * h, h, X, V)
+        want = np.vstack([X, V])
+        assert np.abs(matrix.monodromy - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def strong_pump_report(v: float):
