@@ -51,15 +51,17 @@ COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance 
 # Work a SimConfig may ask of evolve: RK4 steps per pump period, pump periods,
 # and bytes of the 2K x 2K maps held at once: the kept maps, plus at most 8 more
 # at the measured peak (monodromy, power and successor, a checkpoint product,
-# matrix_power's temporaries, the complex checkpoint arrays).  The period's own
-# working set, two state buffers, one broadcast temporary and the step tables of
-# STEP_BLOCK steps, is smaller and is freed before the leaps.  kappa0 256, 3000
-# steps and 200 periods stay far below, and a run inside the recurrence time
-# 2 pi kappa0 of any kappa0 the map bound admits spans fewer than 2,000 periods.
+# matrix_power's temporaries, the real checkpoint arrays and the complex ones
+# that project mu and nu at the last checkpoint).  The period's own working set,
+# two state buffers, one block's U, V and V Z and the step tables of STEP_BLOCK
+# steps, is smaller once 2K >= 4 STEP_BLOCK and is freed before the leaps.
+# kappa0 256, 3000 steps and 200 periods stay far below, and a run inside the
+# recurrence time 2 pi kappa0 of any kappa0 the map bound admits spans fewer
+# than 2,000 periods.
 MAX_STEPS_PER_PERIOD = 100_000
 MAX_PERIODS = 10_000
 MAX_MAP_BYTES = 2**30
-STEP_BLOCK = 16  # RK4 steps whose coefficients _step_maps builds at once
+STEP_BLOCK = 16  # RK4 steps that _block_map folds into one map
 
 
 def _ceil(x: float) -> int:
@@ -268,6 +270,33 @@ def _step_maps(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: n
     return D, R.reshape(S, 4, 2 * K), B.reshape(S, 2 * K, 4)
 
 
+def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: np.ndarray):
+    """The n = len(t) steps of _step_maps from the times t as one map P (I + U V).
+
+    With the per-mode prefix products P_s = D_{s-1} .. D_0 and Z_s = P_s Y_s, a
+    step is Y <- Y + Bt_s (Rt_s Y), Rt_s = R_s P_s, Bt_s = P_{s+1}^-1 B_s.  The
+    functionals u_s = Rt_s Y_s solve u = Rt Y_0 + N u, N the strictly block-lower
+    part of Rt Bt: forward substitution gives u = V Y_0, V = (I - N)^-1 Rt, and
+    Y_n = (I + U V) Y_0 with U = Bt.  Returns P_n (2, 2, K), U (2K, 4n), V (4n, 2K).
+    """
+    D, R, B = _step_maps(omega, coupling, v, h, t)
+    n, K = len(t), omega.size
+    P = np.empty((n + 1, 2, 2, K))
+    P[0] = np.eye(2)[:, :, None]
+    for s in range(n):
+        P[s + 1] = np.einsum("abk,bck->ack", D[s, ..., 0], P[s])
+    # det P_s is near 1 (RK4 nearly keeps phase-space area): invert by the adjugate
+    adjugate = P[1:, ::-1, ::-1].swapaxes(1, 2) * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
+    inverse = adjugate / (P[1:, 0, 0] * P[1:, 1, 1] - P[1:, 0, 1] * P[1:, 1, 0])[:, None, None]
+    Rt = np.einsum("siak,sack->sick", R.reshape(n, 4, 2, K), P[:n]).reshape(4 * n, 2 * K)
+    U = np.einsum("sabk,sbki->aksi", inverse, B.reshape(n, 2, K, 4)).reshape(2 * K, 4 * n)
+    N = Rt @ U
+    V = Rt.copy()
+    for s in range(1, n):
+        V[4 * s:4 * s + 4] += N[4 * s:4 * s + 4, :4 * s] @ V[:4 * s]
+    return P[n], U, V
+
+
 def evolve(config: SimConfig) -> BogoliubovMatrix:
     """Propagate the fundamental solution on the mode ladder of build_sim
     and extract (mu, nu).
@@ -276,13 +305,15 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     the period into n_p steps, so the map over s = q n_p + r steps is
     P_r M^q (Floquet).  One period of RK4 on the real 2K x 2K fundamental
     Z = [x; x'] gives the monodromy M and the partial maps P_r the
-    checkpoints need.  Each step is Z <- D Z + B (R Z) (_step_maps): one
-    (4 x 2K)(2K x 2K) product, one (2K x 4)(4 x 2K) product into the second
-    buffer and two per-mode multiply-adds, with the coefficients built for
-    STEP_BLOCK steps at a time.  M^q is a product of leaps M^g, one
-    matrix_power per distinct gap of g periods between checkpoints.
-    Occupations are recorded at evenly spaced checkpoints for the
-    stationary-rate fit in extract_rates.
+    checkpoints need.  Each step is Z <- D Z + B (R Z) (_step_maps), and a
+    block of n <= STEP_BLOCK steps, ending at a kept remainder r or at n_p, is
+    one exact map P (I + U V) (_block_map), applied as W = Z + U (V Z), one
+    (4n x 2K)(2K x 2K) and one (2K x 4n)(4n x 2K) product, then Z = P W per
+    mode.  M^q is a product of leaps M^g, one matrix_power per distinct gap
+    of g periods between checkpoints.  Occupations are recorded at evenly
+    spaced checkpoints for the stationary-rate fit in extract_rates, in real
+    arithmetic from the map F to the checkpoint; (mu, nu) are projected once,
+    at the last one.
 
     Raises IntegratorUnstable if any amplitude is not finite or exceeds
     AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
@@ -305,25 +336,24 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
         Z, W = np.eye(2 * K), np.empty((2 * K, 2 * K))  # the fundamental [x; x'] starts at I
         Z3, W3 = Z.reshape(2, K, 2 * K), W.reshape(2, K, 2 * K)
-        u = np.empty((4, 2 * K))
+        ends = [0]  # block ends: the kept remainders and n_p, at most STEP_BLOCK steps apart
+        for stop in sorted(remainders | {n_p}):
+            ends += [*range(ends[-1] + STEP_BLOCK, stop, STEP_BLOCK), stop]
         partial = {}
-        for start in range(0, n_p, STEP_BLOCK):
-            D, R, B = _step_maps(omega, coupling, config.v, h,
-                                 h * np.arange(start, min(start + STEP_BLOCK, n_p)))
-            for s in range(len(D)):
-                np.matmul(R[s], Z, out=u)
-                np.matmul(B[s], u, out=W)
-                W3 += D[s, :, 0] * Z3[0]
-                W3 += D[s, :, 1] * Z3[1]
-                Z, W, Z3, W3 = W, Z, W3, Z3
-                if start + s + 1 in remainders:
-                    partial[start + s + 1] = Z.copy()
+        for start, end in zip(ends, ends[1:]):
+            P, U, V = _block_map(omega, coupling, config.v, h, h * np.arange(start, end))
+            np.matmul(U, V @ Z, out=W)
+            W += Z
+            np.einsum("abk,bkj->akj", P, W3, out=Z3)
+            if end in remainders:
+                partial[end] = Z.copy()
         monodromy = Z
-        del Z, W, Z3, W3, u, D, R, B  # the second buffer, its view and the step tables
+        del Z, W, Z3, W3, P, U, V  # the second buffer, its view and the block map
 
-        # initial columns x(0) = 1/sqrt(2 w), x'(0) = -i w x(0) on the fundamental
+        # x(0) = x0 = 1/sqrt(2 w), x'(0) = -i w x0 on the fundamental F gives
+        # x = x0 (F_xx - i w F_xv), and N_k = (w_k / 2) sum_j |x_kj - i x'_kj / w_k|^2
         x0 = 1.0 / np.sqrt(2.0 * omega)
-        v0 = -1j * omega * x0
+        wx0 = omega * x0
         leaps = {g: np.linalg.matrix_power(monodromy, g) for g in gaps}
         power, q_now = np.eye(2 * K), 0
         occupations = np.empty((len(check_steps), K))
@@ -332,14 +362,16 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
             power = leaps[q - q_now] @ power
             q_now = q
             F = partial[r] @ power if r else power
-            Xc = F[:K, :K] * x0 + F[:K, K:] * v0
+            Fxx, Fxv, Fvx, Fvv = F[:K, :K], F[:K, K:], F[K:, :K], F[K:, K:]
+            amplitude = (Fxx * x0) ** 2 + (Fxv * wx0) ** 2
             t = s * h
-            if not np.isfinite(Xc).all() or np.abs(Xc).max() > AMPLITUDE_BOUND:
+            if not amplitude.max() <= AMPLITUDE_BOUND**2:  # nan fails it too
                 raise IntegratorUnstable(
                     f"amplitude bound {AMPLITUDE_BOUND:g} exceeded at t = {t:.4g} (v = {config.v})"
                 )
-            mu, nu = _project(Xc, F[K:, :K] * x0 + F[K:, K:] * v0, omega, t)
-            occupations[c] = (np.abs(nu) ** 2).sum(axis=1)
+            re, im = Fxx - Fvv * omega / omega[:, None], Fxv * omega + Fvx / omega[:, None]
+            occupations[c] = 0.5 * omega * ((re * re + im * im) @ (x0 * x0))
+        mu, nu = _project(Fxx * x0 - 1j * Fxv * wx0, Fvx * x0 - 1j * Fvv * wx0, omega, t)
 
     return BogoliubovMatrix(
         mu=mu, nu=nu, omega=omega, times=check_steps * h, occupations=occupations,

@@ -198,7 +198,8 @@ class TestFreeEvolution:
 
 
 class TestStepForm:
-    """evolve's step D Z + B (R Z) is the RK4 step through the stages, regrouped."""
+    """evolve's step D Z + B (R Z) is the RK4 step through the stages, regrouped,
+    and its block P (I + U V) is a run of those steps."""
 
     @pytest.mark.parametrize("v", [0.0, 0.5, 3.8])
     def test_one_step_matches_the_stages(self, v):
@@ -214,6 +215,27 @@ class TestStepForm:
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         if v == 0.0:  # free evolution stays per-mode: the rank-4 factor is exactly 0
             assert not B.any()
+
+    @pytest.mark.parametrize("v", [0.0, 0.5, 3.8])
+    @pytest.mark.parametrize("n", [1, 5, modesim.STEP_BLOCK])
+    def test_block_matches_the_stages(self, v, n):
+        # 2K = 48 modes: the longest block's rank 4 n = 64 exceeds the state's
+        config = SimConfig(kappa0=16, v=v, t0=T0, mode_multiplier=1.5)
+        omega, coupling = build_sim(config)
+        K, h = omega.size, config.step
+        t = 17.3 * h + 0.41  # off the step grid
+        Z = np.random.default_rng(21).standard_normal((2 * K, 2 * K))
+        P, U, V = modesim._block_map(omega, coupling, v, h, t + h * np.arange(n))
+        W = (Z + U @ (V @ Z)).reshape(2, K, 2 * K)
+        got = np.vstack([P[0, 0, :, None] * W[0] + P[0, 1, :, None] * W[1],
+                         P[1, 0, :, None] * W[0] + P[1, 1, :, None] * W[1]])
+        X, Y = Z[:K], Z[K:]
+        for s in range(n):
+            X, Y = stage_step(config, t + s * h, h, X, Y)
+        want = np.vstack([X, Y])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        if v == 0.0:  # free evolution stays per-mode: the rank-4n update is exactly 0
+            assert not (U @ V).any()
 
     def test_period_matches_the_stages(self, run_strong_pump):
         # the benchmark's size: kappa0 64, one pump period of 200 steps
@@ -274,6 +296,12 @@ class TestEvolve:
     def test_symplectic_rows(self, run_strong_pump):
         _, matrix = run_strong_pump
         assert matrix.symplectic_defect() < 1e-6
+
+    def test_occupations_match_the_projection(self, run_strong_pump):
+        # the checkpoints' real-arithmetic N_k against sum_j |nu_kj|^2 at the last one
+        _, matrix = run_strong_pump
+        want = (np.abs(matrix.nu) ** 2).sum(axis=1)
+        assert np.abs(matrix.occupations[-1] - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_stationary_growth(self, run_strong_pump):
         config, matrix = run_strong_pump
