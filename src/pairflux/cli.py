@@ -83,15 +83,15 @@ def _digit_tables():
         tails.append("" if fixed else f"e{k:+03d}")
         layout.append((16, 0) if k < 0 and fixed else (k, k) if fixed else (0, 0))
     tables = (quads.astype(np.uint8).view(np.uint32).ravel(), np.array(powers).T,
-              np.array(heads, "S5"), np.array(tails, "S5"), np.array(layout).T)
+              np.array(heads, "S5"), np.array(tails, "S5"), np.array(layout, np.uint8).T)
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables
 
 
 def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """'%.17g' % x of each value x as a column of CELL bytes, padded with
-    NULs, and whether the column holds it: the rest are left for _token.
+    """'%.17g' % x of each value x as one item of CELL bytes, padded with
+    NULs, and whether the item holds it: the rest are left for _token.
 
     x 10**(16 - k), k = floor(log10 |x|), is P + E exactly by Dekker's
     two-product, with P an integer-valued double in [1e16, 1e17); adding
@@ -101,16 +101,20 @@ def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the double range), near-ties, and digits that miss [1e16, 1e17) (a
     misjudged k or a carry).
 
-    The kernel fills one byte position of every cell at a time.  Sorted
-    values (as np.unique gives them) keep each layout in one run of cells:
-    one run per sign and exponent of the fixed notation, one for the other
-    fixed values below 1 and one per sign and side for the exponent form."""
-    cells = np.zeros((CELL, len(values)), np.uint8)
+    The kernel fills one byte position of every cell at a time, and places
+    the digits and the point with one slice per run of cells that share a
+    layout (the digit the point follows, one of 17).  It orders the values
+    by layout itself, a stable sort of a uint8 key, so they may come in any
+    order, and scatters the cells back to that order as it transposes them
+    into items."""
     mag = np.abs(values)
     ok = (mag >= 1e-290) & (mag < 1e300)
     quads, powers, heads, tails, (leads, wholes) = _digit_tables()
     mag = np.where(ok, mag, 1.0)
     k = np.floor(np.log10(mag)).astype(np.intp) - _K_MIN
+    lead = leads[k]
+    order = np.argsort(lead, kind="stable")  # one run per layout
+    sign, mag, ok, k, lead = np.signbit(values)[order], mag[order], ok[order], k[order], lead[order]
     hi, upper, lower, lo = (column[k] for column in powers)
     big = mag * hi
     split = mag * _SPLIT
@@ -136,18 +140,22 @@ def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     position = np.arange(17, dtype=np.uint8)[:, None]
     last = np.max((digits != ord("0")) * position, axis=0)
     digits *= position <= np.maximum(last, wholes[k])
-    lead = leads[k]
     point = np.where(last > lead, np.uint8(ord(".")), np.uint8(0))
-    cells[0] = np.signbit(values) * np.uint8(ord("-"))
+    cells = np.zeros((CELL, len(values)), np.uint8)
+    cells[0] = sign * np.uint8(ord("-"))
     cells[1:6] = heads[k].view(np.uint8).reshape(-1, 5).T
     edges = [*np.flatnonzero(np.diff(lead, prepend=-1)), len(values)]
     for a, b in zip(edges[:-1], edges[1:]):  # the digits, the point after digit j, the rest
-        j = lead[a]
+        j = int(lead[a])
         cells[6:7 + j, a:b] = digits[:j + 1, a:b]
         cells[7 + j, a:b] = point[a:b]
         cells[8 + j:24, a:b] = digits[j + 1:, a:b]
     cells[24:29] = tails[k].view(np.uint8).reshape(-1, 5).T
-    return ok, cells
+    items = np.empty((len(values), CELL), np.uint8)
+    items[order] = cells.T
+    held = np.empty_like(ok)
+    held[order] = ok
+    return held, items.view(_CELL_ITEM)[:, 0]
 
 
 def _cells(values: np.ndarray, json: bool) -> np.ndarray:
@@ -155,58 +163,81 @@ def _cells(values: np.ndarray, json: bool) -> np.ndarray:
     NULs: from the digit kernel, and from _token for what it leaves (as JSON
     the non-finite words are quoted)."""
     ok, cells = _digit_cells(values)
-    cells = np.ascontiguousarray(cells.T).view(_CELL_ITEM)[:, 0]
-    cells[~ok] = np.array([_token(x, json).encode() for x in values[~ok].tolist()], _CELL_ITEM)
+    # what the kernel leaves is mostly a few values (0, inf, nan) repeated: one _token each
+    bits, inverse = np.unique(values[~ok].view(np.int64), return_inverse=True)
+    tokens = [_token(x, json).encode() for x in bits.view(float).tolist()]
+    cells[~ok] = np.array(tokens, _CELL_ITEM)[inverse]
     return cells
 
 
-def _row_blocks(rows, prefix: str, delimiter: str, suffix: str, json: bool = False):
+def _row_blocks(rows, prefix: str, delimiter: str, suffix: str, json: bool = False, grid=None):
     """The float rows as text, BLOCK_ROWS rows per block; each row is
     prefix, its %.17g cells joined by delimiter, then suffix (none of which
-    holds a NUL).  The distinct values of a block, over all its columns, are
-    formatted by one _cells call into cells of CELL bytes; the block's rows
-    gather their cells into one byte matrix that holds the framing, and its
-    NULs are dropped.  Values are told apart by their bit pattern, so -0.0
-    and 0.0 (and any two nan payloads) never share a cell."""
+    holds a NUL).  One _cells call formats the columns of a block as they
+    are, into cells of CELL bytes; its rows gather them into one byte matrix
+    that holds the framing, and the NULs are dropped.
+
+    grid, the long form's (v, nodes), says what its first two columns hold:
+    each v repeated len(nodes) times, then the nodes tiled.  Both are
+    formatted once per table, and a block takes their cells by row index,
+    row // len(nodes) and row % len(nodes) (the nodes tiled over BLOCK_ROWS
+    + len(nodes) rows, of which the block's omega column is a slice), in
+    each of the two columns that holds those very bits; a block with a
+    nudged node formats its omega column as it is."""
     rows = np.asarray(rows, dtype=float)
-    template = (prefix + delimiter.join(["\0" * CELL] * rows.shape[1]) + suffix).encode()
+    width = rows.shape[1]
+    template = (prefix + delimiter.join(["\0" * CELL] * width) + suffix).encode()
     matrix = np.empty((min(len(rows), BLOCK_ROWS), len(template)), np.uint8)
     matrix[:] = np.frombuffer(template, np.uint8)
+    if grid is not None:  # formatted once; each block's omega column is a slice of the tiling
+        v, nodes = grid
+        pump, node = np.divmod(np.arange(BLOCK_ROWS + len(nodes)), len(nodes))
+        v_cells, tiled, tiled_cells = _cells(v, json), nodes[node], _cells(nodes, json)[node]
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start:start + BLOCK_ROWS]
-        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        cells = _cells(bits.view(float), json)[inverse.reshape(block.shape)]
+        given = {}
+        if grid is not None:
+            first, offset = divmod(start, len(nodes))
+            span = slice(offset, offset + len(block))
+            for c, (values, cells, at) in enumerate(
+                    [(v, v_cells, first + pump[span]), (tiled, tiled_cells, span)]):
+                if np.array_equal(values[at].view(np.int64), block[:, c].view(np.int64)):
+                    given[c] = cells[at]
+        plain = [c for c in range(width) if c not in given]
+        cells = _cells(block[:, plain].ravel(), json).reshape(len(block), len(plain))
+        given.update(zip(plain, cells.T))
         lines = matrix[:len(block)]
-        for c in range(rows.shape[1]):
+        for c in range(width):
             at = len(prefix) + c * (CELL + len(delimiter))
-            lines[:, at:at + CELL].view(_CELL_ITEM)[:, 0] = cells[:, c]
+            lines[:, at:at + CELL].view(_CELL_ITEM)[:, 0] = given[c]
         yield lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def write_csv(stream, columns: list[str], rows, meta: dict) -> None:
-    """Metadata lines, the header, then the float rows."""
+def write_csv(stream, columns: list[str], rows, meta: dict, grid=None) -> None:
+    """Metadata lines, the header, then the float rows (grid: see _row_blocks)."""
     for key, value in meta.items():
         stream.write(f"# {key} = {_token(value)}\n")
     stream.write(",".join(columns) + "\n")
-    for text in _row_blocks(rows, "", ",", "\n"):
+    for text in _row_blocks(rows, "", ",", "\n", grid=grid):
         stream.write(text)
 
 
-def write_json(stream, columns: list[str], rows, meta: dict, extra: dict | None = None) -> None:
+def write_json(stream, columns: list[str], rows, meta: dict, grid=None,
+               extra: dict | None = None) -> None:
     """meta, the extra fields, then the columns and rows under "data", one
-    row per line; nan, inf and -inf are quoted strings."""
+    row per line; nan, inf and -inf are quoted strings (grid: see _row_blocks)."""
     fields = ", ".join(f"{_token(k, True)}: {_token(v, True)}" for k, v in meta.items())
     lines = "".join(f"  {_token(k, True)}: {_token(v, True)},\n" for k, v in (extra or {}).items())
     names = ", ".join(_token(c, True) for c in columns)
     stream.write(f'{{\n  "meta": {{{fields}}},\n{lines}  "data": {{"columns": [{names}], "rows": [\n')
-    for i, text in enumerate(_row_blocks(rows, "    [", ", ", "],\n", json=True)):
+    for i, text in enumerate(_row_blocks(rows, "    [", ", ", "],\n", True, grid)):
         # every row ends in ",\n"; the separator before the next block restores it
         stream.write((",\n" if i else "") + text[:-2])
     stream.write("\n  ]}\n}\n")
 
 
-def _emit(stream, fmt: str, columns: list[str], rows, meta: dict) -> None:
-    (write_json if fmt == "json" else write_csv)(stream, columns, rows, meta)
+def _emit(stream, fmt: str, columns: list[str], rows, meta: dict, grid=None) -> None:
+    (write_json if fmt == "json" else write_csv)(stream, columns, rows, meta, grid)
 
 
 def _meta(args, **params) -> dict:
@@ -284,13 +315,15 @@ def cmd_scan(args) -> None:
     if args.integrate:
         totals = spectrum.integrated_rates(v_values, args.mass)
         columns, rows = ["v", "integrated_rate"], np.column_stack([v_values, totals])
+        table_grid = None
     else:
         params.update(omega_min=args.omega_min, omega_max=args.omega_max, points=args.points)
         omega, rate = spectrum.scan_2d(v_values, grid, args.mass)
         columns, rows = ["v", "omega", "rate"], np.column_stack(
             [np.repeat(v_values, grid.points), omega.ravel(), rate.ravel()])
+        table_grid = (v_values, grid.nodes())  # the v and omega columns, formatted once
     with _output(args.out) as stream:
-        _emit(stream, args.format, columns, rows, _meta(args, **params))
+        _emit(stream, args.format, columns, rows, _meta(args, **params), table_grid)
 
 
 def cmd_resonance(args) -> None:
@@ -341,7 +374,8 @@ def cmd_simulate(args) -> str:
                 "degenerate": report.degenerate,
             }
             write_json(outputs.enter_context(_output(args.report)),
-                       ["omega", "simulated", "analytic", "relative_deviation"], rows, meta, extra)
+                       ["omega", "simulated", "analytic", "relative_deviation"], rows, meta,
+                       extra=extra)
     return f"monodromy spectral radius {matrix.spectral_radius():.12f}"
 
 

@@ -89,17 +89,24 @@ def scan_2d(v_values, grid: SpectralGrid, mass: float | None = None):
     (omega, rate) arrays of shape (pumps, points): the frequencies each row was
     evaluated at, and linear rates with inf on a divergent node and nan on a
     branch point.  A resonant row's node at omega = 1/2 is nudged off by a
-    fraction of the spacing, so no row samples the divergence itself.  The rows
-    go to the kernel in blocks of at most BLOCK_CELLS cells."""
+    fraction of the spacing, so no row samples the divergence itself.  The
+    node part of the rate, kernel.pair_terms of the grid, is computed once per
+    sweep, and each block of pumps, at most BLOCK_CELLS cells, is one kernel
+    call on it; the resonant rows are evaluated apart, at their own nodes."""
     v = np.asarray(v_values, dtype=float)
-    omega = np.tile(grid.nodes(), (len(v), 1))
+    nodes = grid.nodes()
+    omega = np.tile(nodes, (len(v), 1))
     v_res = _resonance_or_none(mass)
+    resonant = np.zeros(len(v), bool)
     if v_res is not None:
         resonant = (v > 0.0) & (np.abs(v - v_res) < kernel.DENOMINATOR_FLOOR)
         omega[resonant[:, None] & (omega == 0.5)] += (
             1e-3 * (grid.omega_max - grid.omega_min) / grid.points)
     rate = np.empty_like(omega)
-    for block in _blocks(np.arange(len(v)), grid.points):
+    terms = kernel.pair_terms(nodes, mass)
+    for block in _blocks(np.flatnonzero(~resonant), grid.points):
+        rate[block] = kernel.emission_rate(terms, v[block, None])
+    for block in _blocks(np.flatnonzero(resonant), grid.points):
         rate[block] = kernel.emission_rate(omega[block], v[block, None], mass)
     return omega, rate
 

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference
-from pairflux import cli
+from pairflux import cli, spectrum
 from pairflux.cli import (
     EXIT_INTEGRATOR,
     EXIT_IO,
@@ -700,6 +700,50 @@ def test_long_form_json_quotes_non_finite_tokens():
             for i in (0, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, 5999)] == ["nan", "inf", "-inf", "nan"]
 
 
+V_R = spectrum.RESONANCE_VELOCITY_PHOTON
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("v_range, points, mass", [
+    ((0.1, 30.0, 9), 500, None),
+    ((0.1, 30.0, 9), 501, 0.1),
+    ((V_R - 1e-13, V_R + 1.1e-12, 10), 501, None),
+], ids=["500_points", "501_points_mass", "nudged"])
+def test_long_form_matches_per_cell_formatting(tmp_path, v_range, points, mass, fmt):
+    # the v and omega cells come from the grid's, formatted once per table; the
+    # second block of 4,096 rows starts mid-pump, and in the nudged table both
+    # blocks hold pumps within DENOMINATOR_FLOOR of v_r, whose omega = 1/2 is nudged
+    v_min, v_max, v_points = v_range
+    out = tmp_path / f"long.{fmt}"
+    argv = ["scan", "--v-min", repr(v_min), "--v-max", repr(v_max), "--v-points", str(v_points),
+            "--points", str(points), "--format", fmt, "--out", str(out)]
+    assert main(argv + ([] if mass is None else ["--mass", repr(mass)])) == EXIT_OK
+    v, grid = np.geomspace(v_min, v_max, v_points), spectrum.SpectralGrid(0.001, 0.999, points)
+    omega, rate = spectrum.scan_2d(v, grid, mass)
+    nudged = np.flatnonzero(omega.ravel() != np.tile(grid.nodes(), v_points))
+    assert (nudged < cli.BLOCK_ROWS).any() == (nudged >= cli.BLOCK_ROWS).any() == (v_min > 1.0)
+    rows = np.column_stack([np.repeat(v, points), omega.ravel(), rate.ravel()])
+    text = out.read_text()
+    if fmt == "json":  # every row as _per_cell ends it, the last one too
+        got = text[text.index('"rows": [\n') + 10:text.rindex("\n  ]}")] + ",\n"
+    else:
+        got = text.split("v,omega,rate\n", 1)[1]
+    want = _per_cell(rows, *(JSON_FRAMING if fmt == "json" else CSV_FRAMING))
+    assert _first_difference(got, want) is None
+
+
+@pytest.mark.parametrize("framing", [CSV_FRAMING, JSON_FRAMING])
+def test_row_blocks_take_grid_cells_only_where_they_hold(framing):
+    # block 1 breaks the grid's v (-0.0 for 0.0), block 2 its omega at the first
+    # row, block 3 neither: a broken column of a block is formatted as it is
+    v, nodes = np.array([0.0, 1.5, 2.5]), np.linspace(0.0, 1.0, 3001)
+    rows = np.column_stack([np.repeat(v, 3001), np.tile(nodes, 3), np.arange(9003.0)])
+    rows[10, 0] = -0.0
+    rows[cli.BLOCK_ROWS, 1] += 1e-9
+    got = "".join(cli._row_blocks(rows, *framing, grid=(v, nodes)))
+    assert _first_difference(got, _per_cell(rows, *framing)) is None
+
+
 def _powers_of_ten():
     powers = np.array([float(f"1e{k}") for k in range(-307, 309)])
     return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
@@ -745,6 +789,13 @@ def test_digit_kernel_matches_percent_formatting(family, columns, framing):
     rows = values[:len(values) // columns * columns].reshape(-1, columns)
     got = "".join(cli._row_blocks(rows, *framing))
     assert _first_difference(got, _per_cell(rows, *framing)) is None
+
+
+def test_cells_do_not_depend_on_the_order_of_values():
+    # the digit kernel orders its values by layout itself
+    values = np.sort(_log_uniform())
+    shuffle = np.random.default_rng(6).permutation(len(values))
+    assert cli._cells(values[shuffle], False).tobytes() == cli._cells(values, False)[shuffle].tobytes()
 
 
 def test_emitter_memory_is_bounded_by_the_block():

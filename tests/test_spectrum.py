@@ -373,6 +373,25 @@ class TestScan2D:
         assert omega[2, 50] == 0.5 + 1e-3 / 101
         assert not np.isinf(rate[2]).any()
 
+    @pytest.mark.parametrize("mass", [None, 0.1])
+    def test_green_functions_once_per_sweep(self, mass, monkeypatch):
+        # 200 pumps of 512 nodes take 13 kernel calls, which share one node part;
+        # a resonant pump, its node at 1/2 nudged, is evaluated apart at its own nodes
+        calls = []
+        pair_terms = kernel.pair_terms
+        monkeypatch.setattr(kernel, "pair_terms",
+                            lambda w, m=None: calls.append(np.array(w)) or pair_terms(w, m))
+        v = np.geomspace(0.1, 30.0, 200)
+        grid = SpectralGrid(0.001, 0.999, 512)
+        scan_2d(v, grid, mass)
+        assert [w.tobytes() for w in calls] == [grid.nodes().tobytes()]
+        calls.clear()
+        grid = SpectralGrid(0.0, 1.0, 101)  # holds 1/2
+        omega, _ = scan_2d(np.append(v, resonance_velocity(mass)), grid, mass)
+        assert [w.shape for w in calls] == [(101,), (1, 101)]
+        assert calls[0].tobytes() == grid.nodes().tobytes()
+        assert calls[1].tobytes() == omega[-1:].tobytes() and (omega[-1] != grid.nodes()).sum() == 1
+
     @pytest.mark.parametrize("v, mass", [
         (0.0, None), (0.7, None), (V_RESONANCE, None), (30.0, None),
         (V_RESONANCE_MASSIVE[0.1], 0.1), (1.0, 0.25),  # a branch point 2m at omega = 1/2
