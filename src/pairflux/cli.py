@@ -67,23 +67,31 @@ def _digit_tables():
     and the nearest double lo to the rest, the text before the digits ('0.00'
     for k = -3) and after them ('e+17'), the digit the point follows (16 for
     a fixed value below 1, whose head holds the point) and the last digit
-    that keeps its trailing zeros."""
-    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    powers, heads, tails, layout = [], [], [], []
-    for k in range(_K_MIN, _K_MAX + 1):
-        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
-        hi = num / den  # int / int rounds correctly
-        a, b = hi.as_integer_ratio()
-        mantissa, exponent = math.frexp(hi)
-        upper = mantissa * _SPLIT  # on [0.5, 1), where it cannot overflow
-        upper = math.ldexp(upper - (upper - mantissa), exponent)
-        powers.append((hi, upper, hi - upper, (num * b - a * den) / (den * b)))
-        fixed = -4 <= k < 17  # %g's choice for 17 significant digits
-        heads.append("0." + "0" * (-k - 1) if k < 0 and fixed else "")
-        tails.append("" if fixed else f"e{k:+03d}")
-        layout.append((16, 0) if k < 0 and fixed else (k, k) if fixed else (0, 0))
-    tables = (quads.astype(np.uint8).view(np.uint32).ravel(), np.array(powers).T,
-              np.array(heads, "S5"), np.array(tails, "S5"), np.array(layout, np.uint8).T)
+    that keeps its trailing zeros.  hi and lo, roundings of exact integer
+    ratios, are read from powers_of_ten.f8 (little-endian doubles: the hi
+    row, then the lo row)."""
+    # np.indices, not integer division of 40,000 values: 1 ms less
+    quads = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+    path = os.path.join(os.path.dirname(__file__), "powers_of_ten.f8")
+    hi, lo = np.fromfile(path, "<f8").reshape(2, -1)
+    mantissa, exponent = np.frexp(hi)
+    upper = mantissa * _SPLIT  # on [0.5, 1), where it cannot overflow
+    upper = np.ldexp(upper - (upper - mantissa), exponent)
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    fixed = (-4 <= k) & (k < 17)  # %g's choice for 17 significant digits
+    heads = np.zeros(len(k), "S5")
+    heads[fixed & (k < 0)] = [b"0.000", b"0.00", b"0.0", b"0."]  # k = -4 .. -1
+    a = np.abs(k)
+    wide = a >= 100  # 'e', the sign, then 3 digits or 2 and a NUL
+    tails = np.column_stack([
+        np.full(len(k), ord("e")), np.where(k < 0, ord("-"), ord("+")),
+        np.where(wide, a // 100, a // 10) % 10 + ord("0"),
+        np.where(wide, a // 10, a) % 10 + ord("0"), np.where(wide, a % 10 + ord("0"), 0)])
+    tails = np.where(fixed[:, None], 0, tails).astype(np.uint8).view("S5").ravel()
+    leads = np.where(fixed, np.where(k < 0, 16, k), 0)
+    wholes = np.where(fixed & (k >= 0), k, 0)
+    tables = (quads.copy().view(np.uint32).ravel(), np.array([hi, upper, hi - upper, lo]),
+              heads, tails, np.array([leads, wholes], np.uint8))
     for table in tables:  # shared by every call
         table.flags.writeable = False
     return tables

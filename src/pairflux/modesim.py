@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +77,6 @@ class ModeRecurrenceWarning(UserWarning):
     """Modulation time exceeds the resonator mode-recurrence time 2 pi kappa0."""
 
 
-@dataclass(frozen=True)
 class SimConfig:
     """Truncated-mode simulation parameters.
 
@@ -90,15 +88,17 @@ class SimConfig:
     below 1e-6 out to t0 = 400 pi.  The run takes ceil(t0 / step) steps.
     mode_multiplier > 1 adds modes above the pump frequency, which widens the
     band the pump couples: it changes the model and does not test truncation.
+    Read-only: assigning a field raises AttributeError.  It and the three
+    records below are plain classes, since dataclasses add their import and
+    about 1 ms a class to a cold start.
     """
 
-    kappa0: int
-    v: float
-    t0: float = 400.0 * math.pi
-    dt_divisor: float = DEFAULT_DT_DIVISOR
-    mode_multiplier: float = 1.0
+    __slots__ = ("kappa0", "v", "t0", "dt_divisor", "mode_multiplier")
 
-    def __post_init__(self):
+    def __init__(self, kappa0: int, v: float, t0: float = 400.0 * math.pi,
+                 dt_divisor: float = DEFAULT_DT_DIVISOR, mode_multiplier: float = 1.0):
+        for name, value in zip(self.__slots__, (kappa0, v, t0, dt_divisor, mode_multiplier)):
+            object.__setattr__(self, name, value)
         # written as "not (valid)" so that nan fails every check
         if self.kappa0 < 8:
             raise ValueError(f"kappa0 must be >= 8, got {self.kappa0}")
@@ -122,6 +122,9 @@ class SimConfig:
         if map_bytes > MAX_MAP_BYTES:
             raise ValueError(f"{self.n_modes} modes need {map_bytes / 2**30:.3g} GiB of "
                              f"period maps, more than {MAX_MAP_BYTES / 2**30:.3g} GiB")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def steps_per_period(self) -> int:
@@ -161,7 +164,6 @@ class SimConfig:
         return 2.0 * math.pi * self.kappa0
 
 
-@dataclass
 class BogoliubovMatrix:
     """Final-state Bogoliubov coefficients plus occupation history.
 
@@ -170,13 +172,12 @@ class BogoliubovMatrix:
     monodromy: the one-period map M of the real fundamental (x, x').
     """
 
-    mu: np.ndarray
-    nu: np.ndarray
-    omega: np.ndarray
-    times: np.ndarray
-    occupations: np.ndarray
-    config: SimConfig
-    monodromy: np.ndarray
+    __slots__ = ("mu", "nu", "omega", "times", "occupations", "config", "monodromy")
+
+    def __init__(self, mu: np.ndarray, nu: np.ndarray, omega: np.ndarray, times: np.ndarray,
+                 occupations: np.ndarray, config: SimConfig, monodromy: np.ndarray):
+        self.mu, self.nu, self.omega, self.times = mu, nu, omega, times
+        self.occupations, self.config, self.monodromy = occupations, config, monodromy
 
     def spectral_radius(self) -> float:
         """Largest |eigenvalue| of the monodromy; above 1 the pumped modes
@@ -189,27 +190,27 @@ class BogoliubovMatrix:
         return float(np.abs(rows - 1.0).max())
 
 
-@dataclass
 class SimSpectrum:
     """Extracted rate density samples (interior modes only)."""
 
-    omega: np.ndarray
-    rate: np.ndarray
-    config: SimConfig
+    __slots__ = ("omega", "rate", "config")
+
+    def __init__(self, omega: np.ndarray, rate: np.ndarray, config: SimConfig):
+        self.omega, self.rate, self.config = omega, rate, config
 
 
-@dataclass
 class DeviationReport:
     """Per-mode comparison of a simulated spectrum against the closed form."""
 
-    omega: np.ndarray
-    simulated: np.ndarray
-    analytic: np.ndarray
-    relative_deviation: np.ndarray
-    max_deviation: float
-    median_deviation: float
-    passed: bool
-    degenerate: bool = False
+    __slots__ = ("omega", "simulated", "analytic", "relative_deviation", "max_deviation",
+                 "median_deviation", "passed", "degenerate")
+
+    def __init__(self, omega: np.ndarray, simulated: np.ndarray, analytic: np.ndarray,
+                 relative_deviation: np.ndarray, max_deviation: float, median_deviation: float,
+                 passed: bool, degenerate: bool = False):
+        self.omega, self.simulated, self.analytic = omega, simulated, analytic
+        self.relative_deviation, self.max_deviation = relative_deviation, max_deviation
+        self.median_deviation, self.passed, self.degenerate = median_deviation, passed, degenerate
 
 
 def build_sim(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import os
 
 import numpy as np
 
@@ -30,36 +30,43 @@ class NoResonance(Exception):
     velocity nulls the resolvent (threshold mass)."""
 
 
-@dataclass(frozen=True)
 class PumpConfig:
     """Physical pump parameters: dimensionless velocity v = V/c and the
-    emitted-boson mass (None = photon)."""
+    emitted-boson mass (None = photon).  Read-only, as SpectralGrid is:
+    assigning a field raises AttributeError.  Both are plain classes, since
+    dataclasses add their import and about 1 ms a class to a cold start."""
 
-    v: float
-    mass: float | None = None
+    __slots__ = ("v", "mass")
 
-    def __post_init__(self):
-        kernel.check_velocity(self.v)
-        if self.mass is not None and not 0.0 <= self.mass <= 0.5:
-            raise ValueError(f"mass must lie in [0, 1/2], got {self.mass!r}")
+    def __init__(self, v: float, mass: float | None = None):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "mass", mass)
+        kernel.check_velocity(v)
+        if mass is not None and not 0.0 <= mass <= 0.5:
+            raise ValueError(f"mass must lie in [0, 1/2], got {mass!r}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
-@dataclass(frozen=True)
 class SpectralGrid:
     """Frequency discretization on [omega_min, omega_max] inside [0, 1]:
     linspace with both ends, trapezoid weights."""
 
-    omega_min: float = 0.0
-    omega_max: float = 1.0
-    points: int = 256
+    __slots__ = ("omega_min", "omega_max", "points")
 
-    def __post_init__(self):
+    def __init__(self, omega_min: float = 0.0, omega_max: float = 1.0, points: int = 256):
+        for name, value in zip(self.__slots__, (omega_min, omega_max, points)):
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.omega_min < self.omega_max <= 1.0:
             raise ValueError(
                 f"need 0 <= omega_min < omega_max <= 1, got [{self.omega_min}, {self.omega_max}]"
             )
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def nodes(self) -> np.ndarray:
         return self.nodes_weights()[0]
@@ -73,8 +80,16 @@ class SpectralGrid:
 
 
 @functools.cache
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _gauss_rules() -> tuple[np.ndarray, np.ndarray]:
+    """The two Gauss-Legendre rules of integrated_rates as (2, n) arrays of
+    nodes and weights, read from gauss_legendre.f8 (little-endian doubles):
+    the 128 nodes below 0 of the 256-node rule, ascending, then all 16 of
+    the 16-node rule; each equals numpy.polynomial.legendre.leggauss's bit
+    for bit.  leggauss itself, with the numpy.polynomial import, takes
+    15-20 ms of a cold start."""
+    table = np.fromfile(os.path.join(os.path.dirname(__file__), "gauss_legendre.f8"), "<f8")
+    table.flags.writeable = False  # shared by every call
+    return table[:256].reshape(2, 128), table[256:].reshape(2, 16)
 
 
 def _blocks(rows: np.ndarray, cells_per_row: int):
@@ -150,14 +165,14 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
         return totals
     near = np.abs(v - v_res) < 0.1  # an open band has a resonance
     # each rule folded at 1/2, its lower half with doubled weights: the nodes x < 0
-    # (the first 128, ascending) of the band panel, and the window panels below 1/2
+    # of the band panel (all the stored ones), and the window panels below 1/2
     cuts = 0.5 - 0.15 * 0.5 ** np.arange(48)  # ascending
     window = np.concatenate([[lo], cuts[cuts > lo + 1e-12], [0.5]])
-    for pick, panels, n, kept in [(~near, np.array([lo, hi]), 256, 128), (near, window, 16, 16)]:
+    band_rule, window_rule = _gauss_rules()
+    for pick, panels, (x, w) in [(~near, np.array([lo, hi]), band_rule), (near, window, window_rule)]:
         rows = np.flatnonzero(pick & (v != 0.0))
         if not rows.size:
             continue
-        x, w = (a[:kept] for a in _leggauss(n))
         mid, half = 0.5 * (panels[:-1] + panels[1:]), 0.5 * (panels[1:] - panels[:-1])
         nodes = (mid[:, None] + half[:, None] * x).ravel()
         weights = (2.0 * half[:, None] * w).ravel()

@@ -228,6 +228,25 @@ def test_simulate_compare_does_not_import_numpy_ma(tmp_path):
     assert deviations and report["median_relative_deviation"] == np.median(deviations)
 
 
+def test_cold_start_imports_neither_numpy_polynomial_nor_dataclasses(tmp_path):
+    # a fresh interpreter: the quadrature rules and the digit kernel's powers of ten
+    # come from stored tables, and the configs and records are plain classes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    v_r = spectrum.RESONANCE_VELOCITY_PHOTON
+    sweeps = [["--v-points", "8"], ["--v-min", repr(v_r - 0.08), "--v-max", repr(v_r + 0.08)],
+              ["--v-points", "8", "--mass", "0.1"]]
+    argvs = [["scan", "--integrate", *sweep, "--out", str(tmp_path / f"{i}.csv")]
+             for i, sweep in enumerate(sweeps)]
+    code = ("import sys; import pairflux.cli; print('dataclasses' in sys.modules); "
+            f"print([pairflux.cli.main(argv) for argv in {argvs!r}], "
+            "'numpy.polynomial' in sys.modules, 'dataclasses' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n[0, 0, 0] False False\n"
+    assert all(len(read_csv(tmp_path / f"{i}.csv")[2]) > 1 for i in range(3))
+
+
 ALLOCATION = "Unable to allocate 256. TiB for an array with shape (35184372088832,)"
 
 

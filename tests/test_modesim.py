@@ -119,6 +119,20 @@ class TestConfig:
             with pytest.raises(ValueError):
                 SimConfig(**{"kappa0": 32, "v": 0.1, **bad})
 
+    def test_keywords_defaults_and_read_only(self):
+        config = SimConfig(v=0.2, kappa0=16)
+        assert (config.kappa0, config.v, config.t0, config.dt_divisor, config.mode_multiplier) == (
+            16, 0.2, 400.0 * math.pi, modesim.DEFAULT_DT_DIVISOR, 1.0)
+        given = SimConfig(16, 0.2, T0, 50.0, 2.0)
+        assert (given.t0, given.dt_divisor, given.mode_multiplier, given.n_modes) == (
+            T0, 50.0, 2.0, 32)
+        for field in ("kappa0", "v", "t0", "dt_divisor", "mode_multiplier", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(config, field, 1.0)
+        assert (config.kappa0, config.v) == (16, 0.2)
+        with pytest.raises(TypeError):
+            SimConfig(16)  # v has no default
+
     def test_work_bounds(self):
         # judged from the configuration alone: nothing here allocates a map
         limit = modesim.MAX_STEPS_PER_PERIOD

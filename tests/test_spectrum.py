@@ -77,6 +77,21 @@ class TestConfigs:
         _, w = SpectralGrid(0.1, 0.7, 19).nodes_weights()
         assert abs(w.sum() - 0.6) < 1e-12
 
+    def test_keywords_defaults_and_read_only(self):
+        pump = PumpConfig(mass=0.1, v=2.0)
+        assert (pump.v, pump.mass) == (2.0, 0.1) and PumpConfig(2.0).mass is None
+        grid = SpectralGrid(points=9, omega_max=0.5)
+        assert (grid.omega_min, grid.omega_max, grid.points) == (0.0, 0.5, 9)
+        default = SpectralGrid()
+        assert (default.omega_min, default.omega_max, default.points) == (0.0, 1.0, 256)
+        for config, field in [(pump, "v"), (pump, "mass"), (grid, "points"),
+                              (grid, "omega_min"), (grid, "extra")]:
+            with pytest.raises(AttributeError):
+                setattr(config, field, 0.2)
+        assert (pump.v, pump.mass, grid.points) == (2.0, 0.1, 9)
+        with pytest.raises(TypeError):
+            PumpConfig()  # v has no default
+
 
 class TestSpectrumGrid:
     def test_no_pump_gives_zero_rates(self):
