@@ -13,7 +13,8 @@ to stderr).
 Exit codes: 0 ok, 2 usage/validation (an invalid omega grid in either scan
 mode, simulate --report without --compare, simulate --compare with both
 payloads on stdout) or a run too large for memory,
-3 unwritable output, 4 no resonance, 5 integrator instability.
+3 unwritable output, 4 no resonance, 5 integrator instability,
+6 broken installation (a package data table missing or truncated).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NO_RESONANCE = 4
 EXIT_INTEGRATOR = 5
+EXIT_INSTALL = 6
 
 UNITS_NOTE = "omega0 = 1, c = 1"
 BLOCK_ROWS = 4096  # rows per formatted block: one block is held as a byte matrix
@@ -72,8 +74,7 @@ def _digit_tables():
     row, then the lo row)."""
     # np.indices, not integer division of 40,000 values: 1 ms less
     quads = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
-    path = os.path.join(os.path.dirname(__file__), "powers_of_ten.f8")
-    hi, lo = np.fromfile(path, "<f8").reshape(2, -1)
+    hi, lo = spectrum.read_table("powers_of_ten.f8", 2 * (_K_MAX - _K_MIN + 1)).reshape(2, -1)
     mantissa, exponent = np.frexp(hi)
     upper = mantissa * _SPLIT  # on [0.5, 1), where it cannot overflow
     upper = np.ldexp(upper - (upper - mantissa), exponent)
@@ -456,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
         # parser, so one replaced on the module (perfbench's spans wrap them) is
         # the one run; it returns its diagnostic note, kept out of the payload
         note = globals()[f"cmd_{args.subcommand}"](args)
+    except spectrum.BrokenInstallation as exc:
+        print(f"pairflux: broken installation: {exc}", file=sys.stderr)
+        return EXIT_INSTALL
     except spectrum.NoResonance as exc:
         print(f"pairflux: no resonance: {exc}", file=sys.stderr)
         return EXIT_NO_RESONANCE

@@ -42,16 +42,16 @@ from . import kernel
 MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 
 DEFAULT_DT_DIVISOR = 200.0  # RK4 steps per pump period, per unit of mode_multiplier
-CHECKPOINTS = 16  # occupation samples over the run; at least 8 fall in [t0/2, t0]
+CHECKPOINTS = 16  # whole pump periods sampled over the run; 8 or 9 fall at or after t0/2
 AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
 COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
 COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance criterion 8)
 
 # Work a SimConfig may ask of evolve: RK4 steps per pump period, pump periods,
-# and bytes of the 2K x 2K maps held at once: the kept maps, plus at most 8 more
-# at the measured peak (monodromy, power and successor, a checkpoint product,
-# matrix_power's temporaries, the real checkpoint arrays and the complex ones
-# that project mu and nu at the last checkpoint).  The period's own working set,
+# and bytes of the 2K x 2K maps held at once: the leaps, plus at most 8 more
+# at the measured peak (monodromy, power and successor, matrix_power's
+# temporaries, the real checkpoint arrays and the complex ones that project
+# mu and nu at the last checkpoint).  The period's own working set,
 # two state buffers, one block's U, V and V Z and the step tables of STEP_BLOCK
 # steps, is smaller once 2K >= 4 STEP_BLOCK and is freed before the leaps.
 # kappa0 256, 3000 steps and 200 periods stay far below, and a run inside the
@@ -80,12 +80,13 @@ class ModeRecurrenceWarning(UserWarning):
 class SimConfig:
     """Truncated-mode simulation parameters.
 
-    kappa0 sets the mode count and spacing (delta omega = 1/kappa0); t0 is
-    the total modulation time.  A pump period takes
-    ceil(dt_divisor * mode_multiplier) RK4 steps, so the step divides the
-    period and is never coarser than 2 pi / (dt_divisor * omega_max); the
+    kappa0, an integer >= 8, sets the mode count and spacing
+    (delta omega = 1/kappa0); t0 is the total modulation time.  A pump period
+    takes ceil(dt_divisor * mode_multiplier) RK4 steps, so the step divides
+    the period and is never coarser than 2 pi / (dt_divisor * omega_max); the
     default divisor 200 keeps the per-row symplectic defect of the RK4 map
-    below 1e-6 out to t0 = 400 pi.  The run takes ceil(t0 / step) steps.
+    below 1e-6 out to t0 = 400 pi.  The run ends at the whole pump period
+    nearest ceil(t0 / step) steps, within half a period of t0.
     mode_multiplier > 1 adds modes above the pump frequency, which widens the
     band the pump couples: it changes the model and does not test truncation.
     Read-only: assigning a field raises AttributeError.  It and the three
@@ -100,8 +101,8 @@ class SimConfig:
         for name, value in zip(self.__slots__, (kappa0, v, t0, dt_divisor, mode_multiplier)):
             object.__setattr__(self, name, value)
         # written as "not (valid)" so that nan fails every check
-        if self.kappa0 < 8:
-            raise ValueError(f"kappa0 must be >= 8, got {self.kappa0}")
+        if not (isinstance(self.kappa0, (int, np.integer)) and self.kappa0 >= 8):
+            raise ValueError(f"kappa0 must be an integer >= 8, got {self.kappa0!r}")
         kernel.check_velocity(self.v)
         if not 100.0 * math.pi <= self.t0 < math.inf:
             raise ValueError(
@@ -118,7 +119,7 @@ class SimConfig:
         # near the float maximum t0 / step overflows before it reaches ceil
         if not self.t0 / self.step < math.inf or self.n_steps > MAX_PERIODS * self.steps_per_period:
             raise ValueError(f"t0 = {self.t0} spans more than {MAX_PERIODS} pump periods")
-        map_bytes = (sum(map(len, self.kept_maps)) + 8) * (2 * self.n_modes) ** 2 * 8
+        map_bytes = (len(self.kept_maps) + 8) * (2 * self.n_modes) ** 2 * 8
         if map_bytes > MAX_MAP_BYTES:
             raise ValueError(f"{self.n_modes} modes need {map_bytes / 2**30:.3g} GiB of "
                              f"period maps, more than {MAX_MAP_BYTES / 2**30:.3g} GiB")
@@ -138,22 +139,23 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        """Steps to reach t0; the last one may overshoot t0 by less than a step."""
+        """Steps to reach t0, rounded up."""
         return _ceil(self.t0 / self.step)
 
     @property
     def checkpoint_steps(self) -> np.ndarray:
-        """Step counts at which evolve records occupations."""
-        return np.linspace(0, self.n_steps, CHECKPOINTS + 1).astype(int)[1:]
+        """Step counts at which evolve records occupations: CHECKPOINTS whole
+        pump periods spread evenly over n_steps, the last the whole period
+        nearest it, so the run ends within half a period of t0.  t0 >= 100 pi
+        spans at least 50 periods, which keeps them distinct and 3 apart."""
+        n_p = self.steps_per_period
+        return np.rint(np.linspace(0, self.n_steps / n_p, CHECKPOINTS + 1)[1:]).astype(int) * n_p
 
     @property
-    def kept_maps(self) -> tuple[set[int], set[int]]:
-        """(remainders, gaps): the non-zero remainders r of the checkpoint
-        steps modulo steps_per_period and the distinct numbers g of whole
-        periods between checkpoints (the first from t = 0; t0 >= 100 pi keeps
-        g >= 3), whose partial maps P_r and leaps M^g evolve keeps."""
-        periods, remainders = np.divmod(self.checkpoint_steps, self.steps_per_period)
-        return set(remainders.tolist()) - {0}, set(np.diff(periods, prepend=0).tolist())
+    def kept_maps(self) -> set[int]:
+        """The distinct numbers g of whole periods between checkpoints (the
+        first from t = 0), whose leaps M^g evolve keeps."""
+        return set(np.diff(self.checkpoint_steps // self.steps_per_period, prepend=0).tolist())
 
     @property
     def n_modes(self) -> int:
@@ -303,18 +305,18 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     and extract (mu, nu).
 
     The equations are linear and 2 pi-periodic and the RK4 step h divides
-    the period into n_p steps, so the map over s = q n_p + r steps is
-    P_r M^q (Floquet).  One period of RK4 on the real 2K x 2K fundamental
-    Z = [x; x'] gives the monodromy M and the partial maps P_r the
-    checkpoints need.  Each step is Z <- D Z + B (R Z) (_step_maps), and a
-    block of n <= STEP_BLOCK steps, ending at a kept remainder r or at n_p, is
-    one exact map P (I + U V) (_block_map), applied as W = Z + U (V Z), one
-    (4n x 2K)(2K x 2K) and one (2K x 4n)(4n x 2K) product, then Z = P W per
-    mode.  M^q is a product of leaps M^g, one matrix_power per distinct gap
-    of g periods between checkpoints.  Occupations are recorded at evenly
-    spaced checkpoints for the stationary-rate fit in extract_rates, in real
-    arithmetic from the map F to the checkpoint; (mu, nu) are projected once,
-    at the last one.
+    the period into n_p steps, so the map over q whole periods is M^q
+    (Floquet).  One period of RK4 on the real 2K x 2K fundamental
+    Z = [x; x'] gives the monodromy M.  Each step is Z <- D Z + B (R Z)
+    (_step_maps), and each block of n <= STEP_BLOCK steps from the period
+    start is one exact map P (I + U V) (_block_map), applied as
+    W = Z + U (V Z), one (4n x 2K)(2K x 2K) and one (2K x 4n)(4n x 2K)
+    product, then Z = P W per mode.  Occupations are recorded stroboscopically,
+    at the whole periods of checkpoint_steps, for the stationary-rate fit in
+    extract_rates: the map F = M^q to a checkpoint is a product of leaps M^g,
+    one matrix_power per distinct gap of g periods, and the occupations are
+    taken from F in real arithmetic; (mu, nu) are projected once, at the last
+    checkpoint.
 
     Raises IntegratorUnstable if any amplitude is not finite or exceeds
     AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
@@ -332,22 +334,16 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     K = omega.size
     n_p, h = config.steps_per_period, config.step
     check_steps = config.checkpoint_steps
-    remainders, gaps = config.kept_maps
 
     with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
         Z, W = np.eye(2 * K), np.empty((2 * K, 2 * K))  # the fundamental [x; x'] starts at I
         Z3, W3 = Z.reshape(2, K, 2 * K), W.reshape(2, K, 2 * K)
-        ends = [0]  # block ends: the kept remainders and n_p, at most STEP_BLOCK steps apart
-        for stop in sorted(remainders | {n_p}):
-            ends += [*range(ends[-1] + STEP_BLOCK, stop, STEP_BLOCK), stop]
-        partial = {}
-        for start, end in zip(ends, ends[1:]):
-            P, U, V = _block_map(omega, coupling, config.v, h, h * np.arange(start, end))
+        for start in range(0, n_p, STEP_BLOCK):
+            steps = np.arange(start, min(start + STEP_BLOCK, n_p))
+            P, U, V = _block_map(omega, coupling, config.v, h, h * steps)
             np.matmul(U, V @ Z, out=W)
             W += Z
             np.einsum("abk,bkj->akj", P, W3, out=Z3)
-            if end in remainders:
-                partial[end] = Z.copy()
         monodromy = Z
         del Z, W, Z3, W3, P, U, V  # the second buffer, its view and the block map
 
@@ -355,17 +351,14 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
         # x = x0 (F_xx - i w F_xv), and N_k = (w_k / 2) sum_j |x_kj - i x'_kj / w_k|^2
         x0 = 1.0 / np.sqrt(2.0 * omega)
         wx0 = omega * x0
-        leaps = {g: np.linalg.matrix_power(monodromy, g) for g in gaps}
-        power, q_now = np.eye(2 * K), 0
+        leaps = {g: np.linalg.matrix_power(monodromy, g) for g in config.kept_maps}
+        F = np.eye(2 * K)
         occupations = np.empty((len(check_steps), K))
-        for c, s in enumerate(check_steps):
-            q, r = divmod(int(s), n_p)
-            power = leaps[q - q_now] @ power
-            q_now = q
-            F = partial[r] @ power if r else power
+        for c, g in enumerate(np.diff(check_steps // n_p, prepend=0).tolist()):
+            F = leaps[g] @ F
             Fxx, Fxv, Fvx, Fvv = F[:K, :K], F[:K, K:], F[K:, :K], F[K:, K:]
             amplitude = (Fxx * x0) ** 2 + (Fxv * wx0) ** 2
-            t = s * h
+            t = check_steps[c] * h
             if not amplitude.max() <= AMPLITUDE_BOUND**2:  # nan fails it too
                 raise IntegratorUnstable(
                     f"amplitude bound {AMPLITUDE_BOUND:g} exceeded at t = {t:.4g} (v = {config.v})"

@@ -25,6 +25,28 @@ RESONANCE_VELOCITY_PHOTON = 4.0 * math.pi / math.sqrt(
 BLOCK_CELLS = 8192  # (pump, node) cells per kernel call of a sweep: bounds its memory
 
 
+_TABLE_DIR = os.path.dirname(__file__)  # where the package data tables are installed
+
+
+class BrokenInstallation(Exception):
+    """A package data table is missing, unreadable or not of its size."""
+
+
+def read_table(name: str, size: int) -> np.ndarray:
+    """The package data table name: size little-endian doubles, read-only.
+    Raises BrokenInstallation, naming the file, when it cannot be read or
+    holds another count (np.fromfile drops a trailing partial double)."""
+    path = os.path.join(_TABLE_DIR, name)
+    try:
+        table = np.fromfile(path, "<f8")
+    except OSError as exc:
+        raise BrokenInstallation(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if table.size != size:
+        raise BrokenInstallation(f"{path} holds {table.size} doubles, not {size}")
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
 class NoResonance(Exception):
     """The effective Green function vanishes at omega = 1/2; no finite pump
     velocity nulls the resolvent (threshold mass)."""
@@ -87,8 +109,7 @@ def _gauss_rules() -> tuple[np.ndarray, np.ndarray]:
     the 16-node rule; each equals numpy.polynomial.legendre.leggauss's bit
     for bit.  leggauss itself, with the numpy.polynomial import, takes
     15-20 ms of a cold start."""
-    table = np.fromfile(os.path.join(os.path.dirname(__file__), "gauss_legendre.f8"), "<f8")
-    table.flags.writeable = False  # shared by every call
+    table = read_table("gauss_legendre.f8", 288)
     return table[:256].reshape(2, 128), table[256:].reshape(2, 16)
 
 

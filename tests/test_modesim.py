@@ -33,10 +33,12 @@ def quiet_run(config: SimConfig) -> BogoliubovMatrix:
         return evolve(config)
 
 
-def stepped(config: SimConfig, h: float, n_steps: int):
-    """Reference: plain RK4 over every step on the complex K x K state,
-    returning (mu, nu, occupations) at the same checkpoints as evolve."""
+def stepped(config: SimConfig):
+    """Reference: plain RK4 over every step on the complex K x K state up to
+    the last checkpoint, returning (mu, nu, occupations) at evolve's
+    checkpoints."""
     omega, coupling = build_sim(config)
+    h = config.step
     w, c = omega[:, None], coupling[:, None]
 
     def acc(t, X):
@@ -44,9 +46,9 @@ def stepped(config: SimConfig, h: float, n_steps: int):
 
     X = np.diag(1.0 / np.sqrt(2.0 * omega)).astype(complex)
     V = -1j * w * X
-    checks = set(np.linspace(0, n_steps, modesim.CHECKPOINTS + 1).astype(int)[1:].tolist())
+    checks = set(config.checkpoint_steps.tolist())
     occupations = []
-    for n in range(n_steps):
+    for n in range(max(checks)):
         t = n * h
         k1 = acc(t, X)
         k2 = acc(t + h / 2, X + h / 2 * V)
@@ -101,6 +103,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SimConfig(kappa0=4, v=0.1)
+        # 8.7 would lay out 9 modes up to 1.034, past the pump frequency
+        for kappa0 in (8.7, math.inf, math.nan):
+            with pytest.raises(ValueError, match="kappa0"):
+                SimConfig(kappa0=kappa0, v=0.1)
         with pytest.raises(ValueError):
             SimConfig(kappa0=32, v=-0.1)
         with pytest.raises(ValueError, match="velocity"):
@@ -148,12 +154,12 @@ class TestConfig:
         for t0 in (1e12, 1e20):  # 1e20 gives more steps than checkpoint_steps' int64 holds
             with pytest.raises(ValueError, match="pump periods"):
                 SimConfig(kappa0=8, v=0.0, t0=t0)
-        # default t0 = 400 pi keeps one partial map and the leaps M^12 and M^13:
-        # with the 8 working maps, 11 maps of (2K)^2 doubles
-        assert SimConfig(kappa0=1746, v=0.1).kept_maps == ({100}, {12, 13})
-        assert 11 * (2 * 1746) ** 2 * 8 <= modesim.MAX_MAP_BYTES < 11 * (2 * 1747) ** 2 * 8
+        # default t0 = 400 pi keeps the leaps M^12 and M^13:
+        # with the 8 working maps, 10 maps of (2K)^2 doubles
+        assert SimConfig(kappa0=1831, v=0.1).kept_maps == {12, 13}
+        assert 10 * (2 * 1831) ** 2 * 8 <= modesim.MAX_MAP_BYTES < 10 * (2 * 1832) ** 2 * 8
         with pytest.raises(ValueError, match="GiB"):
-            SimConfig(kappa0=1747, v=0.1)
+            SimConfig(kappa0=1832, v=0.1)
         with pytest.raises(ValueError, match="GiB"):
             SimConfig(kappa0=10_000, v=0.1)
 
@@ -162,7 +168,7 @@ class TestConfig:
         [(T0, 200.0), (4 * T0, 200.0), (2.0 * math.pi * 64, 200.0),
          # 125 blocks of step tables: none may outlive the period
          (T0, 2000.0)],
-        ids=["7_partial_maps", "1_partial_map", "whole_periods", "fine_step"])
+        ids=["leaps_3_and_4", "leaps_12_and_13", "one_leap", "fine_step"])
     def test_map_bound_covers_the_measured_peak(self, t0, dt_divisor):
         # the bound counts the kept maps plus 8: numpy reports its arrays to tracemalloc
         config = SimConfig(kappa0=64, v=0.2, t0=t0, dt_divisor=dt_divisor)
@@ -172,7 +178,7 @@ class TestConfig:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (sum(map(len, config.kept_maps)) + 8) * (2 * 64) ** 2 * 8
+        assert peak <= (len(config.kept_maps) + 8) * (2 * 64) ** 2 * 8
 
     def test_default_step_scales_with_band_top(self):
         assert SimConfig(kappa0=32, v=0.1).step == 2.0 * math.pi / 200.0
@@ -273,19 +279,19 @@ class TestFloquetAgainstStepping:
     @pytest.mark.parametrize(
         "config, h, n_steps",
         [
-            # checkpoints 625 steps = 3.125 periods apart: non-zero remainders
+            # 50 periods: checkpoints 3 or 4 whole periods apart
             (SimConfig(kappa0=16, v=0.5, t0=T0), 2.0 * math.pi / 200, 10000),
             (SimConfig(kappa0=16, v=0.3, t0=T0, mode_multiplier=1.5), 2.0 * math.pi / 300, 15000),
             # 250.5 steps do not divide the period: rounded up to 251
             (SimConfig(kappa0=16, v=0.5, t0=T0, dt_divisor=250.5),
              2.0 * math.pi / 251, 12550),
         ],
-        ids=["remainders", "mode_multiplier_1.5", "snapped_step"],
+        ids=["gaps_3_and_4", "mode_multiplier_1.5", "snapped_step"],
     )
     def test_matches_reference_stepper(self, config, h, n_steps):
         assert (config.step, config.n_steps) == (h, n_steps)
         matrix = quiet_run(config)
-        mu, nu, occupations = stepped(config, h, n_steps)
+        mu, nu, occupations = stepped(config)
         for got, want in ((matrix.occupations, occupations), (matrix.mu, mu), (matrix.nu, nu)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -293,7 +299,7 @@ class TestFloquetAgainstStepping:
         # t0 = 200 pi leaps 6 or 7 periods between checkpoints, 400 pi 12 or 13;
         # the 8 checkpoints they share must read the same occupations
         short, long = (quiet_run(SimConfig(kappa0=16, v=0.3, t0=t0)) for t0 in (2 * T0, 4 * T0))
-        assert (short.config.kept_maps[1], long.config.kept_maps[1]) == ({6, 7}, {12, 13})
+        assert (short.config.kept_maps, long.config.kept_maps) == ({6, 7}, {12, 13})
         assert np.array_equal(short.times[1::2], long.times[:8])
         assert np.abs(short.occupations[1::2] / long.occupations[:8] - 1.0).max() <= 1e-12
 
@@ -303,6 +309,13 @@ class TestFloquetAgainstStepping:
         assert SimConfig(kappa0=8, v=0.1, t0=4 * T0).n_steps == 40000
         config = SimConfig(kappa0=8, v=0.1, t0=314.16)
         assert (config.steps_per_period, config.n_steps) == (200, 10001)
+        # the checkpoints are whole periods, the last the one nearest t0
+        assert config.checkpoint_steps[-1] == 10000
+        for t0 in (T0, 314.16, 123.4 * math.pi + 0.7, 4 * T0):
+            config = SimConfig(kappa0=8, v=0.1, t0=t0, dt_divisor=250.5)
+            periods, remainders = np.divmod(config.checkpoint_steps, config.steps_per_period)
+            assert not remainders.any() and (np.diff(periods) >= 3).all()
+            assert abs(config.checkpoint_steps[-1] * config.step - t0) <= math.pi
         assert SimConfig(kappa0=8, v=0.1, dt_divisor=250.5).steps_per_period == 251
 
 
@@ -383,6 +396,20 @@ class TestExtractRates:
         ratio = spectrum.rate[mask] / pert[mask]
         assert abs(np.median(ratio) - 1.0) < 0.03
 
+    def test_whole_period_checkpoints_fit_a_straight_line(self):
+        # stroboscopic checkpoints carry no pump micromotion: each mode's rms distance
+        # from the fitted line, over its growth across the fit window, has a median of
+        # 3.9e-4 over modes in (0.2, 0.8); mid-period checkpoints read 2.8e-3
+        config = SimConfig(kappa0=64, v=0.2, t0=T0)
+        matrix = quiet_run(config)
+        sel = matrix.times >= 0.5 * config.t0
+        t, occupations = matrix.times[sel], matrix.occupations[sel]
+        slope, intercept = np.polyfit(t, occupations, deg=1)
+        rms = np.sqrt(((occupations - np.outer(t, slope) - intercept) ** 2).mean(axis=0))
+        residual = rms / (slope * (t[-1] - t[0]))
+        window = (matrix.omega > 0.2) & (matrix.omega < 0.8)
+        assert np.median(residual[window]) <= 1e-3
+
     def test_centre_mode_matches_kernel_on_odd_ladder(self, run_odd_ladder):
         config, matrix = run_odd_ladder
         spectrum = extract_rates(matrix)
@@ -439,21 +466,37 @@ class TestCompare:
         assert not report.degenerate
 
     def test_oracle_agrees_at_unit_pump(self):
-        # kappa0 = 64 measures 0.072, and 0.073 at kappa0 = 128
+        # kappa0 = 64 measures 0.069, and 0.070 at kappa0 = 128
         report = strong_pump_report(1.0)
         print(f"strong pump v = 1: median deviation = {report.median_deviation:.3f}")
         assert report.median_deviation <= 0.15
 
     @pytest.mark.xfail(
         strict=True,
-        reason="at v = 2 the oracle sits 29% from the closed form (median 0.292 at "
-        "kappa0 = 64, 0.303 at 128; 0.390/0.407 at v = 2.5): the gap does not shrink "
+        reason="at v = 2 the oracle sits 29% from the closed form (median 0.288 at "
+        "kappa0 = 64, 0.299 at 128; 0.377/0.406 at v = 2.5): the gap does not shrink "
         "as kappa0 doubles, so it is not the finite-resonator recurrence",
     )
     def test_oracle_strong_pump_gap(self):
         report = strong_pump_report(2.0)
         print(f"strong pump v = 2: median deviation = {report.median_deviation:.3f}")
         assert report.median_deviation <= 0.15
+
+    def test_oracle_sees_the_weak_pump_v4_term(self):
+        # rate / perturbative = 1 + v^2 c2 + O(v^4): the closed form's c2 is
+        # 2 Re[G(w) G(w - 1)], the sideband chain's adds 2 Re[G(w) G(w + 1) + G(w - 1) G(w - 2)].
+        # At v = 0.24 the measured (rate / perturbative - 1) / v^2 reads a median
+        # 0.0016 from the chain's c2 and 0.065 from the closed form's
+        v = 0.24
+        spectrum = extract_rates(quiet_run(SimConfig(kappa0=128, v=v, t0=2 * T0)))
+        window = (spectrum.omega > 0.2) & (spectrum.omega < 0.8)
+        w = spectrum.omega[window]
+        measured = (spectrum.rate[window] / kernel.perturbative_rate(w, v) - 1.0) / v**2
+        G = kernel.green_function
+        closed = 2.0 * (G(w) * G(w - 1.0)).real
+        chain = closed + 2.0 * (G(w) * G(w + 1.0) + G(w - 1.0) * G(w - 2.0)).real
+        assert np.median(np.abs(measured - chain)) <= 0.005
+        assert np.median(np.abs(measured - closed)) >= 0.04
 
     def test_zero_pump_degenerate(self):
         config = SimConfig(kappa0=8, v=0.0, t0=T0)

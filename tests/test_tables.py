@@ -79,3 +79,35 @@ def test_one_ulp_off_fails(module, name, build, check, index, direction, monkeyp
     monkeypatch.setattr(np, "fromfile", lambda *args: stored.copy())
     with pytest.raises(AssertionError):
         check(build.__wrapped__())  # uncached, it reads the altered table
+
+
+@pytest.fixture
+def fresh_tables():
+    """Both cached table builds read their files again, inside the test and after it."""
+    for build in (spectrum._gauss_rules, cli._digit_tables):
+        build.cache_clear()
+    yield
+    for build in (spectrum._gauss_rules, cli._digit_tables):
+        build.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["gauss_legendre.f8", "powers_of_ten.f8"])
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_broken_table_is_a_broken_installation(name, damage, tmp_path, monkeypatch, capsys,
+                                               fresh_tables):
+    # an installation whose table is gone or cut short: one line naming the file, exit 6,
+    # and no output file; scan --integrate reads both tables
+    for table in ("gauss_legendre.f8", "powers_of_ten.f8"):
+        with open(os.path.join(spectrum._TABLE_DIR, table), "rb") as fh:
+            data = fh.read()
+        if table == name and damage == "truncated":
+            (tmp_path / table).write_bytes(data[:-12])
+        elif table != name:
+            (tmp_path / table).write_bytes(data)
+    monkeypatch.setattr(spectrum, "_TABLE_DIR", str(tmp_path))
+    out = tmp_path / "curve.csv"
+    assert cli.main(["scan", "--integrate", "--v-points", "2", "--out", str(out)]) == cli.EXIT_INSTALL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("pairflux: broken installation")
+    assert str(tmp_path / name) in err
+    assert not out.exists()
