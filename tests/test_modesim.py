@@ -5,6 +5,7 @@ runs stay below the mode-recurrence time 2 pi kappa0 unless the test is
 specifically about crossing it.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -374,6 +375,74 @@ class TestEvolve:
         with pytest.raises(IntegratorUnstable), warnings.catch_warnings():
             warnings.simplefilter("ignore", ModeRecurrenceWarning)
             evolve(config)
+
+
+@functools.cache
+def radius_run(kappa0: int, v: float, dt_divisor: float = 200.0, mode_multiplier: float = 1.0):
+    """One shared run per ladder: the Hill radius and the monodromy."""
+    matrix = quiet_run(SimConfig(kappa0=kappa0, v=v, t0=T0, dt_divisor=dt_divisor,
+                                 mode_multiplier=mode_multiplier))
+    return matrix.spectral_radius(), matrix.monodromy
+
+
+def reversibility_defects(M: np.ndarray) -> tuple[float, float]:
+    """max |M^-1 - T M T| and max |M_xx - M_vv^T|, T = diag(I, -I), each
+    relative to max |M|: the two identities spectral_radius rests on."""
+    K = len(M) // 2
+    T = np.r_[np.ones(K), -np.ones(K)]
+    scale = np.abs(M).max()
+    return (np.abs(np.linalg.inv(M) - T[:, None] * M * T).max() / scale,
+            np.abs(M[:K, :K] - M[K:, K:].T).max() / scale)
+
+
+def full_radius(M: np.ndarray) -> float:
+    """The largest |eigenvalue| of the whole 2K x 2K monodromy."""
+    return float(np.abs(np.linalg.eigvals(M)).max())
+
+
+LADDERS_AT_200 = [(8, 0.0), (8, 0.24), (8, 1.0), (64, 0.0), (64, 0.24), (64, 1.0)]
+
+
+class TestSpectralRadius:
+    @pytest.mark.parametrize("kappa0, v, mode_multiplier",
+                             [(k, v, 1.0) for k, v in LADDERS_AT_200] + [(8, 1.0, 1.5)])
+    def test_period_map_is_reversible(self, kappa0, v, mode_multiplier):
+        # measured 4.3e-10 to 6.4e-10 (inverse) and below 1e-15 (transpose)
+        inverse, transpose = reversibility_defects(radius_run(kappa0, v, 200.0, mode_multiplier)[1])
+        assert inverse <= 1e-8 and transpose <= 1e-8
+
+    def test_pump_off_phase_breaks_reversibility(self, monkeypatch):
+        # the same period started at t = 1: cos(t + 1) is not even, and M^-1 = T M T fails
+        block_map = modesim._block_map
+        monkeypatch.setattr(modesim, "_block_map",
+                            lambda omega, c, v, h, t: block_map(omega, c, v, h, t + 1.0))
+        M = quiet_run(SimConfig(kappa0=8, v=1.0, t0=T0)).monodromy
+        assert reversibility_defects(M)[0] > 1e-3
+
+    @pytest.mark.parametrize("kappa0, v", LADDERS_AT_200 + [(64, 3.8)])
+    def test_matches_full_eigenvalues(self, kappa0, v):
+        # measured at most 1.6e-9 (v = 3.8), 6e-11 elsewhere
+        rho, M = radius_run(kappa0, v)
+        assert abs(rho - full_radius(M)) <= 1e-8 * full_radius(M)
+
+    @pytest.mark.parametrize("kappa0, v", [(8, 0.24), (8, 1.0), (64, 0.24), (64, 1.0)])
+    def test_matches_full_eigenvalues_at_coarse_step(self, kappa0, v):
+        # dt_divisor 20: RK4's reversibility defect is 4e-5; measured 1.9e-6 to 4.3e-6
+        rho, M = radius_run(kappa0, v, 20.0)
+        assert abs(rho - full_radius(M)) <= 1e-5 * full_radius(M)
+
+    @pytest.mark.parametrize("kappa0, dt_divisor", [(8, 200.0), (64, 200.0), (8, 20.0), (64, 20.0)])
+    def test_free_ladder_is_on_the_unit_circle(self, kappa0, dt_divisor):
+        # each free mode's m is real with |m| < 1, so |l| = 1 to rounding
+        assert abs(radius_run(kappa0, 0.0, dt_divisor)[0] - 1.0) <= 1e-12
+
+    def test_both_radii_converge_with_modes_above_the_pump(self):
+        # mode_multiplier 1.5 at dt_divisor 200: the Hill and the full radius sit
+        # 1.7e-8 and 1.2e-8 below the dt_divisor 2000 one, where they agree to 5e-14
+        rho, M = radius_run(8, 1.0, 2000.0, 1.5)
+        assert abs(rho - full_radius(M)) <= 1e-11
+        coarse, M = radius_run(8, 1.0, 200.0, 1.5)
+        assert abs(coarse - rho) <= 1e-7 and abs(full_radius(M) - rho) <= 1e-7
 
 
 class TestExtractRates:

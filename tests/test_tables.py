@@ -111,3 +111,18 @@ def test_broken_table_is_a_broken_installation(name, damage, tmp_path, monkeypat
     assert err.count("\n") == 1 and err.startswith("pairflux: broken installation")
     assert str(tmp_path / name) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--v", "0.1"],
+    ["simulate", "--v", "0", "--kappa0", "8", "--t0", str(100 * math.pi)],
+], ids=["spectrum", "simulate"])
+def test_broken_table_leaves_stdout_empty(argv, tmp_path, monkeypatch, capsys, fresh_tables):
+    # without --out the payload goes to stdout: the digit tables are read before
+    # its first line, so a missing powers_of_ten.f8 prints only the exit-6 line
+    # (neither command reads the Gauss table)
+    monkeypatch.setattr(spectrum, "_TABLE_DIR", str(tmp_path))
+    assert cli.main(argv) == cli.EXIT_INSTALL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("pairflux: broken installation") and "powers_of_ten.f8" in err
