@@ -348,9 +348,7 @@ def cmd_resonance(args) -> None:
 
 def cmd_simulate(args) -> str:
     config = modesim.SimConfig(
-        kappa0=args.kappa0, v=args.v, t0=args.t0, dt_divisor=args.dt_divisor,
-        mode_multiplier=args.mode_multiplier,
-    )
+        kappa0=args.kappa0, v=args.v, t0=args.t0, dt_divisor=args.dt_divisor)
     if args.report is not None and not args.compare:  # only --compare makes a report
         raise ValueError("--report needs --compare")
     if args.compare and args.out in (None, "-") and args.report in (None, "-"):
@@ -366,8 +364,7 @@ def cmd_simulate(args) -> str:
     sim = modesim.extract_rates(matrix)
     meta = _meta(
         args, v=args.v, kappa0=args.kappa0, t0=args.t0, dt_divisor=args.dt_divisor,
-        mode_multiplier=args.mode_multiplier, symplectic_defect=matrix.symplectic_defect(),
-    )
+        symplectic_defect=matrix.symplectic_defect())
     # an exception before the stack closes removes both files: both are written or neither
     with contextlib.ExitStack() as outputs:
         _emit(outputs.enter_context(_output(args.out)), args.format, ["omega", "rate"],
@@ -437,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa0", type=int, default=32)
     p.add_argument("--t0", type=float, default=400.0 * math.pi)
     p.add_argument("--dt-divisor", type=float, default=modesim.DEFAULT_DT_DIVISOR)
-    p.add_argument("--mode-multiplier", type=float, default=1.0)
     p.add_argument("--compare", action="store_true", help="also emit a deviation report (JSON)")
     p.add_argument("--report", default=None, help="deviation report path (default stdout)")
 

@@ -2,7 +2,7 @@
 time-domain evolution of the pumped field and Bogoliubov extraction.
 
 The resonator of optical length L0 = pi * kappa0 carries modes
-omega_k = k / kappa0 (k = 1 .. mode_multiplier * kappa0).  The pump
+omega_k = k / kappa0 (k = 1 .. kappa0, up to the pump frequency).  The pump
 couples every pair of modes through the wave-packet coordinate
 
     Q = (1 / (pi kappa0^2)) sum_j j x_j,
@@ -41,7 +41,7 @@ from . import kernel
 # tests/test_modesim.py::test_rate_normalization_matches_perturbative_limit.
 MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 
-DEFAULT_DT_DIVISOR = 200.0  # RK4 steps per pump period, per unit of mode_multiplier
+DEFAULT_DT_DIVISOR = 200.0  # RK4 steps per pump period
 CHECKPOINTS = 16  # whole pump periods sampled over the run; 8 or 9 fall at or after t0/2
 AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
 COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
@@ -82,23 +82,21 @@ class SimConfig:
 
     kappa0, an integer >= 8, sets the mode count and spacing
     (delta omega = 1/kappa0); t0 is the total modulation time.  A pump period
-    takes ceil(dt_divisor * mode_multiplier) RK4 steps, so the step divides
-    the period and is never coarser than 2 pi / (dt_divisor * omega_max); the
-    default divisor 200 keeps the per-row symplectic defect of the RK4 map
-    below 1e-6 out to t0 = 400 pi.  The run ends at the whole pump period
-    nearest ceil(t0 / step) steps, within half a period of t0.
-    mode_multiplier > 1 adds modes above the pump frequency, which widens the
-    band the pump couples: it changes the model and does not test truncation.
+    takes ceil(dt_divisor) RK4 steps, so the step divides the period and is
+    never coarser than 2 pi / dt_divisor (2 pi: the period of the pump and of
+    the top mode omega = 1); the default 200 keeps the per-row symplectic
+    defect of the RK4 map below 1e-6 out to t0 = 400 pi.  The run ends at the
+    whole pump period nearest ceil(t0 / step) steps, within half a period of t0.
     Read-only: assigning a field raises AttributeError.  It and the three
     records below are plain classes, since dataclasses add their import and
     about 1 ms a class to a cold start.
     """
 
-    __slots__ = ("kappa0", "v", "t0", "dt_divisor", "mode_multiplier")
+    __slots__ = ("kappa0", "v", "t0", "dt_divisor")
 
     def __init__(self, kappa0: int, v: float, t0: float = 400.0 * math.pi,
-                 dt_divisor: float = DEFAULT_DT_DIVISOR, mode_multiplier: float = 1.0):
-        for name, value in zip(self.__slots__, (kappa0, v, t0, dt_divisor, mode_multiplier)):
+                 dt_divisor: float = DEFAULT_DT_DIVISOR):
+        for name, value in zip(self.__slots__, (kappa0, v, t0, dt_divisor)):
             object.__setattr__(self, name, value)
         # written as "not (valid)" so that nan fails every check
         if not (isinstance(self.kappa0, (int, np.integer)) and self.kappa0 >= 8):
@@ -107,21 +105,18 @@ class SimConfig:
         if not 100.0 * math.pi <= self.t0 < math.inf:
             raise ValueError(
                 f"t0 must be finite and >= 100*pi (stationary extraction), got {self.t0}")
-        if not 1.0 <= self.mode_multiplier < math.inf:
-            raise ValueError(f"mode_multiplier must be finite and >= 1, got {self.mode_multiplier}")
         if not 20.0 <= self.dt_divisor < math.inf:
             raise ValueError(f"dt_divisor must be finite and >= 20, got {self.dt_divisor}")
-        # the product of two large factors overflows to inf, which has no ceil
-        divisor = self.dt_divisor * self.mode_multiplier
-        if not divisor < math.inf or self.steps_per_period > MAX_STEPS_PER_PERIOD:
-            raise ValueError(f"dt_divisor * mode_multiplier = {divisor} needs more than "
+        if self.steps_per_period > MAX_STEPS_PER_PERIOD:
+            raise ValueError(f"dt_divisor = {self.dt_divisor} needs more than "
                              f"{MAX_STEPS_PER_PERIOD} steps per pump period")
         # near the float maximum t0 / step overflows before it reaches ceil
         if not self.t0 / self.step < math.inf or self.n_steps > MAX_PERIODS * self.steps_per_period:
             raise ValueError(f"t0 = {self.t0} spans more than {MAX_PERIODS} pump periods")
-        map_bytes = (len(self.kept_maps) + 8) * (2 * self.n_modes) ** 2 * 8
+        # a numpy kappa0 would wrap the byte count at int64
+        map_bytes = (len(self.kept_maps) + 8) * (2 * int(self.kappa0)) ** 2 * 8
         if map_bytes > MAX_MAP_BYTES:
-            raise ValueError(f"{self.n_modes} modes need {map_bytes / 2**30:.3g} GiB of "
+            raise ValueError(f"{self.kappa0} modes need {map_bytes / 2**30:.3g} GiB of "
                              f"period maps, more than {MAX_MAP_BYTES / 2**30:.3g} GiB")
 
     def __setattr__(self, name, value):
@@ -131,7 +126,7 @@ class SimConfig:
     def steps_per_period(self) -> int:
         """RK4 steps per pump period 2 pi, a whole number so that Floquet
         composition is exact."""
-        return _ceil(self.dt_divisor * self.mode_multiplier)
+        return _ceil(self.dt_divisor)
 
     @property
     def step(self) -> float:
@@ -156,10 +151,6 @@ class SimConfig:
         """The distinct numbers g of whole periods between checkpoints (the
         first from t = 0), whose leaps M^g evolve keeps."""
         return set(np.diff(self.checkpoint_steps // self.steps_per_period, prepend=0).tolist())
-
-    @property
-    def n_modes(self) -> int:
-        return int(round(self.mode_multiplier * self.kappa0))
 
     @property
     def recurrence_time(self) -> float:
@@ -227,7 +218,7 @@ class DeviationReport:
 def build_sim(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """The mode ladder (omega, coupling): the frequencies k / kappa0 and the
     Q-expansion weights k / (pi kappa0^2)."""
-    k = np.arange(1, config.n_modes + 1, dtype=float)
+    k = np.arange(1, config.kappa0 + 1, dtype=float)
     return k / config.kappa0, k / (math.pi * config.kappa0**2)
 
 
@@ -385,8 +376,10 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
 def extract_rates(matrix: BogoliubovMatrix) -> SimSpectrum:
     """Rate density per mode from the stationary growth of N_k.
 
-    N_k(t) is fitted linearly over the checkpoints in [t0/2, t0] (the
-    first half absorbs the turn-on transient); the slope is converted to
+    N_k(t) is fitted linearly over the checkpoints from t0/2 on (the first
+    half absorbs the turn-on transient), up to the last, which is the whole
+    pump period nearest t0 and may lie up to half a period past it (at
+    t0 = 101.1 pi it is 102 pi); the slope is converted to
     a per-unit-frequency rate through the mode density kappa0 and the
     spectral normalization constant.  Interior modes omega in (0.1, 0.9)
     only.

@@ -159,7 +159,6 @@ PARSER_TABLE = {
     "simulate": [(("--v",), None, float, True, None), (("--kappa0",), 32, int, False, None),
                  (("--t0",), 400.0 * math.pi, float, False, None),
                  (("--dt-divisor",), 200.0, float, False, None),
-                 (("--mode-multiplier",), 1.0, float, False, None),
                  (("--compare",), False, None, False, None), FORMAT, OUT,
                  (("--report",), None, None, False, None)],
     "estimate": [(("--n2",), None, float, True, None), (("--omega-l-over-c",), None, float, True, None),
@@ -477,21 +476,42 @@ class TestSimulateCommand:
         "flags",
         [("--dt-divisor", "0"), ("--dt-divisor", "-200"), ("--t0", "inf"), ("--v", "nan"),
          ("--dt-divisor", "1e12"), ("--kappa0", "100000"), ("--t0", "1e12"), ("--t0", "1e20"),
-         ("--t0", "1e308"),
-         # 5e-324 * 5e-324 rounds to 0 steps per period
-         ("--dt-divisor", "5e-324", "--mode-multiplier", "5e-324"),
-         ("--dt-divisor", "inf"), ("--dt-divisor", "nan"), ("--dt-divisor", "19.9"),
-         ("--v", "1e160")],
+         ("--t0", "1e308"), ("--dt-divisor", "inf"), ("--dt-divisor", "nan"),
+         ("--dt-divisor", "19.9"), ("--v", "1e160")],
         ids=["zero_divisor", "negative_divisor", "infinite_t0", "nan_v",
              "steps_per_period_over_limit", "period_maps_over_limit", "periods_over_limit",
-             "periods_beyond_int64_steps", "steps_beyond_float_range", "divisor_underflows",
-             "infinite_divisor", "nan_divisor", "divisor_below_20", "v_squared_overflows"],
+             "periods_beyond_int64_steps", "steps_beyond_float_range", "infinite_divisor",
+             "nan_divisor", "divisor_below_20", "v_squared_overflows"],
     )
     def test_invalid_input_exits_two(self, flags, capsys):
         argv = ["simulate", "--v", "0.1", "--kappa0", "8", "--t0", str(100 * math.pi)]
         assert main(argv + list(flags)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "invalid arguments" in err and "Traceback" not in err
+
+    def test_mode_multiplier_is_refused(self, tmp_path, monkeypatch, capsys):
+        # the mode ladder ends at the pump frequency: the option is gone, not ignored
+        monkeypatch.setattr(cli.modesim, "evolve", lambda config: pytest.fail("evolved"))
+        argv = ["simulate", "--v", "0.2", "--kappa0", "8", "--mode-multiplier", "1.5",
+                "--out", str(tmp_path / "sim.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and _listing(tmp_path) == []
+        assert "unrecognized arguments: --mode-multiplier" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_metadata_keys(self, fmt, tmp_path):
+        out, report = tmp_path / f"sim.{fmt}", tmp_path / "rep.json"
+        assert main(["simulate", "--v", "0", "--kappa0", "8", "--t0", str(100 * math.pi),
+                     "--compare", "--format", fmt, "--out", str(out),
+                     "--report", str(report)]) == EXIT_OK
+        table = read_csv(out)[0] if fmt == "csv" else json.loads(out.read_text())["meta"]
+        want = ["command", "version", "units", "v", "kappa0", "t0", "dt_divisor",
+                "symplectic_defect"]
+        assert list(table) == list(json.loads(report.read_text())["meta"]) == want
 
     def test_stderr_reports_monodromy_radius(self, tmp_path, capsys):
         code = main([
@@ -850,7 +870,7 @@ FLOAT_FLAGS = [
     (["scan", "--integrate", "--v-points", "2"], ["--v-min", "--v-max", "--mass"]),
     (["resonance"], ["--mass"]),
     (["simulate", "--v", "0.2", "--kappa0", "8", "--dt-divisor", "20", "--compare"],
-     ["--v", "--t0", "--dt-divisor", "--mode-multiplier"]),
+     ["--v", "--t0", "--dt-divisor"]),
     (["estimate", "--n2", "1e-15", "--omega-l-over-c", "1e5"],
      ["--n2", "--omega-l-over-c", "--v-target"]),
 ]

@@ -116,24 +116,22 @@ class TestConfig:
             SimConfig(kappa0=32, v=0.1, t0=10.0)
         with pytest.raises(ValueError):
             SimConfig(kappa0=32, v=0.1, dt_divisor=1.0)
-        with pytest.raises(ValueError):
-            SimConfig(kappa0=32, v=0.1, mode_multiplier=0.5)
         # nan and inf fail every check; a period takes at least 20 steps
         for bad in (dict(v=math.nan), dict(v=math.inf), dict(t0=math.inf), dict(t0=math.nan),
                     dict(dt_divisor=0.0), dict(dt_divisor=-200.0), dict(dt_divisor=math.nan),
-                    dict(dt_divisor=math.inf), dict(dt_divisor=19.9),
-                    dict(mode_multiplier=math.nan)):
+                    dict(dt_divisor=math.inf), dict(dt_divisor=19.9)):
             with pytest.raises(ValueError):
                 SimConfig(**{"kappa0": 32, "v": 0.1, **bad})
 
     def test_keywords_defaults_and_read_only(self):
         config = SimConfig(v=0.2, kappa0=16)
-        assert (config.kappa0, config.v, config.t0, config.dt_divisor, config.mode_multiplier) == (
-            16, 0.2, 400.0 * math.pi, modesim.DEFAULT_DT_DIVISOR, 1.0)
-        given = SimConfig(16, 0.2, T0, 50.0, 2.0)
-        assert (given.t0, given.dt_divisor, given.mode_multiplier, given.n_modes) == (
-            T0, 50.0, 2.0, 32)
-        for field in ("kappa0", "v", "t0", "dt_divisor", "mode_multiplier", "extra"):
+        assert (config.kappa0, config.v, config.t0, config.dt_divisor) == (
+            16, 0.2, 400.0 * math.pi, modesim.DEFAULT_DT_DIVISOR)
+        given = SimConfig(16, 0.2, T0, 50.0)
+        assert (given.t0, given.dt_divisor) == (T0, 50.0)
+        with pytest.raises(TypeError):
+            SimConfig(16, 0.2, T0, 50.0, 2.0)  # four fields: a fifth argument has no place
+        for field in ("kappa0", "v", "t0", "dt_divisor", "extra"):
             with pytest.raises(AttributeError):
                 setattr(config, field, 1.0)
         assert (config.kappa0, config.v) == (16, 0.2)
@@ -163,6 +161,9 @@ class TestConfig:
             SimConfig(kappa0=1832, v=0.1)
         with pytest.raises(ValueError, match="GiB"):
             SimConfig(kappa0=10_000, v=0.1)
+        # a numpy kappa0 whose byte count wraps int64 (to 0 at 2^31) is refused too
+        with pytest.raises(ValueError, match="GiB"):
+            SimConfig(kappa0=np.int64(2**31), v=0.1)
 
     @pytest.mark.parametrize(
         "t0, dt_divisor",
@@ -183,7 +184,6 @@ class TestConfig:
 
     def test_default_step_scales_with_band_top(self):
         assert SimConfig(kappa0=32, v=0.1).step == 2.0 * math.pi / 200.0
-        assert SimConfig(kappa0=32, v=0.1, mode_multiplier=2.0).step == 2.0 * math.pi / 400.0
 
 
 class TestBuild:
@@ -191,11 +191,6 @@ class TestBuild:
         omega, coupling = build_sim(SimConfig(kappa0=8, v=0.1))
         assert omega.tolist() == [k / 8 for k in range(1, 9)]
         assert coupling.shape == omega.shape
-
-    def test_mode_multiplier_extends_ladder(self):
-        omega, coupling = build_sim(SimConfig(kappa0=8, v=0.1, mode_multiplier=2.0))
-        assert len(omega) == len(coupling) == 16
-        assert omega[-1] == 2.0
 
     def test_coupling_weights(self):
         _, coupling = build_sim(SimConfig(kappa0=8, v=0.1))
@@ -224,7 +219,7 @@ class TestStepForm:
 
     @pytest.mark.parametrize("v", [0.0, 0.5, 3.8])
     def test_one_step_matches_the_stages(self, v):
-        config = SimConfig(kappa0=16, v=v, t0=T0, mode_multiplier=1.5)
+        config = SimConfig(kappa0=24, v=v, t0=T0)
         omega, coupling = build_sim(config)
         K, h = omega.size, config.step
         t = 17.3 * h + 0.41  # off the step grid
@@ -240,8 +235,8 @@ class TestStepForm:
     @pytest.mark.parametrize("v", [0.0, 0.5, 3.8])
     @pytest.mark.parametrize("n", [1, 5, modesim.STEP_BLOCK])
     def test_block_matches_the_stages(self, v, n):
-        # 2K = 48 modes: the longest block's rank 4 n = 64 exceeds the state's
-        config = SimConfig(kappa0=16, v=v, t0=T0, mode_multiplier=1.5)
+        # 2K = 48: the longest block's rank 4 n = 64 exceeds the state's
+        config = SimConfig(kappa0=24, v=v, t0=T0)
         omega, coupling = build_sim(config)
         K, h = omega.size, config.step
         t = 17.3 * h + 0.41  # off the step grid
@@ -261,7 +256,7 @@ class TestStepForm:
     def test_period_matches_the_stages(self, run_strong_pump):
         # the benchmark's size: kappa0 64, one pump period of 200 steps
         config, matrix = run_strong_pump
-        K, h = config.n_modes, config.step
+        K, h = config.kappa0, config.step
         X, V = np.eye(K, 2 * K), np.eye(K, 2 * K, K)
         for n in range(config.steps_per_period):
             X, V = stage_step(config, n * h, h, X, V)
@@ -282,12 +277,11 @@ class TestFloquetAgainstStepping:
         [
             # 50 periods: checkpoints 3 or 4 whole periods apart
             (SimConfig(kappa0=16, v=0.5, t0=T0), 2.0 * math.pi / 200, 10000),
-            (SimConfig(kappa0=16, v=0.3, t0=T0, mode_multiplier=1.5), 2.0 * math.pi / 300, 15000),
             # 250.5 steps do not divide the period: rounded up to 251
             (SimConfig(kappa0=16, v=0.5, t0=T0, dt_divisor=250.5),
              2.0 * math.pi / 251, 12550),
         ],
-        ids=["gaps_3_and_4", "mode_multiplier_1.5", "snapped_step"],
+        ids=["gaps_3_and_4", "snapped_step"],
     )
     def test_matches_reference_stepper(self, config, h, n_steps):
         assert (config.step, config.n_steps) == (h, n_steps)
@@ -378,10 +372,9 @@ class TestEvolve:
 
 
 @functools.cache
-def radius_run(kappa0: int, v: float, dt_divisor: float = 200.0, mode_multiplier: float = 1.0):
+def radius_run(kappa0: int, v: float, dt_divisor: float = 200.0):
     """One shared run per ladder: the Hill radius and the monodromy."""
-    matrix = quiet_run(SimConfig(kappa0=kappa0, v=v, t0=T0, dt_divisor=dt_divisor,
-                                 mode_multiplier=mode_multiplier))
+    matrix = quiet_run(SimConfig(kappa0=kappa0, v=v, t0=T0, dt_divisor=dt_divisor))
     return matrix.spectral_radius(), matrix.monodromy
 
 
@@ -404,11 +397,10 @@ LADDERS_AT_200 = [(8, 0.0), (8, 0.24), (8, 1.0), (64, 0.0), (64, 0.24), (64, 1.0
 
 
 class TestSpectralRadius:
-    @pytest.mark.parametrize("kappa0, v, mode_multiplier",
-                             [(k, v, 1.0) for k, v in LADDERS_AT_200] + [(8, 1.0, 1.5)])
-    def test_period_map_is_reversible(self, kappa0, v, mode_multiplier):
+    @pytest.mark.parametrize("kappa0, v", LADDERS_AT_200)
+    def test_period_map_is_reversible(self, kappa0, v):
         # measured 4.3e-10 to 6.4e-10 (inverse) and below 1e-15 (transpose)
-        inverse, transpose = reversibility_defects(radius_run(kappa0, v, 200.0, mode_multiplier)[1])
+        inverse, transpose = reversibility_defects(radius_run(kappa0, v)[1])
         assert inverse <= 1e-8 and transpose <= 1e-8
 
     def test_pump_off_phase_breaks_reversibility(self, monkeypatch):
@@ -436,13 +428,15 @@ class TestSpectralRadius:
         # each free mode's m is real with |m| < 1, so |l| = 1 to rounding
         assert abs(radius_run(kappa0, 0.0, dt_divisor)[0] - 1.0) <= 1e-12
 
-    def test_both_radii_converge_with_modes_above_the_pump(self):
-        # mode_multiplier 1.5 at dt_divisor 200: the Hill and the full radius sit
-        # 1.7e-8 and 1.2e-8 below the dt_divisor 2000 one, where they agree to 5e-14
-        rho, M = radius_run(8, 1.0, 2000.0, 1.5)
-        assert abs(rho - full_radius(M)) <= 1e-11
-        coarse, M = radius_run(8, 1.0, 200.0, 1.5)
-        assert abs(coarse - rho) <= 1e-7 and abs(full_radius(M) - rho) <= 1e-7
+    def test_ladder_tells_the_two_regimes_apart(self):
+        # below the threshold the growth is the discrete pair resonance, ln rho ~ 1/kappa0:
+        # 0.03323 -> 0.01717 at v = 3.0; above it the continuum grows at a rate of its
+        # own, 0.06914 -> 0.06536 at v = 3.8
+        def ratio(v):
+            return math.log(radius_run(128, v)[0]) / math.log(radius_run(64, v)[0])
+
+        assert ratio(3.0) <= 0.6
+        assert ratio(3.8) >= 0.9
 
 
 class TestExtractRates:
@@ -508,11 +502,17 @@ class TestExtractRates:
 
 
 class TestTruncation:
-    def test_far_detuned_modes_stay_empty(self):
-        # modes above the pair band (no partner within 0.1) acquire less
-        # than 5% of the peak occupation
-        config = SimConfig(kappa0=64, v=0.1, t0=T0, mode_multiplier=1.5)
+    def test_far_detuned_modes_stay_empty(self, monkeypatch):
+        # modes above the pair band (no partner within 0.1) acquire less than
+        # 5% of the peak occupation (measured 2.1%): the evidence for ending the
+        # ladder at the pump frequency.  The test widens it to k = 1 .. 96 itself,
+        # with a step of 2 pi / 300 that resolves the top mode 1.5 as 200 resolves 1
+        config = SimConfig(kappa0=64, v=0.1, t0=T0, dt_divisor=300.0)
+        k = np.arange(1, 97, dtype=float)
+        monkeypatch.setattr(modesim, "build_sim",
+                            lambda config: (k / config.kappa0, k / (math.pi * config.kappa0**2)))
         matrix = quiet_run(config)
+        assert matrix.omega.size == 96 and matrix.omega[-1] == 1.5
         occupation = matrix.occupations[-1]
         detuned = matrix.omega > 1.1 + 1.0 / config.kappa0
         assert occupation[detuned].max() < 0.05 * occupation.max()
