@@ -393,6 +393,15 @@ def full_radius(M: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
+def widen_ladder(monkeypatch, n_modes: int) -> None:
+    """Wrap build_sim so that the ladder runs k = 1 .. n_modes, past the pump
+    frequency when n_modes > kappa0, with the same k / kappa0 spacing and
+    Q-expansion weights."""
+    k = np.arange(1, n_modes + 1, dtype=float)
+    monkeypatch.setattr(modesim, "build_sim",
+                        lambda config: (k / config.kappa0, k / (math.pi * config.kappa0**2)))
+
+
 LADDERS_AT_200 = [(8, 0.0), (8, 0.24), (8, 1.0), (64, 0.0), (64, 0.24), (64, 1.0)]
 
 
@@ -427,6 +436,21 @@ class TestSpectralRadius:
     def test_free_ladder_is_on_the_unit_circle(self, kappa0, dt_divisor):
         # each free mode's m is real with |m| < 1, so |l| = 1 to rounding
         assert abs(radius_run(kappa0, 0.0, dt_divisor)[0] - 1.0) <= 1e-12
+
+    def test_both_radii_converge_with_modes_above_the_pump(self, monkeypatch):
+        # k = 1 .. 12 at kappa0 8 (top mode 1.5), steps of 2 pi / 3000 and 2 pi / 300:
+        # the Hill radius needs only the reversibility of the period map, not a
+        # ladder that ends at the pump frequency.  The coarse Hill and full radii sit
+        # 1.7e-8 and 1.2e-8 below the fine one, where the two agree to 5e-14
+        widen_ladder(monkeypatch, 12)
+        fine = quiet_run(SimConfig(kappa0=8, v=1.0, t0=T0, dt_divisor=3000.0))
+        assert fine.omega.size == 12 and fine.omega[-1] == 1.5
+        rho = fine.spectral_radius()
+        assert abs(rho - full_radius(fine.monodromy)) <= 1e-11
+        coarse = quiet_run(SimConfig(kappa0=8, v=1.0, t0=T0, dt_divisor=300.0))
+        assert max(reversibility_defects(coarse.monodromy)) <= 1e-8
+        assert abs(coarse.spectral_radius() - rho) <= 1e-7
+        assert abs(full_radius(coarse.monodromy) - rho) <= 1e-7
 
     def test_ladder_tells_the_two_regimes_apart(self):
         # below the threshold the growth is the discrete pair resonance, ln rho ~ 1/kappa0:
@@ -508,9 +532,7 @@ class TestTruncation:
         # ladder at the pump frequency.  The test widens it to k = 1 .. 96 itself,
         # with a step of 2 pi / 300 that resolves the top mode 1.5 as 200 resolves 1
         config = SimConfig(kappa0=64, v=0.1, t0=T0, dt_divisor=300.0)
-        k = np.arange(1, 97, dtype=float)
-        monkeypatch.setattr(modesim, "build_sim",
-                            lambda config: (k / config.kappa0, k / (math.pi * config.kappa0**2)))
+        widen_ladder(monkeypatch, 96)
         matrix = quiet_run(config)
         assert matrix.omega.size == 96 and matrix.omega[-1] == 1.5
         occupation = matrix.occupations[-1]
