@@ -41,26 +41,27 @@ from . import kernel
 # tests/test_modesim.py::test_rate_normalization_matches_perturbative_limit.
 MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 
-DEFAULT_DT_DIVISOR = 200.0  # RK4 steps per pump period
+DEFAULT_DT_DIVISOR = 200.0  # GL2 steps per pump period
 CHECKPOINTS = 16  # whole pump periods sampled over the run; 8 or 9 fall at or after t0/2
 AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
 COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
 COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance criterion 8)
 
-# Work a SimConfig may ask of evolve: RK4 steps per pump period, pump periods,
+# Work a SimConfig may ask of evolve: steps per pump period, pump periods,
 # and bytes of the 2K x 2K maps held at once: the leaps, plus at most 8 more
-# at the measured peak (monodromy, power and successor, matrix_power's
-# temporaries, the real checkpoint arrays and the complex ones that project
-# mu and nu at the last checkpoint).  The period's own working set,
-# two state buffers, one block's U, V and V Z and the step tables of STEP_BLOCK
-# steps, is smaller once 2K >= 4 STEP_BLOCK and is freed before the leaps.
+# at the measured peak (half period, monodromy, power and successor,
+# matrix_power's temporaries, the real checkpoint arrays and the complex ones
+# that project mu and nu).  The stepping's own working set is smaller.
 # kappa0 256, 3000 steps and 200 periods stay far below, and a run inside the
 # recurrence time 2 pi kappa0 of any kappa0 the map bound admits spans fewer
 # than 2,000 periods.
 MAX_STEPS_PER_PERIOD = 100_000
 MAX_PERIODS = 10_000
 MAX_MAP_BYTES = 2**30
-STEP_BLOCK = 16  # RK4 steps that _block_map folds into one map
+STEP_BLOCK = 16  # most steps that _block_map folds into one map
+# the 2-stage Gauss-Legendre method: nodes A 1 and the square of its Butcher matrix A
+GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+GAUSS_A2 = np.array([[1.0, 3.0 - 2.0 * math.sqrt(3.0)], [3.0 + 2.0 * math.sqrt(3.0), 1.0]]) / 24.0
 
 
 def _ceil(x: float) -> int:
@@ -82,11 +83,13 @@ class SimConfig:
 
     kappa0, an integer >= 8, sets the mode count and spacing
     (delta omega = 1/kappa0); t0 is the total modulation time.  A pump period
-    takes ceil(dt_divisor) RK4 steps, so the step divides the period and is
-    never coarser than 2 pi / dt_divisor (2 pi: the period of the pump and of
-    the top mode omega = 1); the default 200 keeps the per-row symplectic
-    defect of the RK4 map below 1e-6 out to t0 = 400 pi.  The run ends at the
-    whole pump period nearest ceil(t0 / step) steps, within half a period of t0.
+    takes the even number of GL2 steps at or above dt_divisor, so the step
+    divides the half period and is never coarser than 2 pi / dt_divisor
+    (2 pi: the period of the pump and of the top mode omega = 1).  GL2 is
+    symplectic, so the step sets only the accuracy: at the default 200 the
+    rates of kappa0 64 at v <= 3 lie within 6e-8 of a dt_divisor 2000 run.
+    The run ends at the whole pump period nearest ceil(t0 / step) steps,
+    within half a period of t0.
     Read-only: assigning a field raises AttributeError.  It and the three
     records below are plain classes, since dataclasses add their import and
     about 1 ms a class to a cold start.
@@ -124,9 +127,10 @@ class SimConfig:
 
     @property
     def steps_per_period(self) -> int:
-        """RK4 steps per pump period 2 pi, a whole number so that Floquet
-        composition is exact."""
-        return _ceil(self.dt_divisor)
+        """Steps per pump period 2 pi: the even number at or above dt_divisor,
+        whole so that Floquet composition is exact and even so that the
+        period folds at t = pi."""
+        return 2 * _ceil(0.5 * self.dt_divisor)
 
     @property
     def step(self) -> float:
@@ -162,29 +166,34 @@ class BogoliubovMatrix:
 
     mu[k, j], nu[k, j]: coefficients of a_j, a_j^dagger in the out-mode k.
     occupations[c, k] = N_k at checkpoint time times[c].
-    monodromy: the one-period map M of the real fundamental (x, x').
+    half_period: the map Mh of the real fundamental (x, x') from t = 0 to pi;
+    monodromy: the one-period map M folded from it.
     """
 
-    __slots__ = ("mu", "nu", "omega", "times", "occupations", "config", "monodromy")
+    __slots__ = ("mu", "nu", "omega", "times", "occupations", "config", "half_period")
 
     def __init__(self, mu: np.ndarray, nu: np.ndarray, omega: np.ndarray, times: np.ndarray,
-                 occupations: np.ndarray, config: SimConfig, monodromy: np.ndarray):
+                 occupations: np.ndarray, config: SimConfig, half_period: np.ndarray):
         self.mu, self.nu, self.omega, self.times = mu, nu, omega, times
-        self.occupations, self.config, self.monodromy = occupations, config, monodromy
+        self.occupations, self.config, self.half_period = occupations, config, half_period
+
+    @property
+    def monodromy(self) -> np.ndarray:
+        return _fold(self.half_period)
 
     def spectral_radius(self) -> float:
         """Largest |eigenvalue| of the monodromy; above 1 the pumped modes
-        grow parametrically.  From the K x K block M_xx by the matrix Hill
-        discriminant (Magnus & Winkler, Hill's Equation, ch. 2): the force
-        2 v cos t w_k c_j is symmetric and even in t and the period starts at
-        t = 0, so M^-1 = T M T, T = diag(I, -I), M + M^-1 = 2 diag(M_xx, M_vv)
-        and M_xx = M_vv^T; each pair {l, 1/l} is one eigenvalue m of M_xx,
-        l = m +- sqrt(m^2 - 1).  RK4 keeps M^-1 = T M T to its truncation
-        error (5e-10 of max |M| at dt_divisor 200), so l errs as RK4 does."""
-        K = len(self.omega)
-        m = np.linalg.eigvals(self.monodromy[:K, :K])
-        root = np.sqrt(m * m - 1.0 + 0j)
-        return float(np.maximum(np.abs(m + root), np.abs(m - root)).max())
+        grow parametrically.  By the matrix Hill discriminant (Magnus &
+        Winkler, Hill's Equation, ch. 2), M^-1 = T M T, exact by evolve's
+        fold, pairs each {l, 1/l} with one eigenvalue m = (l + 1/l) / 2 of
+        M_xx.  From the half period [[A, B], [C, D]], M_xx - I = 2 B^T C and
+        M_xx + I = 2 D^T A, so m = (1 + s) / (1 - s) and
+        l = (1 +- sqrt(s))^2 / (1 - s) for the eigenvalues s of
+        (D^T A)^-1 B^T C: unlike m, s keeps the free modes at m = +-1
+        (omega = 1/2, 1), where m rounds and the root errs by 1e-7."""
+        K, H = len(self.omega), self.half_period
+        s = np.linalg.eigvals(np.linalg.solve(H[K:, K:].T @ H[:K, :K], H[:K, K:].T @ H[K:, :K]))
+        return float((np.abs(1.0 + np.sqrt(s + 0j)) ** 2 / np.abs(1.0 - s)).max())
 
     def symplectic_defect(self) -> float:
         """max_k |sum_j (|mu_kj|^2 - |nu_kj|^2) - 1|, the unitarity residue."""
@@ -230,47 +239,36 @@ def _project(X: np.ndarray, V: np.ndarray, omega: np.ndarray, t: float):
 
 
 def _step_maps(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: np.ndarray):
-    """One classical RK4 step of length h from each time in t, in closed form.
+    """One 2-stage Gauss-Legendre (GL2) step of length h from each time in t, in closed form.
 
     The acceleration a w (Q - self term) - w^2 X, a = 2 v cos t, is rank one
     plus diagonal: alpha (c . X) - d X with alpha = a w and d = w^2 + a w c.
-    The four stages are then linear in the state Z = [X; V] through four
-    functionals u = R Z, the c-weighted sums the stages evaluate, so a step is
-    Z <- D Z + B u.  Returns D (S, 2, 2, K, 1), the per-mode diagonals
-    [[px, qx], [pv, qv]]; R (S, 4, 2K); and B (S, 2K, 4), for S = len(t).
+    With the Butcher matrix A, nodes A 1 = 1/2 -+ sqrt(3)/6 and weights 1/2,
+    the stage positions Y of a mode solve
+    (I + h^2 A^2 diag(d)) Y = X + h (A 1) V + h^2 A^2 diag(alpha) u, where
+    the two stage sums u = c . Y close a 2 x 2 system u = R Z on the state
+    Z = [X; V].  The stage forces F = alpha u - d Y then give
+    X += h V + h^2 sum_i (1 - A1_i) F_i / 2 and V += h sum_i F_i / 2, so a
+    step is Z <- D Z + B u.  Returns D (S, 2, 2, K), the per-mode diagonals
+    [[px, qx], [pv, qv]]; R (S, 2, 2K); and B (S, 2K, 2), for S = len(t).
     """
-    w, c, hh = omega, coupling, h * h
+    w, c, q = omega, coupling, h * h * GAUSS_A2
     S, K = len(t), len(w)
-    a = 2.0 * v * np.cos(t + np.array([[0.0], [0.5 * h], [h]]))[:, :, None]  # stage times
-    al1, al2, al4 = a * w
-    d = w * w + a * (w * c)
-    d1, d2, d4 = d
-    m4, m2 = 1.0 - hh / 4.0 * d2, 1.0 - hh / 2.0 * d2
-    D = np.empty((S, 2, 2, K, 1))
-    D[:, 0, 0, :, 0] = 1.0 - hh / 6.0 * (d1 * m4 + 2.0 * d2)
-    D[:, 0, 1, :, 0] = h * (1.0 - hh / 6.0 * d2)
-    D[:, 1, 0, :, 0] = -h / 6.0 * ((d1 + d4) * m2 + 4.0 * d2)
-    D[:, 1, 1, :, 0] = 1.0 - hh / 6.0 * (d4 * m4 + 2.0 * d2)
-    # u1 = c.X, u2 = c.(X + h V / 2), u3 = u2 + h^2 c.k1 / 4, u4 = c.(X + h V) + h^2 c.k2 / 2,
-    # where c.k_j = (a_j c.w) c.X_j - (c d_j).X_j at the stage's argument X_j
-    e1, e2 = hh / 4.0 * c * (a[:2] * (c @ w) - d[:2])
-    R = np.empty((S, 4, 2, K))
-    R[:, :, 0] = c
-    R[:, 0, 1] = 0.0
-    R[:, 1:3, 1] = 0.5 * h * c
-    R[:, 2, 0] += e1
-    R[:, 3, 0] += 2.0 * e2
-    R[:, 3, 1] = h * (c + e2)
-    # the u terms of X += h^2 (k1 + k2 + k3) / 6 and V += h (k1 + 2 k2 + 2 k3 + k4) / 6
-    B = np.empty((S, 2, K, 4))
-    B[:, 0, :, 0] = hh / 6.0 * al1 * m4
-    B[:, 0, :, 1] = B[:, 0, :, 2] = hh / 6.0 * al2
-    B[:, 0, :, 3] = 0.0
-    B[:, 1, :, 0] = h / 6.0 * al1 * m2
-    B[:, 1, :, 1] = h / 6.0 * al2 * (2.0 - hh / 2.0 * d4)
-    B[:, 1, :, 2] = h / 3.0 * al2
-    B[:, 1, :, 3] = h / 6.0 * al4
-    return D, R.reshape(S, 4, 2 * K), B.reshape(S, 2 * K, 4)
+    alpha = 2.0 * v * np.cos(t + h * GAUSS_NODES[:, None])[:, :, None] * w  # (stage, S, K)
+    d = w * w + alpha * c
+    # G = (I + q diag(d))^-1 per mode, by the adjugate: Y = g [X; V] + Gq u
+    m00, m01, m10, m11 = 1.0 + q[0, 0] * d[0], q[0, 1] * d[1], q[1, 0] * d[0], 1.0 + q[1, 1] * d[1]
+    G = np.array([[m11, -m01], [-m10, m00]]) / (m00 * m11 - m01 * m10)
+    g = np.einsum("ilsk,lm->imsk", G, np.c_[[1.0, 1.0], h * GAUSS_NODES])
+    Gq = np.einsum("ilsk,lj->ijsk", G, q) * alpha
+    coupled = np.eye(2) - np.einsum("ijsk,k->sij", Gq, c)
+    R = np.linalg.inv(coupled) @ (c * g).transpose(2, 0, 1, 3).reshape(S, 2, 2 * K)
+    # F = alpha u - d Y is -d g per [X; V] and Fu per u; X gains h^2 (1 - A1) / 2 . F, V h / 2 . F
+    Fu = np.eye(2)[:, :, None, None] * alpha - d[:, None] * Gq
+    wq = np.array([0.5 * h * h * (1.0 - GAUSS_NODES), [0.5 * h, 0.5 * h]])  # the rows of X and V
+    D = np.array([[1.0, h], [0.0, 1.0]])[..., None] - np.einsum("ri,imsk->srmk", wq, d[:, None] * g)
+    B = np.einsum("ri,ijsk->srkj", wq, Fu)
+    return D, R, B.reshape(S, 2 * K, 2)
 
 
 def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: np.ndarray):
@@ -280,39 +278,47 @@ def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: n
     step is Y <- Y + Bt_s (Rt_s Y), Rt_s = R_s P_s, Bt_s = P_{s+1}^-1 B_s.  The
     functionals u_s = Rt_s Y_s solve u = Rt Y_0 + N u, N the strictly block-lower
     part of Rt Bt: forward substitution gives u = V Y_0, V = (I - N)^-1 Rt, and
-    Y_n = (I + U V) Y_0 with U = Bt.  Returns P_n (2, 2, K), U (2K, 4n), V (4n, 2K).
+    Y_n = (I + U V) Y_0 with U = Bt.  Returns P_n (2, 2, K), U (2K, 2n), V (2n, 2K).
     """
     D, R, B = _step_maps(omega, coupling, v, h, t)
     n, K = len(t), omega.size
     P = np.empty((n + 1, 2, 2, K))
-    P[0] = np.eye(2)[:, :, None]
-    for s in range(n):
-        P[s + 1] = np.einsum("abk,bck->ack", D[s, ..., 0], P[s])
-    # det P_s is near 1 (RK4 nearly keeps phase-space area): invert by the adjugate
-    adjugate = P[1:, ::-1, ::-1].swapaxes(1, 2) * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
-    inverse = adjugate / (P[1:, 0, 0] * P[1:, 1, 1] - P[1:, 0, 1] * P[1:, 1, 0])[:, None, None]
-    Rt = np.einsum("siak,sack->sick", R.reshape(n, 4, 2, K), P[:n]).reshape(4 * n, 2 * K)
-    U = np.einsum("sabk,sbki->aksi", inverse, B.reshape(n, 2, K, 4)).reshape(2 * K, 4 * n)
+    P[0], P[1:] = np.eye(2)[:, :, None], D
+    for r in range((n - 1).bit_length()):  # prefix products by doubling
+        P[1 << r:] = np.einsum("sabk,sbck->sack", P[1 << r:], P[:-(1 << r)])
+    # GL2 keeps each mode's phase-space area, det P_s = 1: the inverse is the adjugate
+    inverse = P[1:, ::-1, ::-1].swapaxes(1, 2) * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
+    Rt = np.einsum("siak,sack->sick", R.reshape(n, 2, 2, K), P[:n]).reshape(2 * n, 2 * K)
+    U = np.einsum("sabk,sbki->aksi", inverse, B.reshape(n, 2, K, 2)).reshape(2 * K, 2 * n)
     N = Rt @ U
     V = Rt.copy()
     for s in range(1, n):
-        V[4 * s:4 * s + 4] += N[4 * s:4 * s + 4, :4 * s] @ V[:4 * s]
+        V[2 * s:2 * s + 2] += N[2 * s:2 * s + 2, :2 * s] @ V[:2 * s]
     return P[n], U, V
+
+
+def _fold(half: np.ndarray) -> np.ndarray:
+    """The monodromy [[D^T, B^T], [C^T, A^T]] Mh of the half period Mh = [[A, B], [C, D]]."""
+    K = len(half) // 2
+    A, B, C, D = half[:K, :K], half[:K, K:], half[K:, :K], half[K:, K:]
+    return np.block([[D.T, B.T], [C.T, A.T]]) @ half
 
 
 def evolve(config: SimConfig) -> BogoliubovMatrix:
     """Propagate the fundamental solution on the mode ladder of build_sim
     and extract (mu, nu).
 
-    The equations are linear and 2 pi-periodic and the RK4 step h divides
-    the period into n_p steps, so the map over q whole periods is M^q
-    (Floquet).  One period of RK4 on the real 2K x 2K fundamental
-    Z = [x; x'] gives the monodromy M.  Each step is Z <- D Z + B (R Z)
-    (_step_maps), and each block of n <= STEP_BLOCK steps from the period
-    start is one exact map P (I + U V) (_block_map), applied as
-    W = Z + U (V Z), one (4n x 2K)(2K x 2K) and one (2K x 4n)(4n x 2K)
-    product, then Z = P W per mode.  Occupations are recorded stroboscopically,
-    at the whole periods of checkpoint_steps, for the stationary-rate fit in
+    The equations are linear and 2 pi-periodic and the step h divides the
+    period into an even n_p steps, so the map over q whole periods is M^q
+    (Floquet).  GL2 steps the real 2K x 2K fundamental Z = [x; x'] over the
+    first half period: each block of n = min(STEP_BLOCK, K) steps is one
+    exact map P (I + U V) (_block_map), applied as W = Z + U (V Z), a
+    (2n x 2K)(2K x 2K) and a (2K x 2n)(2n x 2K) product, then Z = P W per
+    mode.  GL2 is symmetric and the pump even in t, so the second half is
+    T Mh^-1 T, T = diag(I, -I), and GL2 is symplectic, Mh^-1 = J^T Mh^T J:
+    Mh = [[A, B], [C, D]] folds into M = [[D^T, B^T], [C^T, A^T]] Mh
+    (_fold), one product.  Occupations are recorded stroboscopically, at the
+    whole periods of checkpoint_steps, for the stationary-rate fit in
     extract_rates: the map F = M^q to a checkpoint is a product of leaps M^g,
     one matrix_power per distinct gap of g periods, and the occupations are
     taken from F in real arithmetic; (mu, nu) are projected once, at the last
@@ -338,20 +344,23 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
         Z, W = np.eye(2 * K), np.empty((2 * K, 2 * K))  # the fundamental [x; x'] starts at I
         Z3, W3 = Z.reshape(2, K, 2 * K), W.reshape(2, K, 2 * K)
-        for start in range(0, n_p, STEP_BLOCK):
-            steps = np.arange(start, min(start + STEP_BLOCK, n_p))
+        half, block = n_p // 2, min(STEP_BLOCK, K)
+        for start in range(0, half, block):
+            steps = np.arange(start, min(start + block, half))
             P, U, V = _block_map(omega, coupling, config.v, h, h * steps)
             np.matmul(U, V @ Z, out=W)
             W += Z
             np.einsum("abk,bkj->akj", P, W3, out=Z3)
-        monodromy = Z
-        del Z, W, Z3, W3, P, U, V  # the second buffer, its view and the block map
+        half_period = Z
+        del Z, W, Z3, W3, P, U, V  # the second buffer, the views and the block map
+        monodromy = _fold(half_period)
 
         # x(0) = x0 = 1/sqrt(2 w), x'(0) = -i w x0 on the fundamental F gives
         # x = x0 (F_xx - i w F_xv), and N_k = (w_k / 2) sum_j |x_kj - i x'_kj / w_k|^2
         x0 = 1.0 / np.sqrt(2.0 * omega)
         wx0 = omega * x0
         leaps = {g: np.linalg.matrix_power(monodromy, g) for g in config.kept_maps}
+        del monodromy
         F = np.eye(2 * K)
         occupations = np.empty((len(check_steps), K))
         for c, g in enumerate(np.diff(check_steps // n_p, prepend=0).tolist()):
@@ -369,7 +378,7 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
 
     return BogoliubovMatrix(
         mu=mu, nu=nu, omega=omega, times=check_steps * h, occupations=occupations,
-        config=config, monodromy=monodromy,
+        config=config, half_period=half_period,
     )
 
 
