@@ -41,7 +41,7 @@ from . import kernel
 # tests/test_modesim.py::test_rate_normalization_matches_perturbative_limit.
 MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 
-DEFAULT_DT_DIVISOR = 200.0  # GL2 steps per pump period
+DEFAULT_DT_DIVISOR = 40.0  # GL3 steps per pump period
 CHECKPOINTS = 16  # whole pump periods sampled over the run; 8 or 9 fall at or after t0/2
 AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
 COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
@@ -58,10 +58,14 @@ COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance 
 MAX_STEPS_PER_PERIOD = 100_000
 MAX_PERIODS = 10_000
 MAX_MAP_BYTES = 2**30
-STEP_BLOCK = 16  # most steps that _block_map folds into one map
-# the 2-stage Gauss-Legendre method: nodes A 1 and the square of its Butcher matrix A
-GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
-GAUSS_A2 = np.array([[1.0, 3.0 - 2.0 * math.sqrt(3.0)], [3.0 + 2.0 * math.sqrt(3.0), 1.0]]) / 24.0
+STEP_BLOCK = 20  # most steps that _block_map folds into one map
+# the 3-stage Gauss-Legendre method: its Butcher matrix A, nodes A 1 and weights b
+_R15 = math.sqrt(15.0)
+GAUSS_A = np.array([[5.0 / 36.0, 2.0 / 9.0 - _R15 / 15.0, 5.0 / 36.0 - _R15 / 30.0],
+                    [5.0 / 36.0 + _R15 / 24.0, 2.0 / 9.0, 5.0 / 36.0 - _R15 / 24.0],
+                    [5.0 / 36.0 + _R15 / 30.0, 2.0 / 9.0 + _R15 / 15.0, 5.0 / 36.0]])
+GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * _R15 / 10.0
+GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 def _ceil(x: float) -> int:
@@ -71,7 +75,8 @@ def _ceil(x: float) -> int:
 
 
 class IntegratorUnstable(Exception):
-    """An amplitude went non-finite or past AMPLITUDE_BOUND during evolution."""
+    """The step is too coarse for the pump, or an amplitude went non-finite or
+    past AMPLITUDE_BOUND during evolution."""
 
 
 class ModeRecurrenceWarning(UserWarning):
@@ -83,11 +88,12 @@ class SimConfig:
 
     kappa0, an integer >= 8, sets the mode count and spacing
     (delta omega = 1/kappa0); t0 is the total modulation time.  A pump period
-    takes the even number of GL2 steps at or above dt_divisor, so the step
+    takes the even number of GL3 steps at or above dt_divisor, so the step
     divides the half period and is never coarser than 2 pi / dt_divisor
-    (2 pi: the period of the pump and of the top mode omega = 1).  GL2 is
-    symplectic, so the step sets only the accuracy: at the default 200 the
-    rates of kappa0 64 at v <= 3 lie within 6e-8 of a dt_divisor 2000 run.
+    (2 pi: the period of the pump and of the top mode omega = 1).  GL3 is
+    symplectic, so the step sets only the accuracy: at the default 40 the
+    rates of kappa0 64 at v <= 3 lie within 1.4e-8 (relative) of a
+    dt_divisor 2000 run.
     The run ends at the whole pump period nearest ceil(t0 / step) steps,
     within half a period of t0.
     Read-only: assigning a field raises AttributeError.  It and the three
@@ -231,44 +237,43 @@ def build_sim(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return k / config.kappa0, k / (math.pi * config.kappa0**2)
 
 
-def _project(X: np.ndarray, V: np.ndarray, omega: np.ndarray, t: float):
-    """Bogoliubov coefficients (mu, nu) of the out-modes e^{-+i w_k t} at time t."""
-    pref = (np.sqrt(0.5 * omega) * np.exp(1j * omega * t))[:, None]
-    dx = 1j * V / omega[:, None]
-    return pref * (X + dx), pref * np.conj(X - dx)
+def _inverse3(m: np.ndarray) -> np.ndarray:
+    """The inverses of the 3 x 3 matrices m[:, :, ...], by cofactors."""
+    r1, r2 = [1, 2, 0], [2, 0, 1]
+    # cof[j, i] is the cofactor of m[j, i]: the cyclic order carries its sign
+    cof = m[np.ix_(r1, r1)] * m[np.ix_(r2, r2)] - m[np.ix_(r1, r2)] * m[np.ix_(r2, r1)]
+    return cof.swapaxes(0, 1) / (m[0] * cof[0]).sum(axis=0)
 
 
 def _step_maps(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: np.ndarray):
-    """One 2-stage Gauss-Legendre (GL2) step of length h from each time in t, in closed form.
+    """One 3-stage Gauss-Legendre (GL3) step of length h from each time in t, in closed form.
 
     The acceleration a w (Q - self term) - w^2 X, a = 2 v cos t, is rank one
     plus diagonal: alpha (c . X) - d X with alpha = a w and d = w^2 + a w c.
-    With the Butcher matrix A, nodes A 1 = 1/2 -+ sqrt(3)/6 and weights 1/2,
-    the stage positions Y of a mode solve
-    (I + h^2 A^2 diag(d)) Y = X + h (A 1) V + h^2 A^2 diag(alpha) u, where
-    the two stage sums u = c . Y close a 2 x 2 system u = R Z on the state
+    With the Butcher matrix A, nodes A 1 = 1/2 -+ sqrt(15)/10, 1/2 and
+    weights b, the stage positions Y of a mode solve
+    (I + h^2 A^2 diag(d)) Y = X 1 + h (A 1) V + h^2 A^2 diag(alpha) u, where
+    the three stage sums u = c . Y close a 3 x 3 system u = R Z on the state
     Z = [X; V].  The stage forces F = alpha u - d Y then give
-    X += h V + h^2 sum_i (1 - A1_i) F_i / 2 and V += h sum_i F_i / 2, so a
+    X += h V + h^2 sum_i b_i (1 - A1_i) F_i and V += h sum_i b_i F_i, so a
     step is Z <- D Z + B u.  Returns D (S, 2, 2, K), the per-mode diagonals
-    [[px, qx], [pv, qv]]; R (S, 2, 2K); and B (S, 2K, 2), for S = len(t).
+    [[px, qx], [pv, qv]]; R (S, 3, 2K); and B (S, 2K, 3), for S = len(t).
     """
-    w, c, q = omega, coupling, h * h * GAUSS_A2
-    S, K = len(t), len(w)
+    w, c, q = omega, coupling, h * h * GAUSS_A @ GAUSS_A
     alpha = 2.0 * v * np.cos(t + h * GAUSS_NODES[:, None])[:, :, None] * w  # (stage, S, K)
     d = w * w + alpha * c
-    # G = (I + q diag(d))^-1 per mode, by the adjugate: Y = g [X; V] + Gq u
-    m00, m01, m10, m11 = 1.0 + q[0, 0] * d[0], q[0, 1] * d[1], q[1, 0] * d[0], 1.0 + q[1, 1] * d[1]
-    G = np.array([[m11, -m01], [-m10, m00]]) / (m00 * m11 - m01 * m10)
-    g = np.einsum("ilsk,lm->imsk", G, np.c_[[1.0, 1.0], h * GAUSS_NODES])
+    # G = (I + q diag(d))^-1 per mode: Y = g [X; V] + Gq u
+    G = _inverse3(np.eye(3)[:, :, None, None] + q[:, :, None, None] * d)
+    g = np.einsum("ilsk,lm->imsk", G, np.c_[np.ones(3), h * GAUSS_NODES])
     Gq = np.einsum("ilsk,lj->ijsk", G, q) * alpha
-    coupled = np.eye(2) - np.einsum("ijsk,k->sij", Gq, c)
-    R = np.linalg.inv(coupled) @ (c * g).transpose(2, 0, 1, 3).reshape(S, 2, 2 * K)
-    # F = alpha u - d Y is -d g per [X; V] and Fu per u; X gains h^2 (1 - A1) / 2 . F, V h / 2 . F
-    Fu = np.eye(2)[:, :, None, None] * alpha - d[:, None] * Gq
-    wq = np.array([0.5 * h * h * (1.0 - GAUSS_NODES), [0.5 * h, 0.5 * h]])  # the rows of X and V
+    coupled = np.eye(3)[:, :, None] - np.einsum("ijsk,k->ijs", Gq, c)
+    R = np.einsum("ijs,jmsk->simk", _inverse3(coupled), c * g).reshape(len(t), 3, -1)
+    # F = alpha u - d Y is -d g per [X; V] and Fu per u; X gains h^2 b (1 - A1) . F, V h b . F
+    Fu = np.eye(3)[:, :, None, None] * alpha - d[:, None] * Gq
+    wq = np.array([h * h * GAUSS_WEIGHTS * (1.0 - GAUSS_NODES), h * GAUSS_WEIGHTS])  # rows X, V
     D = np.array([[1.0, h], [0.0, 1.0]])[..., None] - np.einsum("ri,imsk->srmk", wq, d[:, None] * g)
     B = np.einsum("ri,ijsk->srkj", wq, Fu)
-    return D, R, B.reshape(S, 2 * K, 2)
+    return D, R, B.reshape(len(t), -1, 3)
 
 
 def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: np.ndarray):
@@ -278,7 +283,7 @@ def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: n
     step is Y <- Y + Bt_s (Rt_s Y), Rt_s = R_s P_s, Bt_s = P_{s+1}^-1 B_s.  The
     functionals u_s = Rt_s Y_s solve u = Rt Y_0 + N u, N the strictly block-lower
     part of Rt Bt: forward substitution gives u = V Y_0, V = (I - N)^-1 Rt, and
-    Y_n = (I + U V) Y_0 with U = Bt.  Returns P_n (2, 2, K), U (2K, 2n), V (2n, 2K).
+    Y_n = (I + U V) Y_0 with U = Bt.  Returns P_n (2, 2, K), U (2K, 3n), V (3n, 2K).
     """
     D, R, B = _step_maps(omega, coupling, v, h, t)
     n, K = len(t), omega.size
@@ -286,14 +291,14 @@ def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: n
     P[0], P[1:] = np.eye(2)[:, :, None], D
     for r in range((n - 1).bit_length()):  # prefix products by doubling
         P[1 << r:] = np.einsum("sabk,sbck->sack", P[1 << r:], P[:-(1 << r)])
-    # GL2 keeps each mode's phase-space area, det P_s = 1: the inverse is the adjugate
+    # GL3 keeps each mode's phase-space area, det P_s = 1: the inverse is the adjugate
     inverse = P[1:, ::-1, ::-1].swapaxes(1, 2) * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
-    Rt = np.einsum("siak,sack->sick", R.reshape(n, 2, 2, K), P[:n]).reshape(2 * n, 2 * K)
-    U = np.einsum("sabk,sbki->aksi", inverse, B.reshape(n, 2, K, 2)).reshape(2 * K, 2 * n)
+    Rt = np.einsum("siak,sack->sick", R.reshape(n, 3, 2, K), P[:n]).reshape(3 * n, 2 * K)
+    U = np.einsum("sabk,sbki->aksi", inverse, B.reshape(n, 2, K, 3)).reshape(2 * K, 3 * n)
     N = Rt @ U
     V = Rt.copy()
     for s in range(1, n):
-        V[2 * s:2 * s + 2] += N[2 * s:2 * s + 2, :2 * s] @ V[:2 * s]
+        V[3 * s:3 * s + 3] += N[3 * s:3 * s + 3, :3 * s] @ V[:3 * s]
     return P[n], U, V
 
 
@@ -310,21 +315,22 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
 
     The equations are linear and 2 pi-periodic and the step h divides the
     period into an even n_p steps, so the map over q whole periods is M^q
-    (Floquet).  GL2 steps the real 2K x 2K fundamental Z = [x; x'] over the
-    first half period: each block of n = min(STEP_BLOCK, K) steps is one
+    (Floquet).  GL3 steps the real 2K x 2K fundamental Z = [x; x'] over the
+    first half period: each block of n = min(STEP_BLOCK, 2K // 3) steps is one
     exact map P (I + U V) (_block_map), applied as W = Z + U (V Z), a
-    (2n x 2K)(2K x 2K) and a (2K x 2n)(2n x 2K) product, then Z = P W per
-    mode.  GL2 is symmetric and the pump even in t, so the second half is
-    T Mh^-1 T, T = diag(I, -I), and GL2 is symplectic, Mh^-1 = J^T Mh^T J:
+    (3n x 2K)(2K x 2K) and a (2K x 3n)(3n x 2K) product, then Z = P W per
+    mode.  GL3 is symmetric and the pump even in t, so the second half is
+    T Mh^-1 T, T = diag(I, -I), and GL3 is symplectic, Mh^-1 = J^T Mh^T J:
     Mh = [[A, B], [C, D]] folds into M = [[D^T, B^T], [C^T, A^T]] Mh
     (_fold), one product.  Occupations are recorded stroboscopically, at the
     whole periods of checkpoint_steps, for the stationary-rate fit in
-    extract_rates: the map F = M^q to a checkpoint is a product of leaps M^g,
-    one matrix_power per distinct gap of g periods, and the occupations are
-    taken from F in real arithmetic; (mu, nu) are projected once, at the last
-    checkpoint.
+    extract_rates: the map F to a checkpoint is a product of leaps, one
+    matrix_power per distinct gap of g periods, taken in the scaled
+    coordinates (x, x' / w), where the occupations and the amplitude check
+    are a few passes over F; (mu, nu) are projected once, at the last one.
 
-    Raises IntegratorUnstable if any amplitude is not finite or exceeds
+    Raises IntegratorUnstable if the step cannot resolve the stiffest stage
+    (h^2 max|d| > 1, see _step_maps) or any amplitude is not finite or exceeds
     AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
     """
     if config.v > 0.0 and config.t0 > config.recurrence_time:
@@ -340,41 +346,47 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     K = omega.size
     n_p, h = config.steps_per_period, config.step
     check_steps = config.checkpoint_steps
+    # past h^2 max|d| = 1 the step no longer resolves the stiffest stage, and the stepped
+    # map can stay below AMPLITUDE_BOUND where the true one grows past it (v = 1e10, kappa0 8)
+    stiffness = h * h * float((omega * omega + 2.0 * config.v * omega * coupling).max())
+    if not stiffness <= 1.0:
+        raise IntegratorUnstable(f"step {h:.4g} too coarse for v = {config.v}: h^2 max|d| = "
+                                 f"{stiffness:.3g} > 1")
 
     with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
         Z, W = np.eye(2 * K), np.empty((2 * K, 2 * K))  # the fundamental [x; x'] starts at I
         Z3, W3 = Z.reshape(2, K, 2 * K), W.reshape(2, K, 2 * K)
-        half, block = n_p // 2, min(STEP_BLOCK, K)
-        for start in range(0, half, block):
-            steps = np.arange(start, min(start + block, half))
-            P, U, V = _block_map(omega, coupling, config.v, h, h * steps)
+        times, block = h * np.arange(n_p // 2), min(STEP_BLOCK, 2 * K // 3)
+        for start in range(0, times.size, block):
+            P, U, V = _block_map(omega, coupling, config.v, h, times[start:start + block])
             np.matmul(U, V @ Z, out=W)
             W += Z
             np.einsum("abk,bkj->akj", P, W3, out=Z3)
         half_period = Z
         del Z, W, Z3, W3, P, U, V  # the second buffer, the views and the block map
-        monodromy = _fold(half_period)
+        # the leaps in the scaled coordinates (x, x' / w): L = Dl M Dl^-1, Dl = diag(1, 1/w)
+        scaled = _fold(half_period)
+        scaled[K:] /= omega[:, None]
+        scaled[:, K:] *= omega
+        leaps = {g: np.linalg.matrix_power(scaled, g) for g in config.kept_maps}
+        del scaled
 
-        # x(0) = x0 = 1/sqrt(2 w), x'(0) = -i w x0 on the fundamental F gives
-        # x = x0 (F_xx - i w F_xv), and N_k = (w_k / 2) sum_j |x_kj - i x'_kj / w_k|^2
-        x0 = 1.0 / np.sqrt(2.0 * omega)
-        wx0 = omega * x0
-        leaps = {g: np.linalg.matrix_power(monodromy, g) for g in config.kept_maps}
-        del monodromy
-        F = np.eye(2 * K)
+        # x(0) = x0 = 1/sqrt(2 w), x'(0) = -i w x0: F = Dl M^q diag(x0, w x0) = [[a, b], [c, d]]
+        # gives x = a - i b, x' / w = c - i d and N_k = (w_k / 2) sum_j (a - d)^2 + (b + c)^2
+        F = np.diag(np.tile(1.0 / np.sqrt(2.0 * omega), 2))
         occupations = np.empty((len(check_steps), K))
-        for c, g in enumerate(np.diff(check_steps // n_p, prepend=0).tolist()):
+        for i, g in enumerate(np.diff(check_steps // n_p, prepend=0).tolist()):
             F = leaps[g] @ F
-            Fxx, Fxv, Fvx, Fvv = F[:K, :K], F[:K, K:], F[K:, :K], F[K:, K:]
-            amplitude = (Fxx * x0) ** 2 + (Fxv * wx0) ** 2
-            t = check_steps[c] * h
-            if not amplitude.max() <= AMPLITUDE_BOUND**2:  # nan fails it too
+            a, b, c, d = F[:K, :K], F[:K, K:], F[K:, :K], F[K:, K:]
+            t = check_steps[i] * h
+            if not (a * a + b * b).max() <= AMPLITUDE_BOUND**2:  # nan fails it too
                 raise IntegratorUnstable(
-                    f"amplitude bound {AMPLITUDE_BOUND:g} exceeded at t = {t:.4g} (v = {config.v})"
-                )
-            re, im = Fxx - Fvv * omega / omega[:, None], Fxv * omega + Fvx / omega[:, None]
-            occupations[c] = 0.5 * omega * ((re * re + im * im) @ (x0 * x0))
-        mu, nu = _project(Fxx * x0 - 1j * Fxv * wx0, Fvx * x0 - 1j * Fvv * wx0, omega, t)
+                    f"amplitude bound {AMPLITUDE_BOUND:g} exceeded at t = {t:.4g} (v = {config.v})")
+            re, im = a - d, b + c
+            occupations[i] = 0.5 * omega * (re * re + im * im).sum(axis=1)
+        # the out-modes e^{-+i w_k t}: mu = p (x + i x' / w), nu = p conj(x - i x' / w)
+        pref = (np.sqrt(0.5 * omega) * np.exp(1j * omega * t))[:, None]
+        mu, nu = pref * (a + d + 1j * (c - b)), pref * (re + 1j * im)
 
     return BogoliubovMatrix(
         mu=mu, nu=nu, omega=omega, times=check_steps * h, occupations=occupations,

@@ -158,7 +158,7 @@ PARSER_TABLE = {
     "resonance": [MASS],
     "simulate": [(("--v",), None, float, True, None), (("--kappa0",), 32, int, False, None),
                  (("--t0",), 400.0 * math.pi, float, False, None),
-                 (("--dt-divisor",), 200.0, float, False, None),
+                 (("--dt-divisor",), 40.0, float, False, None),
                  (("--compare",), False, None, False, None), FORMAT, OUT,
                  (("--report",), None, None, False, None)],
     "estimate": [(("--n2",), None, float, True, None), (("--omega-l-over-c",), None, float, True, None),
@@ -445,7 +445,7 @@ class TestSimulateCommand:
     def test_golden_numbers(self, tmp_path):
         # guards any rewrite of the oracle: metadata and omega byte for byte, the
         # rates within 1e-12 relative, and the unitarity residue, rounding of the
-        # symplectic GL2 maps (2.1e-13 in the file), at most 1e-12
+        # symplectic GL3 maps (1.2e-13 in the file), at most 1e-12
         out = tmp_path / "simulate.csv"
         argv = ["simulate", "--v", "0.2", "--kappa0", "64", "--t0", "314.16", "--out", str(out)]
         assert main(argv) == EXIT_OK
