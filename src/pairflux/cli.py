@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[output], help="truncated-mode oracle run")
     p.add_argument("--v", type=float, required=True)
-    p.add_argument("--kappa0", type=int, default=32)
+    p.add_argument("--kappa0", type=int, default=256)
     p.add_argument("--t0", type=float, default=400.0 * math.pi)
     p.add_argument("--dt-divisor", type=float, default=modesim.DEFAULT_DT_DIVISOR)
     p.add_argument("--compare", action="store_true", help="also emit a deviation report (JSON)")

@@ -245,8 +245,9 @@ def _inverse3(m: np.ndarray) -> np.ndarray:
     return cof.swapaxes(0, 1) / (m[0] * cof[0]).sum(axis=0)
 
 
-def _step_maps(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: np.ndarray):
-    """One 3-stage Gauss-Legendre (GL3) step of length h from each time in t, in closed form.
+def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: np.ndarray):
+    """The n = len(t) 3-stage Gauss-Legendre (GL3) steps of length h from the
+    times t, in closed form, as one map P (I + U V).
 
     The acceleration a w (Q - self term) - w^2 X, a = 2 v cos t, is rank one
     plus diagonal: alpha (c . X) - d X with alpha = a w and d = w^2 + a w c.
@@ -255,29 +256,8 @@ def _step_maps(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: n
     (I + h^2 A^2 diag(d)) Y = X 1 + h (A 1) V + h^2 A^2 diag(alpha) u, where
     the three stage sums u = c . Y close a 3 x 3 system u = R Z on the state
     Z = [X; V].  The stage forces F = alpha u - d Y then give
-    X += h V + h^2 sum_i b_i (1 - A1_i) F_i and V += h sum_i b_i F_i, so a
-    step is Z <- D Z + B u.  Returns D (S, 2, 2, K), the per-mode diagonals
-    [[px, qx], [pv, qv]]; R (S, 3, 2K); and B (S, 2K, 3), for S = len(t).
-    """
-    w, c, q = omega, coupling, h * h * GAUSS_A @ GAUSS_A
-    alpha = 2.0 * v * np.cos(t + h * GAUSS_NODES[:, None])[:, :, None] * w  # (stage, S, K)
-    d = w * w + alpha * c
-    # G = (I + q diag(d))^-1 per mode: Y = g [X; V] + Gq u
-    G = _inverse3(np.eye(3)[:, :, None, None] + q[:, :, None, None] * d)
-    g = np.einsum("ilsk,lm->imsk", G, np.c_[np.ones(3), h * GAUSS_NODES])
-    Gq = np.einsum("ilsk,lj->ijsk", G, q) * alpha
-    coupled = np.eye(3)[:, :, None] - np.einsum("ijsk,k->ijs", Gq, c)
-    R = np.einsum("ijs,jmsk->simk", _inverse3(coupled), c * g).reshape(len(t), 3, -1)
-    # F = alpha u - d Y is -d g per [X; V] and Fu per u; X gains h^2 b (1 - A1) . F, V h b . F
-    Fu = np.eye(3)[:, :, None, None] * alpha - d[:, None] * Gq
-    wq = np.array([h * h * GAUSS_WEIGHTS * (1.0 - GAUSS_NODES), h * GAUSS_WEIGHTS])  # rows X, V
-    D = np.array([[1.0, h], [0.0, 1.0]])[..., None] - np.einsum("ri,imsk->srmk", wq, d[:, None] * g)
-    B = np.einsum("ri,ijsk->srkj", wq, Fu)
-    return D, R, B.reshape(len(t), -1, 3)
-
-
-def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: np.ndarray):
-    """The n = len(t) steps of _step_maps from the times t as one map P (I + U V).
+    X += h V + h^2 sum_i b_i (1 - A1_i) F_i and V += h sum_i b_i F_i, so step s
+    is Z <- D_s Z + B_s u, with D_s the per-mode diagonals [[px, qx], [pv, qv]].
 
     With the per-mode prefix products P_s = D_{s-1} .. D_0 and Z_s = P_s Y_s, a
     step is Y <- Y + Bt_s (Rt_s Y), Rt_s = R_s P_s, Bt_s = P_{s+1}^-1 B_s.  The
@@ -285,16 +265,30 @@ def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: n
     part of Rt Bt: forward substitution gives u = V Y_0, V = (I - N)^-1 Rt, and
     Y_n = (I + U V) Y_0 with U = Bt.  Returns P_n (2, 2, K), U (2K, 3n), V (3n, 2K).
     """
-    D, R, B = _step_maps(omega, coupling, v, h, t)
     n, K = len(t), omega.size
-    P = np.empty((n + 1, 2, 2, K))
-    P[0], P[1:] = np.eye(2)[:, :, None], D
+    w, c, q = omega, coupling, h * h * GAUSS_A @ GAUSS_A
+    alpha = 2.0 * v * np.cos(t + h * GAUSS_NODES[:, None])[:, :, None] * w  # (stage, n, K)
+    d = w * w + alpha * c
+    # G = (I + q diag(d))^-1 per mode: Y = g [X; V] + Gq u
+    G = _inverse3(np.eye(3)[:, :, None, None] + q[:, :, None, None] * d)
+    g = np.einsum("ilsk,lm->imsk", G, np.c_[np.ones(3), h * GAUSS_NODES])
+    Gq = np.einsum("ilsk,lj->ijsk", G, q) * alpha
+    coupled = np.eye(3)[:, :, None] - np.einsum("ijsk,k->ijs", Gq, c)
+    R = np.einsum("ijs,jmsk->simk", _inverse3(coupled), c * g)  # (n, 3, 2, K)
+    # F = alpha u - d Y is -d g per [X; V] and Fu per u; X gains h^2 b (1 - A1) . F, V h b . F
+    Fu = np.eye(3)[:, :, None, None] * alpha - d[:, None] * Gq
+    wq = np.array([h * h * GAUSS_WEIGHTS * (1.0 - GAUSS_NODES), h * GAUSS_WEIGHTS])  # rows X, V
+    P = np.empty((n + 1, 2, 2, K))  # the identity, then the per-mode diagonals D_s
+    P[0], P[1:] = np.eye(2)[:, :, None], np.array([[1.0, h], [0.0, 1.0]])[..., None]
+    P[1:] -= np.einsum("ri,imsk->srmk", wq, d[:, None] * g)
+    B = np.einsum("ri,ijsk->srkj", wq, Fu)  # (n, 2, K, 3)
+    del G, Gq, Fu  # the largest stage arrays: they would raise the peak of the products
     for r in range((n - 1).bit_length()):  # prefix products by doubling
         P[1 << r:] = np.einsum("sabk,sbck->sack", P[1 << r:], P[:-(1 << r)])
     # GL3 keeps each mode's phase-space area, det P_s = 1: the inverse is the adjugate
     inverse = P[1:, ::-1, ::-1].swapaxes(1, 2) * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
-    Rt = np.einsum("siak,sack->sick", R.reshape(n, 3, 2, K), P[:n]).reshape(3 * n, 2 * K)
-    U = np.einsum("sabk,sbki->aksi", inverse, B.reshape(n, 2, K, 3)).reshape(2 * K, 3 * n)
+    Rt = np.einsum("siak,sack->sick", R, P[:n]).reshape(3 * n, 2 * K)
+    U = np.einsum("sabk,sbki->aksi", inverse, B).reshape(2 * K, 3 * n)
     N = Rt @ U
     V = Rt.copy()
     for s in range(1, n):
@@ -316,11 +310,12 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     The equations are linear and 2 pi-periodic and the step h divides the
     period into an even n_p steps, so the map over q whole periods is M^q
     (Floquet).  GL3 steps the real 2K x 2K fundamental Z = [x; x'] over the
-    first half period: each block of n = min(STEP_BLOCK, 2K // 3) steps is one
-    exact map P (I + U V) (_block_map), applied as W = Z + U (V Z), a
-    (3n x 2K)(2K x 2K) and a (2K x 3n)(3n x 2K) product, then Z = P W per
-    mode.  GL3 is symmetric and the pump even in t, so the second half is
-    T Mh^-1 T, T = diag(I, -I), and GL3 is symplectic, Mh^-1 = J^T Mh^T J:
+    first half period: each block of n = STEP_BLOCK steps, the last one
+    shorter when n does not divide n_p / 2, is one exact map P (I + U V)
+    (_block_map), applied as W = Z + U (V Z), a (3n x 2K)(2K x 2K) and a
+    (2K x 3n)(3n x 2K) product, then Z = P W per mode.  GL3 is symmetric
+    and the pump even in t, so the second half is T Mh^-1 T,
+    T = diag(I, -I), and GL3 is symplectic, Mh^-1 = J^T Mh^T J:
     Mh = [[A, B], [C, D]] folds into M = [[D^T, B^T], [C^T, A^T]] Mh
     (_fold), one product.  Occupations are recorded stroboscopically, at the
     whole periods of checkpoint_steps, for the stationary-rate fit in
@@ -330,7 +325,7 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     are a few passes over F; (mu, nu) are projected once, at the last one.
 
     Raises IntegratorUnstable if the step cannot resolve the stiffest stage
-    (h^2 max|d| > 1, see _step_maps) or any amplitude is not finite or exceeds
+    (h^2 max|d| > 1, see _block_map) or any amplitude is not finite or exceeds
     AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
     """
     if config.v > 0.0 and config.t0 > config.recurrence_time:
@@ -356,9 +351,9 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
         Z, W = np.eye(2 * K), np.empty((2 * K, 2 * K))  # the fundamental [x; x'] starts at I
         Z3, W3 = Z.reshape(2, K, 2 * K), W.reshape(2, K, 2 * K)
-        times, block = h * np.arange(n_p // 2), min(STEP_BLOCK, 2 * K // 3)
-        for start in range(0, times.size, block):
-            P, U, V = _block_map(omega, coupling, config.v, h, times[start:start + block])
+        times = h * np.arange(n_p // 2)
+        for start in range(0, times.size, STEP_BLOCK):
+            P, U, V = _block_map(omega, coupling, config.v, h, times[start:start + STEP_BLOCK])
             np.matmul(U, V @ Z, out=W)
             W += Z
             np.einsum("abk,bkj->akj", P, W3, out=Z3)

@@ -113,11 +113,17 @@ def _gauss_rules() -> tuple[np.ndarray, np.ndarray]:
     return table[:256].reshape(2, 128), table[256:].reshape(2, 16)
 
 
-def _blocks(rows: np.ndarray, cells_per_row: int):
-    """The row indices in consecutive blocks of at most BLOCK_CELLS cells
-    (at least one row per block), one broadcast kernel call each."""
-    size = max(1, BLOCK_CELLS // cells_per_row)
-    return (rows[start:start + size] for start in range(0, len(rows), size))
+def _sweep(v: np.ndarray, rows: np.ndarray, nodes: np.ndarray, mass: float | None):
+    """(block, rates) for the pumps v[rows] at the nodes, in blocks of at most
+    BLOCK_CELLS cells (at least one row each): kernel.pair_terms of the nodes,
+    once if there are rows, then one broadcast kernel call on it per block."""
+    if not rows.size:
+        return
+    terms = kernel.pair_terms(nodes, mass)
+    size = max(1, BLOCK_CELLS // len(nodes))
+    for start in range(0, len(rows), size):
+        block = rows[start:start + size]
+        yield block, kernel.emission_rate(terms, v[block, None])
 
 
 def scan_2d(v_values, grid: SpectralGrid, mass: float | None = None):
@@ -125,25 +131,22 @@ def scan_2d(v_values, grid: SpectralGrid, mass: float | None = None):
     (omega, rate) arrays of shape (pumps, points): the frequencies each row was
     evaluated at, and linear rates with inf on a divergent node and nan on a
     branch point.  A resonant row's node at omega = 1/2 is nudged off by a
-    fraction of the spacing, so no row samples the divergence itself.  The
-    node part of the rate, kernel.pair_terms of the grid, is computed once per
-    sweep, and each block of pumps, at most BLOCK_CELLS cells, is one kernel
-    call on it; the resonant rows are evaluated apart, at their own nodes."""
+    fraction of the spacing, so no row samples the divergence itself.  Two
+    sweeps (_sweep) evaluate the rows: the other rows on the grid's nodes,
+    and the resonant rows on the nudged nodes."""
     v = np.asarray(v_values, dtype=float)
     nodes = grid.nodes()
-    omega = np.tile(nodes, (len(v), 1))
+    nudged = nodes.copy()
+    nudged[nodes == 0.5] += 1e-3 * (grid.omega_max - grid.omega_min) / grid.points
     v_res = _resonance_or_none(mass)
     resonant = np.zeros(len(v), bool)
     if v_res is not None:
         resonant = (v > 0.0) & (np.abs(v - v_res) < kernel.DENOMINATOR_FLOOR)
-        omega[resonant[:, None] & (omega == 0.5)] += (
-            1e-3 * (grid.omega_max - grid.omega_min) / grid.points)
-    rate = np.empty_like(omega)
-    terms = kernel.pair_terms(nodes, mass)
-    for block in _blocks(np.flatnonzero(~resonant), grid.points):
-        rate[block] = kernel.emission_rate(terms, v[block, None])
-    for block in _blocks(np.flatnonzero(resonant), grid.points):
-        rate[block] = kernel.emission_rate(omega[block], v[block, None], mass)
+    omega, rate = np.tile(nodes, (len(v), 1)), np.empty((len(v), grid.points))
+    omega[resonant] = nudged
+    for pick, at in [(~resonant, nodes), (resonant, nudged)]:
+        for block, rates in _sweep(v, np.flatnonzero(pick), at, mass):
+            rate[block] = rates
     return omega, rate
 
 
@@ -168,14 +171,12 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     are symmetric under omega <-> 1 - omega, so each rule is folded: only
     its half below 1/2 is evaluated, weights doubled, 128 nodes of the band
     panel or 784 (photon) of the window panels, which the cut at 1/2 keeps
-    from straddling it.  The pumps of one rule share its nodes:
-    kernel.pair_terms computes the node part of the rate once per rule, and
-    each kernel call combines it with a block of pumps, BLOCK_CELLS cells,
-    whose totals are the row-wise weighted sums.  The velocities are
-    checked once, up front.  A pump gets 0 at v = 0 and float('inf') when a
-    node runs into the divergence floor.  A band narrower than 1e-11 (every
-    mass >= 1/4) is the closed channel: every pump gets 0, with only the
-    velocities checked.
+    from straddling it.  The pumps of one rule are one sweep (_sweep) of its
+    nodes, their totals the row-wise weighted sums of its blocks of rates.
+    The velocities are checked once, up front.  A pump gets 0 at v = 0 and
+    float('inf') when a node runs into the divergence floor.  A band narrower
+    than 1e-11 (every mass >= 1/4) is the closed channel: every pump gets 0,
+    with only the velocities checked.
     """
     v = np.asarray(v_values, dtype=float)
     totals = np.zeros(len(v))
@@ -192,17 +193,14 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     band_rule, window_rule = _gauss_rules()
     for pick, panels, (x, w) in [(~near, np.array([lo, hi]), band_rule), (near, window, window_rule)]:
         rows = np.flatnonzero(pick & (v != 0.0))
-        if not rows.size:
-            continue
         mid, half = 0.5 * (panels[:-1] + panels[1:]), 0.5 * (panels[1:] - panels[:-1])
         nodes = (mid[:, None] + half[:, None] * x).ravel()
         weights = (2.0 * half[:, None] * w).ravel()
-        terms = kernel.pair_terms(nodes, mass)
-        for block in _blocks(rows, len(nodes)):
+        for block, rates in _sweep(v, rows, nodes, mass):
             # a row-wise sum, not rates @ weights: BLAS rounds a 1-row product
             # differently from a 5-row one, and a total must not depend on its block;
             # every term is >= 0 and every weight > 0, so an inf node makes the total inf
-            totals[block] = (kernel.emission_rate(terms, v[block, None]) * weights).sum(axis=1)
+            totals[block] = (rates * weights).sum(axis=1)
     return totals
 
 

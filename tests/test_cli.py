@@ -156,7 +156,7 @@ PARSER_TABLE = {
              (("--v-points",), 200, int, False, None), MASS, *GRID,
              (("--integrate",), False, None, False, None), FORMAT, OUT],
     "resonance": [MASS],
-    "simulate": [(("--v",), None, float, True, None), (("--kappa0",), 32, int, False, None),
+    "simulate": [(("--v",), None, float, True, None), (("--kappa0",), 256, int, False, None),
                  (("--t0",), 400.0 * math.pi, float, False, None),
                  (("--dt-divisor",), 40.0, float, False, None),
                  (("--compare",), False, None, False, None), FORMAT, OUT,

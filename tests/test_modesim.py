@@ -246,25 +246,12 @@ class TestStepForm:
     """evolve's step D Z + B (R Z) is the GL3 step, regrouped, its block
     P (I + U V) a run of those steps, and its folded period the stepped one."""
 
-    @pytest.mark.parametrize("v", [0.0, 0.5, 3.8])
-    def test_one_step_matches_the_stages(self, v):
-        config = SimConfig(kappa0=24, v=v, t0=T0)
-        omega, coupling = build_sim(config)
-        K, h = omega.size, config.step
-        t = 17.3 * h + 0.41  # off the step grid
-        Z = np.random.default_rng(20).standard_normal((2 * K, 2 * K))
-        D, R, B = modesim._step_maps(omega, coupling, v, h, np.array([t]))
-        Z3 = Z.reshape(2, K, 2 * K)
-        got = np.einsum("abk,bkj->akj", D[0], Z3).reshape(2 * K, 2 * K) + B[0] @ (R[0] @ Z)
-        want = gl_step(config, t, h) @ Z
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        if v == 0.0:  # free evolution stays per-mode: the rank-3 factor is exactly 0
-            assert not B.any()
-
+    # a block of 20 steps has rank 3n = 60, above 2K: 16 at kappa0 8, 48 at 24
+    @pytest.mark.parametrize("kappa0", [8, 24])
     @pytest.mark.parametrize("v", [0.0, 0.5, 3.8])
     @pytest.mark.parametrize("n", [1, 5, modesim.STEP_BLOCK])
-    def test_block_matches_the_stages(self, v, n):
-        config = SimConfig(kappa0=24, v=v, t0=T0)
+    def test_block_matches_the_stages(self, v, n, kappa0):
+        config = SimConfig(kappa0=kappa0, v=v, t0=T0)
         omega, coupling = build_sim(config)
         K, h = omega.size, config.step
         t = 17.3 * h + 0.41  # off the step grid
@@ -279,14 +266,15 @@ class TestStepForm:
         if v == 0.0:  # free evolution stays per-mode: the rank-3n update is exactly 0
             assert not (U @ V).any()
 
-    def test_period_matches_the_stages(self, run_strong_pump):
-        # the benchmark's size: kappa0 64, one pump period of 40 steps
-        config, matrix = run_strong_pump
+    @pytest.mark.parametrize("kappa0", [8, 64])
+    def test_period_matches_the_stages(self, kappa0):
+        # one pump period of 40 steps: the smallest ladder, and the benchmark's size
+        config = SimConfig(kappa0=kappa0, v=0.5, t0=T0)
         h = config.step
         want = np.eye(2 * config.kappa0)
         for s in range(config.steps_per_period):
             want = gl_step(config, s * h, h) @ want
-        assert np.abs(matrix.monodromy - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(quiet_run(config).monodromy - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("kappa0", [8, 64])
     @pytest.mark.parametrize("v", [0.0, 0.24, 3.8])
@@ -304,20 +292,25 @@ class TestStepForm:
         J = np.block([[np.zeros((K, K)), np.eye(K)], [-np.eye(K), np.zeros((K, K))]])
         assert np.abs(M.T @ J @ M - J).max() <= 1e-12
 
-    @pytest.mark.parametrize("kappa0, n", [(8, 5), (24, 16), (32, modesim.STEP_BLOCK)])
-    def test_block_rank_stays_within_the_state(self, monkeypatch, kappa0, n):
-        # a block of n = min(STEP_BLOCK, 2K // 3) steps has rank 3n <= 2K; the blocks
-        # cover the half period, 20 of the 40 steps, in one block from kappa0 30 up
-        lengths = []
+    @pytest.mark.parametrize("kappa0, dt_divisor, lengths", [
+        (8, 40.0, [20]), (24, 40.0, [20]), (32, 40.0, [20]), (8, 60.0, [20, 10]),
+        (8, 200.0, [20] * 5)])
+    def test_half_period_in_blocks_of_step_block(self, monkeypatch, kappa0, dt_divisor, lengths):
+        # every ladder takes blocks of STEP_BLOCK steps, the last one shorter when
+        # STEP_BLOCK does not divide the half period, and they run from t = 0 to pi
+        times = []
         block_map = modesim._block_map
 
         def counted(omega, coupling, v, h, t):
-            lengths.append(len(t))
+            times.append(t)
             return block_map(omega, coupling, v, h, t)
 
         monkeypatch.setattr(modesim, "_block_map", counted)
-        quiet_run(SimConfig(kappa0=kappa0, v=0.5, t0=T0))
-        assert max(lengths) == n and 3 * n <= 2 * kappa0 and sum(lengths) == 20
+        config = SimConfig(kappa0=kappa0, v=0.5, t0=T0, dt_divisor=dt_divisor)
+        quiet_run(config)
+        assert [len(t) for t in times] == lengths
+        half = config.step * np.arange(config.steps_per_period // 2)
+        assert np.concatenate(times).tobytes() == half.tobytes()
 
 
 def strong_pump_report(v: float):

@@ -391,7 +391,7 @@ class TestScan2D:
     @pytest.mark.parametrize("mass", [None, 0.1])
     def test_green_functions_once_per_sweep(self, mass, monkeypatch):
         # 200 pumps of 512 nodes take 13 kernel calls, which share one node part;
-        # a resonant pump, its node at 1/2 nudged, is evaluated apart at its own nodes
+        # the resonant pumps, their node at 1/2 nudged, share the nudged nodes' part
         calls = []
         pair_terms = kernel.pair_terms
         monkeypatch.setattr(kernel, "pair_terms",
@@ -403,7 +403,7 @@ class TestScan2D:
         calls.clear()
         grid = SpectralGrid(0.0, 1.0, 101)  # holds 1/2
         omega, _ = scan_2d(np.append(v, resonance_velocity(mass)), grid, mass)
-        assert [w.shape for w in calls] == [(101,), (1, 101)]
+        assert [w.shape for w in calls] == [(101,), (101,)]
         assert calls[0].tobytes() == grid.nodes().tobytes()
         assert calls[1].tobytes() == omega[-1:].tobytes() and (omega[-1] != grid.nodes()).sum() == 1
 
