@@ -9,9 +9,9 @@ regime and show the expected coherent-pair inflation; once kappa0 clears
 t0 / 2*pi the deviation collapses to the percent level.  Each rung also
 prints ln rho, the log of the one-period map's spectral radius.  Below the
 model's instability threshold (v near 3.58) it halves from one rung to the
-next, as a discrete pair resonance does (0.0332 / 0.0172 / 0.0087 at
+next, as a discrete pair resonance does (0.0343 / 0.0174 / 0.0088 at
 kappa0 64 / 128 / 256, v = 3.0, t0 = 314.16); above it, it stays put
-(0.0691 / 0.0654 / 0.0662 at v = 3.8).
+(0.1258 / 0.1289 / 0.1310 at v = 3.8).
 
 Usage: python scripts/oracle_convergence.py [v] [t0]
 """

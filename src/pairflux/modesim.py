@@ -9,14 +9,15 @@ couples every pair of modes through the wave-packet coordinate
 
 giving the linear, time-periodic equations of motion
 
-    x_k'' = -omega_k^2 x_k + 2 v cos(t) omega_k * (Q - self term),
+    x_k'' = -omega_k^2 x_k + 2 v cos(t) omega_k Q,
 
-with the k = j self term excluded.  The dynamics are quadratic, so the
-Heisenberg evolution equals the classical fundamental solution: evolving
-every positive-frequency initial column x_k(0) = delta_kj / sqrt(2 w_j),
-x_k'(0) = -i w_j x_k(0) and projecting the final state on e^{-+ i w_k t}
-yields the Bogoliubov matrices (mu, nu), and the pair production shows up
-as mode occupation N_k = sum_j |nu_kj|^2 growing linearly in time.
+the k = j term included: omega = 1/2 pairs with itself.  The dynamics are
+quadratic, so the Heisenberg evolution equals the classical fundamental
+solution: evolving every positive-frequency initial column
+x_k(0) = delta_kj / sqrt(2 w_j), x_k'(0) = -i w_j x_k(0) and projecting the
+final state on e^{-+ i w_k t} yields the Bogoliubov matrices (mu, nu), and
+the pair production shows up as mode occupation N_k = sum_j |nu_kj|^2
+growing linearly in time.
 
 Validity window: a finite resonator re-interferes the emitted field after
 the mode-recurrence time 2 pi kappa0.  Quantitative agreement with the
@@ -92,7 +93,7 @@ class SimConfig:
     divides the half period and is never coarser than 2 pi / dt_divisor
     (2 pi: the period of the pump and of the top mode omega = 1).  GL3 is
     symplectic, so the step sets only the accuracy: at the default 40 the
-    rates of kappa0 64 at v <= 3 lie within 1.4e-8 (relative) of a
+    rates of kappa0 64 at v <= 3 lie within 1.6e-8 (relative) of a
     dt_divisor 2000 run.
     The run ends at the whole pump period nearest ceil(t0 / step) steps,
     within half a period of t0.
@@ -249,41 +250,40 @@ def _block_map(omega: np.ndarray, coupling: np.ndarray, v: float, h: float, t: n
     """The n = len(t) 3-stage Gauss-Legendre (GL3) steps of length h from the
     times t, in closed form, as one map P (I + U V).
 
-    The acceleration a w (Q - self term) - w^2 X, a = 2 v cos t, is rank one
-    plus diagonal: alpha (c . X) - d X with alpha = a w and d = w^2 + a w c.
-    With the Butcher matrix A, nodes A 1 = 1/2 -+ sqrt(15)/10, 1/2 and
-    weights b, the stage positions Y of a mode solve
+    The acceleration a w (c . X) - w^2 X, a = 2 v cos t, is rank one plus
+    diagonal: alpha (c . X) - d X with alpha = a w and d = w^2.  With the Butcher
+    matrix A, nodes A 1 = 1/2 -+ sqrt(15)/10, 1/2 and weights b, the stage
+    positions Y of a mode solve
     (I + h^2 A^2 diag(d)) Y = X 1 + h (A 1) V + h^2 A^2 diag(alpha) u, where
     the three stage sums u = c . Y close a 3 x 3 system u = R Z on the state
     Z = [X; V].  The stage forces F = alpha u - d Y then give
     X += h V + h^2 sum_i b_i (1 - A1_i) F_i and V += h sum_i b_i F_i, so step s
-    is Z <- D_s Z + B_s u, with D_s the per-mode diagonals [[px, qx], [pv, qv]].
+    is Z <- D Z + B_s u.  d does not depend on t: the stage inverse and D, the
+    free GL3 step [[px, qx], [pv, qv]], are per mode, and only R_s and B_s vary.
 
-    With the per-mode prefix products P_s = D_{s-1} .. D_0 and Z_s = P_s Y_s, a
-    step is Y <- Y + Bt_s (Rt_s Y), Rt_s = R_s P_s, Bt_s = P_{s+1}^-1 B_s.  The
-    functionals u_s = Rt_s Y_s solve u = Rt Y_0 + N u, N the strictly block-lower
-    part of Rt Bt: forward substitution gives u = V Y_0, V = (I - N)^-1 Rt, and
-    Y_n = (I + U V) Y_0 with U = Bt.  Returns P_n (2, 2, K), U (2K, 3n), V (3n, 2K).
+    With the powers P_s = D^s and Z_s = P_s Y_s, a step is Y <- Y + Bt_s (Rt_s Y),
+    Rt_s = R_s P_s, Bt_s = P_{s+1}^-1 B_s.  The functionals u_s = Rt_s Y_s solve
+    u = Rt Y_0 + N u, N the strictly block-lower part of Rt Bt: forward substitution
+    gives u = V Y_0, V = (I - N)^-1 Rt, and Y_n = (I + U V) Y_0 with U = Bt.
+    Returns P_n (2, 2, K), U (2K, 3n), V (3n, 2K).
     """
     n, K = len(t), omega.size
-    w, c, q = omega, coupling, h * h * GAUSS_A @ GAUSS_A
-    alpha = 2.0 * v * np.cos(t + h * GAUSS_NODES[:, None])[:, :, None] * w  # (stage, n, K)
-    d = w * w + alpha * c
-    # G = (I + q diag(d))^-1 per mode: Y = g [X; V] + Gq u
-    G = _inverse3(np.eye(3)[:, :, None, None] + q[:, :, None, None] * d)
-    g = np.einsum("ilsk,lm->imsk", G, np.c_[np.ones(3), h * GAUSS_NODES])
-    Gq = np.einsum("ilsk,lj->ijsk", G, q) * alpha
-    coupled = np.eye(3)[:, :, None] - np.einsum("ijsk,k->ijs", Gq, c)
-    R = np.einsum("ijs,jmsk->simk", _inverse3(coupled), c * g)  # (n, 3, 2, K)
-    # F = alpha u - d Y is -d g per [X; V] and Fu per u; X gains h^2 b (1 - A1) . F, V h b . F
-    Fu = np.eye(3)[:, :, None, None] * alpha - d[:, None] * Gq
+    w, c, d, q = omega, coupling, omega * omega, h * h * GAUSS_A @ GAUSS_A
+    # G = (I + q diag(d))^-1 per mode: Y = g [X; V] + Gq (alpha u)
+    G = _inverse3(np.eye(3)[:, :, None] + q[:, :, None] * d)
+    g = np.einsum("ilk,lm->imk", G, np.c_[np.ones(3), h * GAUSS_NODES])  # (3, 2, K)
+    Gq = np.einsum("ilk,lj->ijk", G, q)
+    a = 2.0 * v * np.cos(t + h * GAUSS_NODES[:, None])  # (stage, n): alpha = a w
+    coupled = np.eye(3)[:, :, None] - (Gq @ (c * w))[:, :, None] * a
+    R = np.einsum("ijs,jmk->simk", _inverse3(coupled), c * g)  # (n, 3, 2, K)
+    # F = alpha u - d Y: -d g per [X; V], (I - d Gq) alpha per u; X gains h^2 b (1 - A1) . F
     wq = np.array([h * h * GAUSS_WEIGHTS * (1.0 - GAUSS_NODES), h * GAUSS_WEIGHTS])  # rows X, V
-    P = np.empty((n + 1, 2, 2, K))  # the identity, then the per-mode diagonals D_s
+    Bu = (wq[:, :, None] - d * np.einsum("ri,ijk->rjk", wq, Gq)) * w  # B_s = Bu a_s
+    B = np.einsum("rjk,js->srkj", Bu, a)  # (n, 2, K, 3)
+    P = np.empty((n + 1, 2, 2, K))  # the identity, then D
     P[0], P[1:] = np.eye(2)[:, :, None], np.array([[1.0, h], [0.0, 1.0]])[..., None]
-    P[1:] -= np.einsum("ri,imsk->srmk", wq, d[:, None] * g)
-    B = np.einsum("ri,ijsk->srkj", wq, Fu)  # (n, 2, K, 3)
-    del G, Gq, Fu  # the largest stage arrays: they would raise the peak of the products
-    for r in range((n - 1).bit_length()):  # prefix products by doubling
+    P[1:] -= np.einsum("ri,imk->rmk", wq, d * g)
+    for r in range((n - 1).bit_length()):  # the powers D^s by doubling
         P[1 << r:] = np.einsum("sabk,sbck->sack", P[1 << r:], P[:-(1 << r)])
     # GL3 keeps each mode's phase-space area, det P_s = 1: the inverse is the adjugate
     inverse = P[1:, ::-1, ::-1].swapaxes(1, 2) * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
@@ -325,7 +325,7 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     are a few passes over F; (mu, nu) are projected once, at the last one.
 
     Raises IntegratorUnstable if the step cannot resolve the stiffest stage
-    (h^2 max|d| > 1, see _block_map) or any amplitude is not finite or exceeds
+    (h^2 (max w^2 + 2 v c . w) > 1) or any amplitude is not finite or exceeds
     AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
     """
     if config.v > 0.0 and config.t0 > config.recurrence_time:
@@ -341,12 +341,12 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     K = omega.size
     n_p, h = config.steps_per_period, config.step
     check_steps = config.checkpoint_steps
-    # past h^2 max|d| = 1 the step no longer resolves the stiffest stage, and the stepped
-    # map can stay below AMPLITUDE_BOUND where the true one grows past it (v = 1e10, kappa0 8)
-    stiffness = h * h * float((omega * omega + 2.0 * config.v * omega * coupling).max())
+    # the coupling a w c^T, |a| <= 2 v, has rank one and eigenvalue a c . w: past h^2 (max w^2
+    # + 2 v c . w) = 1 the stepped map can stay below AMPLITUDE_BOUND where the true one does not
+    stiffness = h * h * (float((omega * omega).max()) + 2.0 * config.v * float(omega @ coupling))
     if not stiffness <= 1.0:
-        raise IntegratorUnstable(f"step {h:.4g} too coarse for v = {config.v}: h^2 max|d| = "
-                                 f"{stiffness:.3g} > 1")
+        raise IntegratorUnstable(f"step {h:.4g} too coarse for v = {config.v}: "
+                                 f"h^2 (max w^2 + 2 v c . w) = {stiffness:.3g} > 1")
 
     with np.errstate(over="ignore", invalid="ignore"):  # the amplitude check catches it
         Z, W = np.eye(2 * K), np.empty((2 * K, 2 * K))  # the fundamental [x; x'] starts at I

@@ -58,7 +58,7 @@ def gl_step(config: SimConfig, t: float, h: float) -> np.ndarray:
 
     def generator(s):  # Z' = L(s) Z, Z = [x; x']
         F = 2.0 * config.v * math.cos(s) * np.outer(omega, coupling)
-        F -= np.diag(np.diag(F) + omega**2)  # no self term; the free -w^2
+        F -= np.diag(omega**2)  # the free -w^2
         return np.block([[np.zeros((K, K)), np.eye(K)], [F, np.zeros((K, K))]])
 
     L = [generator(t + c * h) for c in nodes]
@@ -96,14 +96,14 @@ def apply_block(P: np.ndarray, U: np.ndarray, V: np.ndarray, Z: np.ndarray) -> n
     return np.einsum("abk,bkj->akj", P, W).reshape(2 * K, -1)
 
 
-def stepped_period(config: SimConfig) -> np.ndarray:
-    """The monodromy from every step of the period, in blocks of _block_map,
-    with no fold."""
+def block_stepped(config: SimConfig, n: int) -> np.ndarray:
+    """The map of the first n steps from t = 0, in blocks of _block_map, with no
+    fold: n = steps_per_period gives the monodromy from every step of the period."""
     omega, coupling = modesim.build_sim(config)
-    K, h, n_p = omega.size, config.step, config.steps_per_period
+    K, h = omega.size, config.step
     Z = np.eye(2 * K)
-    for start in range(0, n_p, modesim.STEP_BLOCK):
-        steps = np.arange(start, min(start + modesim.STEP_BLOCK, n_p))
+    for start in range(0, n, modesim.STEP_BLOCK):
+        steps = np.arange(start, min(start + modesim.STEP_BLOCK, n))
         Z = apply_block(*modesim._block_map(omega, coupling, config.v, h, h * steps), Z)
     return Z
 
@@ -124,7 +124,8 @@ def run_weak_pump():
 
 @pytest.fixture(scope="module")
 def run_odd_ladder():
-    """kappa0 = 63: every mode has an exact pair partner (no self-pair)."""
+    """kappa0 = 63: every mode has a partner at 1 - omega other than itself
+    (no omega = 1/2 mode)."""
     config = SimConfig(kappa0=63, v=0.5, t0=T0)
     return config, quiet_run(config)
 
@@ -279,14 +280,18 @@ class TestStepForm:
     @pytest.mark.parametrize("kappa0", [8, 64])
     @pytest.mark.parametrize("v", [0.0, 0.24, 3.8])
     def test_fold_matches_the_stepped_period(self, kappa0, v):
-        # measured 7e-17 to 7.1e-16
+        # measured 3.9e-17 to 7.1e-16; the half period is stepped in evolve's blocks
+        # without evolve, which at kappa0 8, v = 3.8 stops at the amplitude bound
+        # (t = 276.5 < 100 pi)
         config = SimConfig(kappa0=kappa0, v=v, t0=T0)
-        M, want = quiet_run(config).monodromy, stepped_period(config)
+        n_p = config.steps_per_period
+        M = modesim._fold(block_stepped(config, n_p // 2))
+        want = block_stepped(config, n_p)
         assert np.abs(M - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("v", [0.0, 0.5, 3.8])
     def test_period_is_symplectic(self, v):
-        # max |M^T J M - J|, measured 2.5e-15 to 8.4e-15
+        # max |M^T J M - J|, measured 8.4e-15 to 8.9e-15
         K = 64
         M = quiet_run(SimConfig(kappa0=K, v=v, t0=T0)).monodromy
         J = np.block([[np.zeros((K, K)), np.eye(K)], [-np.eye(K), np.zeros((K, K))]])
@@ -366,7 +371,7 @@ class TestFloquetAgainstStepping:
 
 class TestEvolve:
     def test_symplectic_rows(self, run_strong_pump):
-        # GL3 is symplectic: the residue is rounding, measured 1.1e-13
+        # GL3 is symplectic: the residue is rounding, measured 4.4e-13
         _, matrix = run_strong_pump
         assert matrix.symplectic_defect() <= 1e-12
 
@@ -379,19 +384,16 @@ class TestEvolve:
     def test_stationary_growth(self, run_strong_pump):
         config, matrix = run_strong_pump
         i_half = int(np.argmin(np.abs(matrix.times - config.t0 / 2)))
-        near = [
-            k for k, w in enumerate(matrix.omega)
-            if 0.3 < w < 0.7 and abs(w - 0.5) > 1e-9  # self-pair mode excluded
-        ]
+        near = (matrix.omega > 0.3) & (matrix.omega < 0.7)  # omega = 1/2 included
         ratio = matrix.occupations[-1, near] / matrix.occupations[i_half, near]
         assert (ratio > 1.8).all() and (ratio < 2.2).all()
 
     def test_pairs_dominate(self, run_strong_pump):
         # occupation is carried by modes with an exact partner; the pair
-        # structure puts omega_k + omega_j = 1
+        # structure puts omega_k + omega_j = 1, and omega = 1/2 is its own partner
         _, matrix = run_strong_pump
         occ = matrix.occupations[-1]
-        partnered = occ[(matrix.omega > 0.2) & (matrix.omega < 0.8) & (matrix.omega != 0.5)]
+        partnered = occ[(matrix.omega > 0.2) & (matrix.omega < 0.8)]
         assert partnered.min() > 0.01 * partnered.max()
 
     def test_recurrence_warning(self):
@@ -422,11 +424,11 @@ class TestEvolve:
             evolve(config)
 
     def test_step_guard_boundary(self, monkeypatch):
-        # h^2 max|d| = h^2 (1 + 2 v / (pi kappa0)) reaches 1 at v = 496.73 (kappa0 8, 40
-        # steps): just below, the run steps and the amplitude bound stops it; just above,
-        # the guard stops it before the first block
+        # h^2 (max w^2 + 2 v c . w) = h^2 (1 + 2 v 204 / (512 pi)) reaches 1 at v = 155.84
+        # (kappa0 8, 40 steps; c . w = sum k^2 / (pi kappa0^3)): just below, the run steps
+        # and the amplitude bound stops it; just above, the guard stops it before the first block
         h = 2.0 * math.pi / modesim.DEFAULT_DT_DIVISOR
-        edge = (1.0 / h**2 - 1.0) * math.pi * 8 / 2.0
+        edge = (1.0 / h**2 - 1.0) * math.pi * 512 / (2.0 * 204)
         blocks = []
         block_map = modesim._block_map
 
@@ -481,7 +483,7 @@ LADDERS = [(8, 0.0), (8, 0.24), (8, 1.0), (64, 0.0), (64, 0.24), (64, 1.0)]
 class TestSpectralRadius:
     @pytest.mark.parametrize("kappa0, v", LADDERS)
     def test_period_map_is_reversible(self, kappa0, v):
-        # exact by the fold: measured 4.7e-16 to 7.9e-15 (inverse) and below 2e-16 (transpose)
+        # exact by the fold: measured 4.1e-15 to 7.9e-15 (inverse) and at most 2.1e-16 (transpose)
         inverse, transpose = reversibility_defects(radius_run(kappa0, v)[1])
         assert inverse <= 1e-12 and transpose <= 1e-12
 
@@ -492,18 +494,18 @@ class TestSpectralRadius:
         monkeypatch.setattr(modesim, "_block_map",
                             lambda omega, c, v, h, t: block_map(omega, c, v, h, t + 1.0))
         config = SimConfig(kappa0=8, v=1.0, t0=T0)
-        M, want = quiet_run(config).monodromy, stepped_period(config)
+        M, want = quiet_run(config).monodromy, block_stepped(config, config.steps_per_period)
         assert np.abs(M - want).max() > 1e-3 * np.abs(want).max()
 
     @pytest.mark.parametrize("kappa0, v", LADDERS + [(64, 3.8)])
     def test_matches_full_eigenvalues(self, kappa0, v):
-        # measured at most 2.1e-13 (kappa0 8, v = 1)
+        # measured at most 1.2e-14
         rho, M = radius_run(kappa0, v)
         assert abs(rho - full_radius(M)) <= 1e-11 * full_radius(M)
 
     @pytest.mark.parametrize("kappa0, v", [(8, 0.24), (8, 1.0), (64, 0.24), (64, 1.0)])
     def test_matches_full_eigenvalues_at_coarse_step(self, kappa0, v):
-        # dt_divisor 20: the fold is reversible at any step; measured at most 2.1e-13
+        # dt_divisor 20: the fold is reversible at any step; measured at most 3.8e-15
         rho, M = radius_run(kappa0, v, 20.0)
         assert abs(rho - full_radius(M)) <= 1e-11 * full_radius(M)
 
@@ -517,8 +519,8 @@ class TestSpectralRadius:
         # k = 1 .. 12 at kappa0 8 (top mode 1.5), steps of 2 pi / 3000 and 2 pi / 60, which
         # resolves the top mode as the default 40 resolves 1: the Hill radius needs only
         # the reversibility of the period map, not a ladder that ends at the pump
-        # frequency.  The coarse Hill and full radii sit 1.4e-10 below the fine one,
-        # where the two agree to 1.1e-15
+        # frequency.  The coarse Hill and full radii sit 1.5e-10 below the fine one,
+        # where the two agree to 3.5e-13
         widen_ladder(monkeypatch, 12)
         fine = quiet_run(SimConfig(kappa0=8, v=1.0, t0=T0, dt_divisor=3000.0))
         assert fine.omega.size == 12 and fine.omega[-1] == 1.5
@@ -531,13 +533,45 @@ class TestSpectralRadius:
 
     def test_ladder_tells_the_two_regimes_apart(self):
         # below the threshold the growth is the discrete pair resonance, ln rho ~ 1/kappa0:
-        # 0.03323 -> 0.01717 at v = 3.0; above it the continuum grows at a rate of its
-        # own, 0.06914 -> 0.06536 at v = 3.8
+        # 0.0343 -> 0.0174 at v = 3.0; above it the continuum grows at a rate of its
+        # own, 0.1258 -> 0.1289 at v = 3.8
         def ratio(v):
             return math.log(radius_run(128, v)[0]) / math.log(radius_run(64, v)[0])
 
         assert ratio(3.0) <= 0.6
         assert ratio(3.8) >= 0.9
+
+
+def ladder_chain(kappa0: int, v: float, z: complex, N: int = 6) -> float:
+    """The smallest over the largest singular value of the ladder's Hill chain
+    Q_n - v G_K(z + n) (Q_{n-1} + Q_{n+1}), n = -1 - N .. N, with the ladder's own
+    mode sum G_K(zeta) = (1 / (pi kappa0)) sum_k w_k^2 / (w_k^2 - zeta^2)."""
+    omega, _ = build_sim(SimConfig(kappa0=kappa0, v=v))
+    zeta = z + np.arange(-1 - N, N + 1)
+    G = (omega**2 / (omega**2 - zeta[:, None] ** 2)).sum(axis=1) / (math.pi * kappa0)
+    A = np.eye(zeta.size, k=1) + np.eye(zeta.size, k=-1)
+    s = np.linalg.svd(np.eye(zeta.size) - v * G[:, None] * A, compute_uv=False)
+    return s[-1] / s[0]
+
+
+class TestHillChain:
+    """x_k = sum_n X_kn e^{-i(z + n)t} gives (w_k^2 - (z + n)^2) X_kn = v w_k (Q_{n-1} +
+    Q_{n+1}), and the coupling is rank one, so Q_n = sum_k c_k X_kn obeys a scalar
+    chain: a monodromy multiplier lambda = e^{-2 pi i z} is a zero of its determinant
+    (Magnus & Winkler, Hill's Equation).  No time stepping enters the chain."""
+
+    @pytest.mark.parametrize("kappa0", [16, 32, 64])
+    @pytest.mark.parametrize("v", [0.5, 3.0, 3.8])
+    def test_top_multiplier_is_a_zero_of_the_chain(self, kappa0, v):
+        # the chain's singular ratio measured 7.5e-12 to 4.4e-10 at z and 1.5e-3 to 0.70
+        # at z + 0.003 (with the k = j term excluded it read 6.2e-3 to 3.5e-2 at z)
+        lam = np.linalg.eigvals(radius_run(kappa0, v)[1])
+        top = lam[np.argmax(np.abs(lam))]
+        z = 1j * np.log(top + 0j) / (2.0 * math.pi)
+        assert ladder_chain(kappa0, v, z) <= 1e-9
+        assert ladder_chain(kappa0, v, z + 0.003) >= 1e-3
+        # the top multiplier is real and negative: Re z = 1/2, mod 1
+        assert top.real < -1.0 and abs(top.imag) <= 1e-9 * abs(top)
 
 
 class TestExtractRates:
@@ -563,7 +597,7 @@ class TestExtractRates:
     def test_whole_period_checkpoints_fit_a_straight_line(self):
         # stroboscopic checkpoints carry no pump micromotion: each mode's rms distance
         # from the fitted line, over its growth across the fit window, has a median of
-        # 3.9e-4 over modes in (0.2, 0.8); mid-period checkpoints read 2.8e-3
+        # 1.2e-4 over modes in (0.2, 0.8); mid-period checkpoints read 2.8e-3
         config = SimConfig(kappa0=64, v=0.2, t0=T0)
         matrix = quiet_run(config)
         sel = matrix.times >= 0.5 * config.t0
@@ -574,8 +608,11 @@ class TestExtractRates:
         window = (matrix.omega > 0.2) & (matrix.omega < 0.8)
         assert np.median(residual[window]) <= 1e-3
 
-    def test_centre_mode_matches_kernel_on_odd_ladder(self, run_odd_ladder):
-        config, matrix = run_odd_ladder
+    # the mode nearest 1/2: 32/63, paired with 31/63, and 1/2 itself, its own partner;
+    # both measured 0.984 of the closed form
+    @pytest.mark.parametrize("ladder", ["run_odd_ladder", "run_strong_pump"], ids=["odd", "even"])
+    def test_centre_mode_matches_kernel(self, request, ladder):
+        config, matrix = request.getfixturevalue(ladder)
         spectrum = extract_rates(matrix)
         i = int(np.argmin(np.abs(spectrum.omega - 0.5)))
         analytic = kernel.emission_rate(float(spectrum.omega[i]), config.v)
@@ -588,18 +625,6 @@ class TestExtractRates:
             if 0.25 < w < 0.5:
                 jj = int(np.argmin(np.abs(spectrum.omega - (1.0 - w))))
                 assert abs(spectrum.rate[j] / spectrum.rate[jj] - 1.0) < 0.10
-
-    def test_self_pair_exclusion_starves_centre_mode(self, run_strong_pump):
-        # at even kappa0 the omega = 1/2 mode has no partner (j = k term is
-        # excluded): its extracted rate collapses while the median is intact
-        config, matrix = run_strong_pump
-        spectrum = extract_rates(matrix)
-        i = int(np.argmin(np.abs(spectrum.omega - 0.5)))
-        assert spectrum.omega[i] == 0.5
-        analytic = kernel.emission_rate(0.5, config.v)
-        assert spectrum.rate[i] < 0.5 * analytic
-        report = compare_to_analytic(spectrum)
-        assert report.median_deviation < 0.05
 
 
 class TestTruncation:
@@ -628,7 +653,7 @@ class TestConvergence:
     @pytest.mark.parametrize("v, bound", [(0.2, 1e-9), (1.0, 1e-9), (3.0, 3e-8)])
     def test_default_step_matches_a_fine_step(self, v, bound):
         # the largest relative rate error over the interior modes against 2000 steps a
-        # period, measured 1.5e-10, 3.5e-10 and 1.4e-8 (the 2-stage method at 200 steps
+        # period, measured 1.1e-10, 3.6e-10 and 1.6e-8 (the 2-stage method at 200 steps
         # read 4.7e-9, 4.9e-9 and 5.3e-8)
         rates = [extract_rates(quiet_run(SimConfig(kappa0=64, v=v, t0=T0, dt_divisor=n))).rate
                  for n in (modesim.DEFAULT_DT_DIVISOR, 2000.0)]
@@ -643,15 +668,15 @@ class TestCompare:
         assert not report.degenerate
 
     def test_oracle_agrees_at_unit_pump(self):
-        # kappa0 = 64 measures 0.069, and 0.070 at kappa0 = 128
+        # kappa0 = 64 measures 0.071, and 0.070 at kappa0 = 128
         report = strong_pump_report(1.0)
         print(f"strong pump v = 1: median deviation = {report.median_deviation:.3f}")
         assert report.median_deviation <= 0.15
 
     @pytest.mark.xfail(
         strict=True,
-        reason="at v = 2 the oracle sits 29% from the closed form (median 0.288 at "
-        "kappa0 = 64, 0.299 at 128; 0.377/0.406 at v = 2.5): the gap does not shrink "
+        reason="at v = 2 the oracle sits 31% from the closed form (median 0.305 at "
+        "kappa0 = 64, 0.308 at 128; 0.413/0.424 at v = 2.5): the gap does not shrink "
         "as kappa0 doubles, so it is not the finite-resonator recurrence",
     )
     def test_oracle_strong_pump_gap(self):
@@ -663,7 +688,7 @@ class TestCompare:
         # rate / perturbative = 1 + v^2 c2 + O(v^4): the closed form's c2 is
         # 2 Re[G(w) G(w - 1)], the sideband chain's adds 2 Re[G(w) G(w + 1) + G(w - 1) G(w - 2)].
         # At v = 0.24 the measured (rate / perturbative - 1) / v^2 reads a median
-        # 0.0016 from the chain's c2 and 0.065 from the closed form's
+        # 0.0010 from the chain's c2 and 0.066 from the closed form's
         v = 0.24
         spectrum = extract_rates(quiet_run(SimConfig(kappa0=128, v=v, t0=2 * T0)))
         window = (spectrum.omega > 0.2) & (spectrum.omega < 0.8)
