@@ -8,10 +8,15 @@ exceeds the mode-recurrence time 2*pi*kappa0 sit in the discrete-resonator
 regime and show the expected coherent-pair inflation; once kappa0 clears
 t0 / 2*pi the deviation collapses to the percent level.  Each rung also
 prints ln rho, the log of the one-period map's spectral radius.  Below the
-model's instability threshold (v near 3.58) it halves from one rung to the
-next, as a discrete pair resonance does (0.0343 / 0.0174 / 0.0088 at
-kappa0 64 / 128 / 256, v = 3.0, t0 = 314.16); above it, it stays put
-(0.1258 / 0.1289 / 0.1310 at v = 3.8).
+model's instability threshold (the sideband chain's v = 3.575) it halves
+from one rung to the next, as a discrete pair resonance does (0.0343 /
+0.0174 / 0.0088 at kappa0 64 / 128 / 256, v = 3.0, t0 = 314.16); above it,
+it stays put (0.1258 / 0.1289 / 0.1310 at v = 3.8).
+
+Above the threshold the occupations grow exponentially, and the fitted
+rates with them, so the printed median deviation is no rate comparison
+(8e6 to 1.5e7 % at kappa0 64 to 256, v = 3.8, t0 = 314.16): ln rho is
+the number to read there.
 
 Usage: python scripts/oracle_convergence.py [v] [t0]
 """

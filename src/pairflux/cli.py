@@ -110,20 +110,14 @@ def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the double range), near-ties, and digits that miss [1e16, 1e17) (a
     misjudged k or a carry).
 
-    The kernel fills one byte position of every cell at a time, and places
-    the digits and the point with one slice per run of cells that share a
-    layout (the digit the point follows, one of 17).  It orders the values
-    by layout itself, a stable sort of a uint8 key, so they may come in any
-    order, and scatters the cells back to that order as it transposes them
-    into items."""
+    The kernel fills one byte position of every cell at a time, in the
+    order of the values: the digits, then those past the digit the point
+    follows moved on by one byte, and the point (or a NUL) after it."""
     mag = np.abs(values)
     ok = (mag >= 1e-290) & (mag < 1e300)
     quads, powers, heads, tails, (leads, wholes) = _digit_tables()
     mag = np.where(ok, mag, 1.0)
     k = np.floor(np.log10(mag)).astype(np.intp) - _K_MIN
-    lead = leads[k]
-    order = np.argsort(lead, kind="stable")  # one run per layout
-    sign, mag, ok, k, lead = np.signbit(values)[order], mag[order], ok[order], k[order], lead[order]
     hi, upper, lower, lo = (column[k] for column in powers)
     big = mag * hi
     split = mag * _SPLIT
@@ -149,22 +143,16 @@ def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     position = np.arange(17, dtype=np.uint8)[:, None]
     last = np.max((digits != ord("0")) * position, axis=0)
     digits *= position <= np.maximum(last, wholes[k])
+    lead = leads[k]
     point = np.where(last > lead, np.uint8(ord(".")), np.uint8(0))
     cells = np.zeros((CELL, len(values)), np.uint8)
-    cells[0] = sign * np.uint8(ord("-"))
+    cells[0] = np.signbit(values) * np.uint8(ord("-"))
     cells[1:6] = heads[k].view(np.uint8).reshape(-1, 5).T
-    edges = [*np.flatnonzero(np.diff(lead, prepend=-1)), len(values)]
-    for a, b in zip(edges[:-1], edges[1:]):  # the digits, the point after digit j, the rest
-        j = int(lead[a])
-        cells[6:7 + j, a:b] = digits[:j + 1, a:b]
-        cells[7 + j, a:b] = point[a:b]
-        cells[8 + j:24, a:b] = digits[j + 1:, a:b]
+    cells[6:23] = digits  # digit p at byte 6 + p, then 7 + p past the point after digit lead
+    np.copyto(cells[7:24], digits, where=position > lead)
+    np.copyto(cells[7:24], point, where=position == lead)
     cells[24:29] = tails[k].view(np.uint8).reshape(-1, 5).T
-    items = np.empty((len(values), CELL), np.uint8)
-    items[order] = cells.T
-    held = np.empty_like(ok)
-    held[order] = ok
-    return held, items.view(_CELL_ITEM)[:, 0]
+    return ok, np.ascontiguousarray(cells.T).view(_CELL_ITEM)[:, 0]
 
 
 def _cells(values: np.ndarray, json: bool) -> np.ndarray:

@@ -810,8 +810,17 @@ def _specials():
     return np.concatenate([SPECIAL_FLOATS, subnormals, -subnormals, edges, _log_uniform(1000)])
 
 
+def _short_decimals(n=8500):
+    # m 10^p 2^-j with m 10^p 5^j < 1e16: fewer than 17 significant digits, at every
+    # fixed exponent k = -4 .. 15, ending in a cut fraction (k <= 14) or in integer zeros
+    rng = np.random.default_rng(7)
+    j, p = rng.integers(0, 15, n), rng.integers(0, 11, n)
+    m = np.floor(10.0 ** (rng.random(n) * np.maximum(16 - p - j * np.log10(5.0), 0.0)))
+    return rng.choice([-1.0, 1.0], n) * m * 10.0**p * 2.0**-j
+
+
 FAMILIES = {"powers_of_ten": _powers_of_ten, "ties": _ties, "random_bits": _random_bits,
-            "log_uniform": _log_uniform, "specials": _specials}
+            "log_uniform": _log_uniform, "specials": _specials, "short_decimals": _short_decimals}
 
 
 @pytest.mark.parametrize("family, columns, framing", [
@@ -831,7 +840,7 @@ def test_digit_kernel_matches_percent_formatting(family, columns, framing):
 
 
 def test_cells_do_not_depend_on_the_order_of_values():
-    # the digit kernel orders its values by layout itself
+    # each cell follows its value, whatever the order of the values
     values = np.sort(_log_uniform())
     shuffle = np.random.default_rng(6).permutation(len(values))
     assert cli._cells(values[shuffle], False).tobytes() == cli._cells(values, False)[shuffle].tobytes()
