@@ -167,75 +167,63 @@ def _cells(values: np.ndarray, json: bool) -> np.ndarray:
     return cells
 
 
-def _row_blocks(rows, prefix: str, delimiter: str, suffix: str, json: bool = False, grid=None):
-    """The float rows as text, BLOCK_ROWS rows per block; each row is
+def _row_blocks(columns, prefix: str, delimiter: str, suffix: str, json: bool = False):
+    """The float columns, broadcast together, as text, BLOCK_ROWS rows per
+    block: row r holds element r of the broadcast shape, in C order, as
     prefix, its %.17g cells joined by delimiter, then suffix (none of which
-    holds a NUL).  One _cells call formats the columns of a block as they
-    are, into cells of CELL bytes; its rows gather them into one byte matrix
-    that holds the framing, and the NULs are dropped.
-
-    grid, the long form's (v, nodes), says what its first two columns hold:
-    each v repeated len(nodes) times, then the nodes tiled.  Both are
-    formatted once per table, and a block takes their cells by row index,
-    row // len(nodes) and row % len(nodes) (the nodes tiled over BLOCK_ROWS
-    + len(nodes) rows, of which the block's omega column is a slice), in
-    each of the two columns that holds those very bits; a block with a
-    nudged node formats its omega column as it is."""
-    rows = np.asarray(rows, dtype=float)
-    width = rows.shape[1]
-    template = (prefix + delimiter.join(["\0" * CELL] * width) + suffix).encode()
-    matrix = np.empty((min(len(rows), BLOCK_ROWS), len(template)), np.uint8)
+    holds a NUL).  A column with fewer elements than the table has rows (the
+    long form's v and nodes) is formatted once, and each block gathers its
+    cells by row index; one _cells call per block formats the slices of the
+    other columns, into cells of CELL bytes.  The rows gather them into one
+    byte matrix that holds the framing, and the NULs are dropped."""
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    n = math.prod(shape)
+    template = (prefix + delimiter.join(["\0" * CELL] * len(columns)) + suffix).encode()
+    matrix = np.empty((min(n, BLOCK_ROWS), len(template)), np.uint8)
     matrix[:] = np.frombuffer(template, np.uint8)
-    if grid is not None:  # formatted once; each block's omega column is a slice of the tiling
-        v, nodes = grid
-        pump, node = np.divmod(np.arange(BLOCK_ROWS + len(nodes)), len(nodes))
-        v_cells, tiled, tiled_cells = _cells(v, json), nodes[node], _cells(nodes, json)[node]
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        given = {}
-        if grid is not None:
-            first, offset = divmod(start, len(nodes))
-            span = slice(offset, offset + len(block))
-            for c, (values, cells, at) in enumerate(
-                    [(v, v_cells, first + pump[span]), (tiled, tiled_cells, span)]):
-                if np.array_equal(values[at].view(np.int64), block[:, c].view(np.int64)):
-                    given[c] = cells[at]
-        plain = [c for c in range(width) if c not in given]
-        cells = _cells(block[:, plain].ravel(), json).reshape(len(block), len(plain))
-        given.update(zip(plain, cells.T))
-        lines = matrix[:len(block)]
-        for c in range(width):
+    short = {c: (_cells(column.reshape(-1), json),
+                 np.broadcast_to(np.arange(column.size).reshape(column.shape), shape).ravel())
+             for c, column in enumerate(columns) if column.size < n}
+    full = {c: column.reshape(-1) for c, column in enumerate(columns) if c not in short}
+    for start in range(0, n, BLOCK_ROWS):
+        lines = matrix[:min(n - start, BLOCK_ROWS)]
+        span = slice(start, start + len(lines))
+        cells = _cells(np.array([column[span] for column in full.values()]).ravel(), json)
+        given = dict(zip(full, cells.reshape(len(full), len(lines))))
+        given.update((c, once[at[span]]) for c, (once, at) in short.items())
+        for c in range(len(columns)):
             at = len(prefix) + c * (CELL + len(delimiter))
             lines[:, at:at + CELL].view(_CELL_ITEM)[:, 0] = given[c]
         yield lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def write_csv(stream, columns: list[str], rows, meta: dict, grid=None) -> None:
-    """Metadata lines, the header, then the float rows (grid: see _row_blocks)."""
+def write_csv(stream, names: list[str], columns, meta: dict) -> None:
+    """Metadata lines, the header, then the rows of the columns (see _row_blocks)."""
     for key, value in meta.items():
         stream.write(f"# {key} = {_token(value)}\n")
-    stream.write(",".join(columns) + "\n")
-    for text in _row_blocks(rows, "", ",", "\n", grid=grid):
+    stream.write(",".join(names) + "\n")
+    for text in _row_blocks(columns, "", ",", "\n"):
         stream.write(text)
 
 
-def write_json(stream, columns: list[str], rows, meta: dict, grid=None,
-               extra: dict | None = None) -> None:
-    """meta, the extra fields, then the columns and rows under "data", one
-    row per line; nan, inf and -inf are quoted strings (grid: see _row_blocks)."""
+def write_json(stream, names: list[str], columns, meta: dict, extra: dict | None = None) -> None:
+    """meta, the extra fields, then the names and the rows of the columns (see
+    _row_blocks) under "data", one row per line; nan, inf and -inf are quoted
+    strings."""
     fields = ", ".join(f"{_token(k, True)}: {_token(v, True)}" for k, v in meta.items())
     lines = "".join(f"  {_token(k, True)}: {_token(v, True)},\n" for k, v in (extra or {}).items())
-    names = ", ".join(_token(c, True) for c in columns)
-    stream.write(f'{{\n  "meta": {{{fields}}},\n{lines}  "data": {{"columns": [{names}], "rows": [\n')
-    for i, text in enumerate(_row_blocks(rows, "    [", ", ", "],\n", True, grid)):
+    header = ", ".join(_token(c, True) for c in names)
+    stream.write(f'{{\n  "meta": {{{fields}}},\n{lines}  "data": {{"columns": [{header}], "rows": [\n')
+    for i, text in enumerate(_row_blocks(columns, "    [", ", ", "],\n", True)):
         # every row ends in ",\n"; the separator before the next block restores it
         stream.write((",\n" if i else "") + text[:-2])
     stream.write("\n  ]}\n}\n")
 
 
-def _emit(stream, fmt: str, columns: list[str], rows, meta: dict, grid=None) -> None:
+def _emit(stream, fmt: str, names: list[str], columns, meta: dict) -> None:
     _digit_tables()  # a broken table fails the command before its first byte is written
-    (write_json if fmt == "json" else write_csv)(stream, columns, rows, meta, grid)
+    (write_json if fmt == "json" else write_csv)(stream, names, columns, meta)
 
 
 def _meta(args, **params) -> dict:
@@ -294,9 +282,9 @@ def cmd_spectrum(args) -> None:
         args, v=args.v, mass="photon" if args.mass is None else args.mass,
         omega_min=args.omega_min, omega_max=args.omega_max, points=args.points,
     )
-    rows = np.column_stack([omega, rate, _log10_column(rate)])
     with _output(args.out) as stream:
-        _emit(stream, args.format, ["omega", "rate", "log10_rate"], rows, meta)
+        _emit(stream, args.format, ["omega", "rate", "log10_rate"],
+              [omega, rate, _log10_column(rate)], meta)
 
 
 def cmd_scan(args) -> None:
@@ -312,16 +300,15 @@ def cmd_scan(args) -> None:
     }
     if args.integrate:
         totals = spectrum.integrated_rates(v_values, args.mass)
-        columns, rows = ["v", "integrated_rate"], np.column_stack([v_values, totals])
-        table_grid = None
+        names, columns = ["v", "integrated_rate"], [v_values, totals]
     else:
         params.update(omega_min=args.omega_min, omega_max=args.omega_max, points=args.points)
         omega, rate = spectrum.scan_2d(v_values, grid, args.mass)
-        columns, rows = ["v", "omega", "rate"], np.column_stack(
-            [np.repeat(v_values, grid.points), omega.ravel(), rate.ravel()])
-        table_grid = (v_values, grid.nodes())  # the v and omega columns, formatted once
+        nodes = grid.nodes()  # a table with no nudged node formats its omega column once
+        names, columns = ["v", "omega", "rate"], [
+            v_values[:, None], nodes if (omega == nodes).all() else omega, rate]
     with _output(args.out) as stream:
-        _emit(stream, args.format, columns, rows, _meta(args, **params), table_grid)
+        _emit(stream, args.format, names, columns, _meta(args, **params))
 
 
 def cmd_resonance(args) -> None:
@@ -356,11 +343,9 @@ def cmd_simulate(args) -> str:
     # an exception before the stack closes removes both files: both are written or neither
     with contextlib.ExitStack() as outputs:
         _emit(outputs.enter_context(_output(args.out)), args.format, ["omega", "rate"],
-              np.column_stack([sim.omega, sim.rate]), meta)
+              [sim.omega, sim.rate], meta)
         if args.compare:
             report = modesim.compare_to_analytic(sim)
-            rows = np.column_stack(
-                [report.omega, report.simulated, report.analytic, report.relative_deviation])
             extra = {
                 "max_relative_deviation": report.max_deviation,
                 "median_relative_deviation": report.median_deviation,
@@ -369,8 +354,9 @@ def cmd_simulate(args) -> str:
                 "degenerate": report.degenerate,
             }
             write_json(outputs.enter_context(_output(args.report)),
-                       ["omega", "simulated", "analytic", "relative_deviation"], rows, meta,
-                       extra=extra)
+                       ["omega", "simulated", "analytic", "relative_deviation"],
+                       [report.omega, report.simulated, report.analytic,
+                        report.relative_deviation], meta, extra)
     return f"monodromy spectral radius {matrix.spectral_radius():.12f}"
 
 

@@ -714,7 +714,7 @@ def test_row_blocks_match_per_cell_formatting(n_rows, pools, seed, framing):
     # each column draws its cells from a pool of at most 12 values: heavy repeats
     rng = np.random.default_rng(seed)
     rows = np.column_stack([np.array(pool)[rng.integers(0, len(pool), n_rows)] for pool in pools])
-    blocks = list(cli._row_blocks(rows, *framing))
+    blocks = list(cli._row_blocks(rows.T, *framing))
     assert len(blocks) == -(-n_rows // cli.BLOCK_ROWS)
     assert _first_difference("".join(blocks), _per_cell(rows, *framing)) is None
 
@@ -727,7 +727,7 @@ def test_long_form_json_quotes_non_finite_tokens():
                      (5999, math.nan)]:
         rows[i, 2] = value
     stream = io.StringIO()
-    cli.write_json(stream, ["v", "omega", "rate"], rows, {"command": "scan"})
+    cli.write_json(stream, ["v", "omega", "rate"], rows.T, {"command": "scan"})
 
     def token(x):
         return '"%s"' % x if not math.isfinite(x) else "%.17g" % x
@@ -749,9 +749,10 @@ V_R = spectrum.RESONANCE_VELOCITY_PHOTON
     ((V_R - 1e-13, V_R + 1.1e-12, 10), 501, None),
 ], ids=["500_points", "501_points_mass", "nudged"])
 def test_long_form_matches_per_cell_formatting(tmp_path, v_range, points, mass, fmt):
-    # the v and omega cells come from the grid's, formatted once per table; the
-    # second block of 4,096 rows starts mid-pump, and in the nudged table both
-    # blocks hold pumps within DENOMINATOR_FLOOR of v_r, whose omega = 1/2 is nudged
+    # the v and omega columns broadcast over the table; the second block of
+    # 4,096 rows starts mid-pump, and in the nudged table, which carries its
+    # real omega, both blocks hold pumps within DENOMINATOR_FLOOR of v_r, whose
+    # omega = 1/2 is nudged
     v_min, v_max, v_points = v_range
     out = tmp_path / f"long.{fmt}"
     argv = ["scan", "--v-min", repr(v_min), "--v-max", repr(v_max), "--v-points", str(v_points),
@@ -771,15 +772,28 @@ def test_long_form_matches_per_cell_formatting(tmp_path, v_range, points, mass, 
     assert _first_difference(got, want) is None
 
 
+@pytest.mark.parametrize("v_min, v_max, formatted", [
+    (0.1, 30.0, 9 + 501 + 9 * 501),
+    (V_R - 1e-13, V_R + 1.1e-12, 9 + 2 * 9 * 501),
+], ids=["grid", "nudged"])
+def test_long_form_formats_v_and_nodes_once(tmp_path, monkeypatch, v_min, v_max, formatted):
+    # v and the nodes are formatted once per table; a nudged table formats its omega in full
+    counted, cells = [], cli._cells
+    monkeypatch.setattr(cli, "_cells",
+                        lambda values, json: counted.append(values.size) or cells(values, json))
+    assert main(["scan", "--v-min", repr(v_min), "--v-max", repr(v_max), "--v-points", "9",
+                 "--points", "501", "--out", str(tmp_path / "long.csv")]) == EXIT_OK
+    assert sum(counted) == formatted
+
+
 @pytest.mark.parametrize("framing", [CSV_FRAMING, JSON_FRAMING])
-def test_row_blocks_take_grid_cells_only_where_they_hold(framing):
-    # block 1 breaks the grid's v (-0.0 for 0.0), block 2 its omega at the first
-    # row, block 3 neither: a broken column of a block is formatted as it is
-    v, nodes = np.array([0.0, 1.5, 2.5]), np.linspace(0.0, 1.0, 3001)
-    rows = np.column_stack([np.repeat(v, 3001), np.tile(nodes, 3), np.arange(9003.0)])
-    rows[10, 0] = -0.0
-    rows[cli.BLOCK_ROWS, 1] += 1e-9
-    got = "".join(cli._row_blocks(rows, *framing, grid=(v, nodes)))
+def test_broadcast_columns_match_per_cell_formatting(framing):
+    # a (3, 1) v column, 3001 nodes and a full rate column: 9,003 rows over 3
+    # blocks, the second and third starting mid-pump; -0.0 keeps its sign
+    v, nodes = np.array([[-0.0], [1.5], [2.5]]), np.linspace(0.0, 1.0, 3001)
+    rate = np.arange(9003.0).reshape(3, 3001)
+    got = "".join(cli._row_blocks([v, nodes, rate], *framing))
+    rows = np.column_stack([np.repeat(v, 3001), np.tile(nodes, 3), rate.ravel()])
     assert _first_difference(got, _per_cell(rows, *framing)) is None
 
 
@@ -835,7 +849,7 @@ def test_digit_kernel_matches_percent_formatting(family, columns, framing):
     # layouts of every column of a block
     values = FAMILIES[family]()
     rows = values[:len(values) // columns * columns].reshape(-1, columns)
-    got = "".join(cli._row_blocks(rows, *framing))
+    got = "".join(cli._row_blocks(rows.T, *framing))
     assert _first_difference(got, _per_cell(rows, *framing)) is None
 
 
@@ -854,7 +868,7 @@ def test_emitter_memory_is_bounded_by_the_block():
     with open(os.devnull, "w") as sink:
         for rows in tables:
             tracemalloc.start()
-            cli.write_json(sink, ["a", "b", "c"], rows, {"command": "test"})
+            cli.write_json(sink, ["a", "b", "c"], rows.T, {"command": "test"})
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
