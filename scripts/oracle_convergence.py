@@ -16,7 +16,12 @@ it stays put (0.1258 / 0.1289 / 0.1310 at v = 3.8).
 Above the threshold the occupations grow exponentially, and the fitted
 rates with them, so the printed median deviation is no rate comparison
 (8e6 to 1.5e7 % at kappa0 64 to 256, v = 3.8, t0 = 314.16): ln rho is
-the number to read there.
+the number to read there.  The last line says which regime the run is in,
+from the ratio of ln rho on the last two rungs: at most 0.75 (ln rho
+halves) the growth is a discrete pair resonance and the deviations compare
+rates; above it (ln rho does not fall) the run is parametrically unstable;
+an ln rho below 1e-12 (no pump) is rounding.  Measured ratios: 0.500 at
+the defaults, 0.504 at v = 3.0 and 1.016 at v = 3.8, t0 = 314.16.
 
 Usage: python scripts/oracle_convergence.py [v] [t0]
 """
@@ -35,6 +40,7 @@ def main() -> None:
     v = float(sys.argv[1]) if len(sys.argv) > 1 else 0.2
     t0 = float(sys.argv[2]) if len(sys.argv) > 2 else 400.0 * math.pi
     print(f"v = {v}, t0 = {t0:.4g}  (recurrence-safe above kappa0 = {t0 / (2 * math.pi):.0f})")
+    log_rhos = []
     for kappa0 in LADDER:
         config = modesim.SimConfig(kappa0=kappa0, v=v, t0=t0)
         start = time.perf_counter()
@@ -43,6 +49,7 @@ def main() -> None:
             matrix = modesim.evolve(config)
         report = modesim.compare_to_analytic(modesim.extract_rates(matrix))
         log_rho = math.log(matrix.spectral_radius())
+        log_rhos.append(log_rho)
         regime = "recurrence" if t0 > config.recurrence_time else "continuum "
         print(
             f"  kappa0 = {kappa0:4d} [{regime}]  median dev = {report.median_deviation:8.2%}  "
@@ -50,6 +57,15 @@ def main() -> None:
             f"{matrix.symplectic_defect():.2e}  ln rho = {log_rho:.3e}  "
             f"({time.perf_counter() - start:.2f}s)"
         )
+    ratio = log_rhos[-1] / log_rhos[-2]
+    if log_rhos[-1] < 1e-12:  # v = 0 reads 4.4e-16: rho is 1 to rounding
+        verdict = "ln rho is rounding: nothing grows, and the rates can be compared"
+    elif ratio <= 0.75:
+        verdict = "ln rho halves: a discrete pair resonance, and the rates can be compared"
+    else:
+        verdict = ("ln rho does not fall: the run is parametrically unstable, and the "
+                   "median deviation is no rate comparison")
+    print(f"ln rho ratio {ratio:.3f} at kappa0 = {LADDER[-1]} / {LADDER[-2]}: {verdict}")
 
 
 if __name__ == "__main__":

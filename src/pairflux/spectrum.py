@@ -91,14 +91,13 @@ class SpectralGrid:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def nodes(self) -> np.ndarray:
-        return self.nodes_weights()[0]
+        return np.linspace(self.omega_min, self.omega_max, self.points)
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        a, b, n = self.omega_min, self.omega_max, self.points
-        h = (b - a) / (n - 1)
-        w = np.full(n, h)
+        h = (self.omega_max - self.omega_min) / (self.points - 1)
+        w = np.full(self.points, h)
         w[[0, -1]] = 0.5 * h
-        return np.linspace(a, b, n), w
+        return self.nodes(), w
 
 
 @functools.cache
@@ -130,23 +129,24 @@ def scan_2d(v_values, grid: SpectralGrid, mass: float | None = None):
     """Emission rates over pump velocities (rows) and grid nodes (columns), as
     (omega, rate) arrays of shape (pumps, points): the frequencies each row was
     evaluated at, and linear rates with inf on a divergent node and nan on a
-    branch point.  A resonant row's node at omega = 1/2 is nudged off by a
-    fraction of the spacing, so no row samples the divergence itself.  Two
-    sweeps (_sweep) evaluate the rows: the other rows on the grid's nodes,
-    and the resonant rows on the nudged nodes."""
+    branch point.  The kernel's own flag decides where the divergence is: a
+    row whose node at omega = 1/2 comes back inf is evaluated again with that
+    node nudged up by 1e-3 of (omega_max - omega_min) / points, so no row
+    samples the divergence itself.  Two sweeps (_sweep) evaluate the rows:
+    every row on the grid's nodes, then the flagged rows on the nudged nodes.
+    The mass is checked first, for an empty v_values too."""
     v = np.asarray(v_values, dtype=float)
     nodes = grid.nodes()
+    kernel.effective_green_function(nodes[:0], mass)  # the kernel's mass check, on no node
     nudged = nodes.copy()
     nudged[nodes == 0.5] += 1e-3 * (grid.omega_max - grid.omega_min) / grid.points
-    v_res = _resonance_or_none(mass)
-    resonant = np.zeros(len(v), bool)
-    if v_res is not None:
-        resonant = (v > 0.0) & (np.abs(v - v_res) < kernel.DENOMINATOR_FLOOR)
     omega, rate = np.tile(nodes, (len(v), 1)), np.empty((len(v), grid.points))
-    omega[resonant] = nudged
-    for pick, at in [(~resonant, nodes), (resonant, nudged)]:
-        for block, rates in _sweep(v, np.flatnonzero(pick), at, mass):
-            rate[block] = rates
+    for block, rates in _sweep(v, np.arange(len(v)), nodes, mass):
+        rate[block] = rates
+    flagged = np.flatnonzero(np.isinf(rate[:, nodes == 0.5]).any(axis=1))
+    omega[flagged] = nudged
+    for block, rates in _sweep(v, flagged, nudged, mass):
+        rate[block] = rates
     return omega, rate
 
 
@@ -180,7 +180,10 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     """
     v = np.asarray(v_values, dtype=float)
     totals = np.zeros(len(v))
-    v_res = _resonance_or_none(mass)  # the mass check
+    try:
+        v_res = resonance_velocity(mass)  # the mass check, ahead of the velocities'
+    except NoResonance:  # mass 1/2: the closed channel below
+        v_res = None
     kernel.check_velocity(v)
     lo, hi = (0.0, 1.0) if mass is None else (2.0 * mass, 1.0 - 2.0 * mass)
     if hi - lo < 1e-11:  # too narrow for nodes to stay off its edges, the branch points
@@ -224,16 +227,6 @@ def resonance_velocity(mass: float | None = None) -> float:
     if modulus == 0.0:
         raise NoResonance(f"effective Green function vanishes at omega = 1/2 for mass {mass!r}")
     return 1.0 / modulus
-
-
-def _resonance_or_none(mass: float | None) -> float | None:
-    """resonance_velocity, or None where no pump reaches one (mass 1/2, and
-    the limit 0 at mass 1/4); a mass outside [0, 1/2] raises ValueError,
-    which makes this the mass check of a sweep."""
-    try:
-        return resonance_velocity(mass) or None
-    except NoResonance:
-        return None
 
 
 def stimulated_rate(

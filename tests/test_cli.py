@@ -751,8 +751,8 @@ V_R = spectrum.RESONANCE_VELOCITY_PHOTON
 def test_long_form_matches_per_cell_formatting(tmp_path, v_range, points, mass, fmt):
     # the v and omega columns broadcast over the table; the second block of
     # 4,096 rows starts mid-pump, and in the nudged table, which carries its
-    # real omega, both blocks hold pumps within DENOMINATOR_FLOOR of v_r, whose
-    # omega = 1/2 is nudged
+    # real omega, both blocks hold pumps whose rate at omega = 1/2 the kernel
+    # flags inf, and whose node there is therefore nudged
     v_min, v_max, v_points = v_range
     out = tmp_path / f"long.{fmt}"
     argv = ["scan", "--v-min", repr(v_min), "--v-max", repr(v_max), "--v-points", str(v_points),

@@ -24,6 +24,7 @@ from pairflux.kernel import (
 )
 
 import scalar_reference
+import sideband_chain
 
 # mpmath (mp.dps = 40) evaluations of the closed forms
 G_HALF_RE = 0.2308850980422757270383997062153457011457
@@ -366,20 +367,6 @@ class TestPerturbativeRate:
         assert perturbative_rate(w, v) == (v / (2.0 * math.pi)) ** 2 * w * (1.0 - w)
 
 
-def chain_factor(w: float, v: float, n_up: int) -> float:
-    """Chain rate over closed-form rate at one omega, by a dense solve of the
-    sideband chain Q_n - v G(w + n) (Q_{n-1} + Q_{n+1}) = source_n on
-    n = -1 - n_up .. n_up: with T = (I - v diag(G) A)^-1, A the chain's
-    adjacency, the factor is |1 - v^2 G(w) G(w - 1)|^2 |T_{-1,0} / (v G(w - 1))|^2."""
-    n = np.arange(-1 - n_up, n_up + 1)
-    g = green_function(w + n)
-    adjacency = np.eye(n.size, k=1) + np.eye(n.size, k=-1)
-    T = np.linalg.inv(np.eye(n.size) - v * g[:, None] * adjacency)
-    i = n_up + 1  # the row of n = 0
-    return (abs(1.0 - v * v * g[i] * g[i - 1]) ** 2
-            * abs(T[i - 1, i] / (v * g[i - 1])) ** 2)
-
-
 class TestSidebandChain:
     """The closed form keeps the sidebands n in {-1, 0} of the chain that the
     oracle's mode sum obeys; the off-shell sidebands n = +1 and n = -2 add
@@ -388,14 +375,18 @@ class TestSidebandChain:
 
     @pytest.mark.parametrize("w", [0.25, 0.3, 0.4, 0.45])
     def test_weak_pump_v4_term(self, w):
-        # (factor - 1) / v^2 is -0.078 to -0.061 here and matches to 1.3e-5 at v = 0.05;
-        # the rest is of order v^2.  The chain cut to n in {-1, 0} is the closed form
+        # the factor is the chain's rate over the closed form's; (factor - 1) / v^2 is
+        # -0.078 to -0.061 here and matches to 1.3e-5 at v = 0.05; the rest is of
+        # order v^2.  The chain cut to n in {-1, 0} is the closed form
+        def factor(v, n_up):
+            return float(sideband_chain.chain_rate(w, v, n_up)) / emission_rate(w, v)
+
         v = 0.05
-        assert abs(chain_factor(w, 1.0, 0) - 1.0) < 1e-14
+        assert abs(factor(1.0, 0) - 1.0) < 1e-14
         second = 2.0 * (green_function(w) * green_function(w + 1.0)
                         + green_function(w - 1.0) * green_function(w - 2.0)).real
         assert second < -0.06
-        assert abs((chain_factor(w, v, 8) - 1.0) / v**2 - second) < 2e-5
+        assert abs((factor(v, 8) - 1.0) / v**2 - second) < 2e-5
 
 
 class TestScalarReference:

@@ -379,7 +379,8 @@ class TestScan2D:
     def test_only_the_resonant_row_is_nudged(self, mass):
         grid = SpectralGrid(0.0, 1.0, 101)
         v_r = resonance_velocity(mass)
-        # the last pump lies just outside the nudge tolerance DENOMINATOR_FLOOR
+        # the last pump, 2e-12 above v_r, keeps |1 - v^2 P| at omega = 1/2 above the
+        # kernel's floor: its rate there is finite, and its row is not nudged
         omega, rate = scan_2d([0.0, 1.0, v_r, v_r + 2e-12], grid, mass)
         nodes = grid.nodes()
         for row in (0, 1, 3):
@@ -387,6 +388,36 @@ class TestScan2D:
         assert np.flatnonzero(omega[2] != nodes).tolist() == [50]
         assert omega[2, 50] == 0.5 + 1e-3 / 101
         assert not np.isinf(rate[2]).any()
+
+    @pytest.mark.parametrize("mass, dv, peak", [
+        (None, -1.3e-12, 4.15e7), (None, 1.3e-12, 4.15e7),
+        (0.1, -1.5e-12, 9.20e7), (0.1, 1.5e-12, 9.20e7),
+    ])
+    def test_the_kernels_flag_decides_the_nudge(self, mass, dv, peak):
+        # at omega = 1/2, |1 - v^2 P| is about 2 |dv| / v_r, below the kernel's floor
+        # 1e-12 for |dv| < 5e-13 v_r (1.47e-12 photon, 1.97e-12 mass 0.1): these pumps,
+        # more than 1e-12 from v_r, read inf on the grid's node, so their row is nudged
+        grid = SpectralGrid(0.0, 1.0, 101)
+        v = resonance_velocity(mass) + dv
+        assert kernel.emission_rate(0.5, v, mass) == math.inf
+        omega, rate = scan_2d([1.0, v], grid, mass)
+        assert omega[0].tobytes() == grid.nodes().tobytes()
+        assert np.flatnonzero(omega[1] != grid.nodes()).tolist() == [50]
+        assert not np.isinf(rate).any()
+        assert abs(rate[1, 50] / peak - 1.0) < 1e-3
+
+    def test_a_closed_channel_row_is_not_nudged(self):
+        # mass 0.3: the numerator vanishes on the whole grid, so the kernel flags no
+        # cell at the mass's own v_r, and every rate is 0
+        grid = SpectralGrid(0.001, 0.999, 501)
+        omega, rate = scan_2d([resonance_velocity(0.3)], grid, 0.3)
+        assert omega[0].tobytes() == grid.nodes().tobytes()
+        assert (rate == 0.0).all()
+
+    @pytest.mark.parametrize("v", [[], [1.0], [-1.0]])
+    def test_mass_is_checked_first_for_any_pumps(self, v):
+        with pytest.raises(ValueError, match="mass"):
+            scan_2d(v, SpectralGrid(0.0, 1.0, 101), 0.7)
 
     @pytest.mark.parametrize("mass", [None, 0.1])
     def test_green_functions_once_per_sweep(self, mass, monkeypatch):
