@@ -268,12 +268,6 @@ def _output(path: str | None):
         raise
 
 
-def _log10_column(rates: np.ndarray) -> np.ndarray:
-    """log10 of each rate; nan stays nan and a zero rate gives -inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.isnan(rates) | (rates > 0.0), np.log10(rates), -np.inf)
-
-
 def cmd_spectrum(args) -> None:
     pump = spectrum.PumpConfig(v=args.v, mass=args.mass)
     grid = spectrum.SpectralGrid(args.omega_min, args.omega_max, args.points)
@@ -282,9 +276,10 @@ def cmd_spectrum(args) -> None:
         args, v=args.v, mass="photon" if args.mass is None else args.mass,
         omega_min=args.omega_min, omega_max=args.omega_max, points=args.points,
     )
+    with np.errstate(divide="ignore"):  # a zero rate gives -inf, nan stays nan
+        log10_rate = np.log10(rate)
     with _output(args.out) as stream:
-        _emit(stream, args.format, ["omega", "rate", "log10_rate"],
-              [omega, rate, _log10_column(rate)], meta)
+        _emit(stream, args.format, ["omega", "rate", "log10_rate"], [omega, rate, log10_rate], meta)
 
 
 def cmd_scan(args) -> None:

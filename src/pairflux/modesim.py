@@ -69,12 +69,6 @@ GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * _R15 / 10.0
 GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-def _ceil(x: float) -> int:
-    """ceil(x) forgiving a relative rounding excess, so that a t0 of
-    q whole periods counts as q * n_p steps, not one more."""
-    return math.ceil(x * (1.0 - 1e-9))
-
-
 class IntegratorUnstable(Exception):
     """The step is too coarse for the pump, or an amplitude went non-finite or
     past AMPLITUDE_BOUND during evolution."""
@@ -95,8 +89,7 @@ class SimConfig:
     symplectic, so the step sets only the accuracy: at the default 40 the
     rates of kappa0 64 at v <= 3 lie within 1.6e-8 (relative) of a
     dt_divisor 2000 run.
-    The run ends at the whole pump period nearest ceil(t0 / step) steps,
-    within half a period of t0.
+    The run ends after the whole number of periods nearest t0 / 2 pi.
     Read-only: assigning a field raises AttributeError.  It and the three
     records below are plain classes, since dataclasses add their import and
     about 1 ms a class to a cold start.
@@ -120,8 +113,7 @@ class SimConfig:
         if self.steps_per_period > MAX_STEPS_PER_PERIOD:
             raise ValueError(f"dt_divisor = {self.dt_divisor} needs more than "
                              f"{MAX_STEPS_PER_PERIOD} steps per pump period")
-        # near the float maximum t0 / step overflows before it reaches ceil
-        if not self.t0 / self.step < math.inf or self.n_steps > MAX_PERIODS * self.steps_per_period:
+        if self.periods > MAX_PERIODS:
             raise ValueError(f"t0 = {self.t0} spans more than {MAX_PERIODS} pump periods")
         # a numpy kappa0 would wrap the byte count at int64
         map_bytes = (len(self.kept_maps) + 8) * (2 * int(self.kappa0)) ** 2 * 8
@@ -137,25 +129,25 @@ class SimConfig:
         """Steps per pump period 2 pi: the even number at or above dt_divisor,
         whole so that Floquet composition is exact and even so that the
         period folds at t = pi."""
-        return 2 * _ceil(0.5 * self.dt_divisor)
+        return 2 * math.ceil(0.5 * self.dt_divisor)
 
     @property
     def step(self) -> float:
         return 2.0 * math.pi / self.steps_per_period
 
     @property
-    def n_steps(self) -> int:
-        """Steps to reach t0, rounded up."""
-        return _ceil(self.t0 / self.step)
+    def periods(self) -> int:
+        """Whole pump periods in the run: those nearest t0, ties to even."""
+        return round(self.t0 / (2.0 * math.pi))
 
     @property
     def checkpoint_steps(self) -> np.ndarray:
         """Step counts at which evolve records occupations: CHECKPOINTS whole
-        pump periods spread evenly over n_steps, the last the whole period
-        nearest it, so the run ends within half a period of t0.  t0 >= 100 pi
-        spans at least 50 periods, which keeps them distinct and 3 apart."""
+        pump periods spread evenly over the run, the last at its end.
+        t0 >= 100 pi spans at least 50 periods, which keeps them distinct and
+        3 apart."""
         n_p = self.steps_per_period
-        return np.rint(np.linspace(0, self.n_steps / n_p, CHECKPOINTS + 1)[1:]).astype(int) * n_p
+        return np.rint(np.linspace(0, self.periods, CHECKPOINTS + 1)[1:]).astype(int) * n_p
 
     @property
     def kept_maps(self) -> set[int]:

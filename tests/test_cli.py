@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_cell
 import scalar_reference
 from pairflux import cli, spectrum
 from pairflux.cli import (
@@ -693,9 +694,8 @@ SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, np.frombuffer(
 
 
 def _per_cell(rows, prefix, delimiter, suffix, json):
-    def cell(x):
-        return ('"%.17g"' if json and not math.isfinite(x) else "%.17g") % x
-    return "".join(prefix + delimiter.join(map(cell, row)) + suffix for row in rows.tolist())
+    return "".join(prefix + delimiter.join(per_cell.cell(x, json) for x in row) + suffix
+                   for row in rows.tolist())
 
 
 def _first_difference(got, want):
@@ -728,13 +728,10 @@ def test_long_form_json_quotes_non_finite_tokens():
         rows[i, 2] = value
     stream = io.StringIO()
     cli.write_json(stream, ["v", "omega", "rate"], rows.T, {"command": "scan"})
-
-    def token(x):
-        return '"%s"' % x if not math.isfinite(x) else "%.17g" % x
-    body = ",\n".join("    [" + ", ".join(map(token, row)) + "]" for row in rows.tolist())
+    body = per_cell.rows_text(rows.tolist(), json=True)
     assert _first_difference(stream.getvalue(), '{\n  "meta": {"command": "scan"},\n  "data": '
                              '{"columns": ["v", "omega", "rate"], "rows": [\n' + body
-                             + "\n  ]}\n}\n") is None
+                             + "  ]}\n}\n") is None
     assert [json.loads(stream.getvalue())["data"]["rows"][i][2]
             for i in (0, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, 5999)] == ["nan", "inf", "-inf", "nan"]
 

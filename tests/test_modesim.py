@@ -52,21 +52,49 @@ def gauss_tableau():
     return nodes, A, b
 
 
-def gl_step(config: SimConfig, t: float, h: float) -> np.ndarray:
+@functools.cache
+def longdouble_tableau():
+    """The same tableau in np.longdouble, from its closed forms with sqrt(15)
+    taken in longdouble: gauss_tableau's leggauss nodes are float64."""
+    f, r = np.longdouble, np.sqrt(np.longdouble(15))
+    A = np.array([[f(5) / 36, f(2) / 9 - r / 15, f(5) / 36 - r / 30],
+                  [f(5) / 36 + r / 24, f(2) / 9, f(5) / 36 - r / 24],
+                  [f(5) / 36 + r / 30, f(2) / 9 + r / 15, f(5) / 36]])
+    return f(1) / 2 + np.array([-r, f(0), r]) / 10, A, np.array([f(5), f(8), f(5)]) / 18
+
+
+def solve_longdouble(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b by Gaussian elimination with partial pivoting: numpy.linalg
+    takes no longdouble."""
+    n = len(a)
+    m = np.hstack([a, b])
+    for i in range(n):
+        p = i + int(np.argmax(np.abs(m[i:, i])))
+        m[[i, p]] = m[[p, i]]
+        m[i + 1:, i:] -= np.outer(m[i + 1:, i] / m[i, i], m[i, i:])
+    x = m[:, n:]
+    for i in reversed(range(n)):  # back substitution on the upper triangle
+        x[i] /= m[i, i]
+        x[:i] -= np.outer(m[:i, i], x[i])
+    return x
+
+
+def gl_step(config: SimConfig, t: float, h: float, tableau=gauss_tableau,
+            solve=np.linalg.solve) -> np.ndarray:
     """Reference: the dense 2K x 2K map of one 3-stage Gauss-Legendre step from
-    t, its stages solved as one 6K x 6K system."""
-    omega, coupling = build_sim(config)
+    t, its stages solved as one 6K x 6K system, in the tableau's precision."""
+    nodes, A, b = tableau()
+    omega, coupling = (x.astype(A.dtype) for x in build_sim(config))
     K = omega.size
-    nodes, A, b = gauss_tableau()
 
     def generator(s):  # Z' = L(s) Z, Z = [x; x']
-        F = 2.0 * config.v * math.cos(s) * np.outer(omega, coupling)
+        F = 2.0 * config.v * np.cos(s) * np.outer(omega, coupling)
         F -= np.diag(omega**2)  # the free -w^2
         return np.block([[np.zeros((K, K)), np.eye(K)], [F, np.zeros((K, K))]])
 
     L = [generator(t + c * h) for c in nodes]
     stages = np.eye(6 * K) - h * np.block([[A[i, j] * L[j] for j in range(3)] for i in range(3)])
-    Y = np.linalg.solve(stages, np.vstack([np.eye(2 * K)] * 3))
+    Y = solve(stages, np.vstack([np.eye(2 * K)] * 3))
     return np.eye(2 * K) + h * sum(b[j] * L[j] @ Y[2 * K * j:2 * K * (j + 1)] for j in range(3))
 
 
@@ -180,9 +208,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="steps per pump period"):
             SimConfig(kappa0=8, v=0.1, dt_divisor=1e12)
         periods = modesim.MAX_PERIODS
-        assert SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * periods).n_steps == 40 * periods
-        with pytest.raises(ValueError, match="pump periods"):
-            SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * (periods + 1))
+        assert SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * periods).periods == periods
+        # the run is the whole number of periods nearest t0: 0.4 past the limit rounds back to it
+        assert SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * (periods + 0.4)).periods == periods
+        for over in (0.6, 1.0):
+            with pytest.raises(ValueError, match="pump periods"):
+                SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * (periods + over))
         for t0 in (1e12, 1e20):  # 1e20 gives more steps than checkpoint_steps' int64 holds
             with pytest.raises(ValueError, match="pump periods"):
                 SimConfig(kappa0=8, v=0.0, t0=t0)
@@ -330,7 +361,7 @@ class TestFloquetAgainstStepping:
     """evolve composes one-period maps; a plain step-by-step GL3 must agree."""
 
     @pytest.mark.parametrize(
-        "config, h, n_steps",
+        "config, h, last",
         [
             # 50 periods: checkpoints 3 or 4 whole periods apart
             (SimConfig(kappa0=16, v=0.5, t0=T0), 2.0 * math.pi / 40, 2000),
@@ -340,8 +371,8 @@ class TestFloquetAgainstStepping:
         ],
         ids=["gaps_3_and_4", "snapped_step"],
     )
-    def test_matches_reference_stepper(self, config, h, n_steps):
-        assert (config.step, config.n_steps) == (h, n_steps)
+    def test_matches_reference_stepper(self, config, h, last):
+        assert (config.step, config.checkpoint_steps[-1]) == (h, last)
         matrix = quiet_run(config)
         mu, nu, occupations = stepped(config)
         for got, want in ((matrix.occupations, occupations), (matrix.mu, mu), (matrix.nu, nu)):
@@ -358,18 +389,59 @@ class TestFloquetAgainstStepping:
     def test_step_snapping(self):
         # the default step divides the period as is; a fractional or odd divisor
         # snaps to the next finer even number of steps per period
-        assert SimConfig(kappa0=8, v=0.1, t0=4 * T0).n_steps == 8000
+        assert SimConfig(kappa0=8, v=0.1, t0=4 * T0).periods == 200
         config = SimConfig(kappa0=8, v=0.1, t0=314.16)
-        assert (config.steps_per_period, config.n_steps) == (40, 2001)
+        assert (config.steps_per_period, config.periods) == (40, 50)
         # the checkpoints are whole periods, the last the one nearest t0
         assert config.checkpoint_steps[-1] == 2000
         for t0 in (T0, 314.16, 123.4 * math.pi + 0.7, 4 * T0):
             config = SimConfig(kappa0=8, v=0.1, t0=t0, dt_divisor=250.5)
             periods, remainders = np.divmod(config.checkpoint_steps, config.steps_per_period)
             assert not remainders.any() and (np.diff(periods) >= 3).all()
-            assert abs(config.checkpoint_steps[-1] * config.step - t0) <= math.pi
         assert SimConfig(kappa0=8, v=0.1, dt_divisor=250.5).steps_per_period == 252
         assert SimConfig(kappa0=8, v=0.1, dt_divisor=201.0).steps_per_period == 202
+
+    def test_run_is_the_nearest_whole_number_of_periods(self):
+        # the run is the whole number of periods nearest t0 itself, not nearest t0 rounded
+        # up to a whole step, which would make 51.49 run 52 periods and 101.495 run 102
+        for periods, want in ((51.49, 51), (51.499, 51), (101.495, 101), (51.51, 52), (50.0, 50)):
+            config = SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * periods)
+            assert (config.periods, config.checkpoint_steps[-1]) == (want, 40 * want)
+        # so the run ends within half a period of t0; an exact tie such as 51.5 periods
+        # lands on pi plus an ulp of rounding, so none is taken here
+        for dt_divisor in (modesim.DEFAULT_DT_DIVISOR, 250.5):
+            for t0 in (T0, 314.16, 123.4 * math.pi + 0.7, 4 * T0, 2.0 * math.pi * 51.49,
+                       2.0 * math.pi * 51.499, 2.0 * math.pi * 101.495, 2.0 * math.pi * 77.5001):
+                config = SimConfig(kappa0=8, v=0.1, t0=t0, dt_divisor=dt_divisor)
+                assert abs(config.checkpoint_steps[-1] * config.step - t0) <= math.pi
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is a double here")
+class TestRounding:
+    """evolve's float64 rounding, against the same GL3 run stepped densely in
+    np.longdouble (eps 1.1e-19 on x86-64) from the closed-form tableau: the
+    bound a reassociation of the period maps must keep."""
+
+    @pytest.mark.parametrize("kappa0", [8, 16])
+    @pytest.mark.parametrize("v", [0.5, 3.0])
+    def test_float64_against_longdouble(self, kappa0, v):
+        # relative to the largest entry, measured: half period 1.4e-15 to 1.9e-15,
+        # monodromy 2.0e-15 to 3.2e-15, occupations after 50 periods 1.0e-13 to 2.2e-13
+        config = SimConfig(kappa0=kappa0, v=v, t0=T0)
+        matrix = quiet_run(config)
+        h = np.longdouble(config.step)
+        half = np.eye(2 * kappa0, dtype=np.longdouble)
+        for s in range(config.steps_per_period // 2):
+            half = gl_step(config, s * h, h, longdouble_tableau, solve_longdouble) @ half
+        M = modesim._fold(half)
+        for got, want in ((matrix.half_period, half), (matrix.monodromy, M)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        # N_k = (w_k / 2) sum_j |x - i x' / w|^2 from x(0) = 1 / sqrt(2 w), x'(0) = -i w x(0)
+        w = build_sim(config)[0].astype(np.longdouble)[:, None]
+        x0 = np.diag(1.0 / np.sqrt(2.0 * w[:, 0]))
+        Z = np.linalg.matrix_power(M, config.periods) @ np.vstack([x0, -1j * w * x0])
+        want = (0.5 * w * np.abs(Z[:kappa0] - 1j * Z[kappa0:] / w) ** 2).sum(axis=1)
+        assert np.abs(matrix.occupations[-1] - want).max() <= 1e-12 * want.max()
 
 
 class TestEvolve:
