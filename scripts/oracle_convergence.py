@@ -50,7 +50,7 @@ def main() -> None:
         report = modesim.compare_to_analytic(modesim.extract_rates(matrix))
         log_rho = math.log(matrix.spectral_radius())
         log_rhos.append(log_rho)
-        regime = "recurrence" if t0 > config.recurrence_time else "continuum "
+        regime = "recurrence" if config.periods > kappa0 else "continuum "
         print(
             f"  kappa0 = {kappa0:4d} [{regime}]  median dev = {report.median_deviation:8.2%}  "
             f"max dev = {report.max_deviation:8.2%}  symplectic defect = "

@@ -352,7 +352,7 @@ def cmd_simulate(args) -> str:
                        ["omega", "simulated", "analytic", "relative_deviation"],
                        [report.omega, report.simulated, report.analytic,
                         report.relative_deviation], meta, extra)
-    return f"monodromy spectral radius {matrix.spectral_radius():.12f}"
+    return f"{config.periods} pump periods, monodromy spectral radius {matrix.spectral_radius():.12f}"
 
 
 def cmd_estimate(args) -> None:

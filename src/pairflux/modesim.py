@@ -21,9 +21,9 @@ growing linearly in time.
 
 Validity window: a finite resonator re-interferes the emitted field after
 the mode-recurrence time 2 pi kappa0.  Quantitative agreement with the
-continuum formula requires t0 below that bound; beyond it the exactly
-resonant mode pairs squeeze coherently and the spectrum inflates (the
-discrete-resonator regime).  evolve() warns when a run crosses the bound.
+continuum formula requires a run of at most kappa0 pump periods; past it the
+exactly resonant mode pairs squeeze coherently and the spectrum inflates
+(the discrete-resonator regime).  evolve() warns when a run crosses the bound.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import kernel
 MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 
 DEFAULT_DT_DIVISOR = 40.0  # GL3 steps per pump period
-CHECKPOINTS = 16  # whole pump periods sampled over the run; 8 or 9 fall at or after t0/2
+CHECKPOINTS = 16  # whole pump periods sampled over the run; 8 or 9 fall in its second half
 AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
 COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
 COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance criterion 8)
@@ -75,7 +75,7 @@ class IntegratorUnstable(Exception):
 
 
 class ModeRecurrenceWarning(UserWarning):
-    """Modulation time exceeds the resonator mode-recurrence time 2 pi kappa0."""
+    """The run's whole pump periods outnumber kappa0: it outlasts 2 pi kappa0."""
 
 
 class SimConfig:
@@ -141,23 +141,18 @@ class SimConfig:
         return round(self.t0 / (2.0 * math.pi))
 
     @property
-    def checkpoint_steps(self) -> np.ndarray:
-        """Step counts at which evolve records occupations: CHECKPOINTS whole
-        pump periods spread evenly over the run, the last at its end.
+    def checkpoints(self) -> np.ndarray:
+        """The whole pump periods after which evolve records occupations:
+        CHECKPOINTS of them spread evenly over the run, the last at its end.
         t0 >= 100 pi spans at least 50 periods, which keeps them distinct and
         3 apart."""
-        n_p = self.steps_per_period
-        return np.rint(np.linspace(0, self.periods, CHECKPOINTS + 1)[1:]).astype(int) * n_p
+        return np.rint(np.linspace(0, self.periods, CHECKPOINTS + 1)[1:]).astype(int)
 
     @property
     def kept_maps(self) -> set[int]:
         """The distinct numbers g of whole periods between checkpoints (the
         first from t = 0), whose leaps M^g evolve keeps."""
-        return set(np.diff(self.checkpoint_steps // self.steps_per_period, prepend=0).tolist())
-
-    @property
-    def recurrence_time(self) -> float:
-        return 2.0 * math.pi * self.kappa0
+        return set(np.diff(self.checkpoints, prepend=0).tolist())
 
 
 class BogoliubovMatrix:
@@ -310,7 +305,7 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     T = diag(I, -I), and GL3 is symplectic, Mh^-1 = J^T Mh^T J:
     Mh = [[A, B], [C, D]] folds into M = [[D^T, B^T], [C^T, A^T]] Mh
     (_fold), one product.  Occupations are recorded stroboscopically, at the
-    whole periods of checkpoint_steps, for the stationary-rate fit in
+    whole periods of checkpoints, for the stationary-rate fit in
     extract_rates: the map F to a checkpoint is a product of leaps, one
     matrix_power per distinct gap of g periods, taken in the scaled
     coordinates (x, x' / w), where the occupations and the amplitude check
@@ -318,12 +313,12 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
 
     Raises IntegratorUnstable if the step cannot resolve the stiffest stage
     (h^2 (max w^2 + 2 v c . w) > 1) or any amplitude is not finite or exceeds
-    AMPLITUDE_BOUND; warns ModeRecurrenceWarning when t0 exceeds 2 pi kappa0.
+    AMPLITUDE_BOUND; warns ModeRecurrenceWarning when the run's periods outnumber kappa0.
     """
-    if config.v > 0.0 and config.t0 > config.recurrence_time:
+    if config.v > 0.0 and config.periods > config.kappa0:
         warnings.warn(
             f"t0 = {config.t0:.4g} exceeds the mode-recurrence time "
-            f"2*pi*kappa0 = {config.recurrence_time:.4g}; extracted rates will "
+            f"2*pi*kappa0 = {2.0 * math.pi * config.kappa0:.4g}; extracted rates will "
             "overestimate the continuum spectrum (discrete-resonator pair growth)",
             ModeRecurrenceWarning,
             stacklevel=2,
@@ -332,7 +327,7 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     omega, coupling = build_sim(config)  # a module lookup: a build_sim wrapped on the module runs
     K = omega.size
     n_p, h = config.steps_per_period, config.step
-    check_steps = config.checkpoint_steps
+    checkpoints = config.checkpoints
     # the coupling a w c^T, |a| <= 2 v, has rank one and eigenvalue a c . w: past h^2 (max w^2
     # + 2 v c . w) = 1 the stepped map can stay below AMPLITUDE_BOUND where the true one does not
     stiffness = h * h * (float((omega * omega).max()) + 2.0 * config.v * float(omega @ coupling))
@@ -361,11 +356,11 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
         # x(0) = x0 = 1/sqrt(2 w), x'(0) = -i w x0: F = Dl M^q diag(x0, w x0) = [[a, b], [c, d]]
         # gives x = a - i b, x' / w = c - i d and N_k = (w_k / 2) sum_j (a - d)^2 + (b + c)^2
         x0 = np.tile(1.0 / np.sqrt(2.0 * omega), 2)
-        occupations = np.empty((len(check_steps), K))
-        for i, g in enumerate(np.diff(check_steps // n_p, prepend=0).tolist()):
+        occupations = np.empty((len(checkpoints), K))
+        for i, g in enumerate(np.diff(checkpoints, prepend=0).tolist()):
             F = leaps[g] * x0 if i == 0 else leaps[g] @ F  # the first scales columns: no GEMM
             a, b, c, d = F[:K, :K], F[:K, K:], F[K:, :K], F[K:, K:]
-            t = check_steps[i] * h
+            t = checkpoints[i] * n_p * h
             if not (a * a + b * b).max() <= AMPLITUDE_BOUND**2:  # nan fails it too
                 raise IntegratorUnstable(
                     f"amplitude bound {AMPLITUDE_BOUND:g} exceeded at t = {t:.4g} (v = {config.v})")
@@ -376,7 +371,7 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
         mu, nu = pref * (a + d + 1j * (c - b)), pref * (re + 1j * im)
 
     return BogoliubovMatrix(
-        mu=mu, nu=nu, omega=omega, times=check_steps * h, occupations=occupations,
+        mu=mu, nu=nu, omega=omega, times=checkpoints * n_p * h, occupations=occupations,
         config=config, half_period=half_period,
     )
 
@@ -384,16 +379,15 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
 def extract_rates(matrix: BogoliubovMatrix) -> SimSpectrum:
     """Rate density per mode from the stationary growth of N_k.
 
-    N_k(t) is fitted linearly over the checkpoints from t0/2 on (the first
-    half absorbs the turn-on transient), up to the last, which is the whole
-    pump period nearest t0 and may lie up to half a period past it (at
-    t0 = 101.1 pi it is 102 pi); the slope is converted to
-    a per-unit-frequency rate through the mode density kappa0 and the
-    spectral normalization constant.  Interior modes omega in (0.1, 0.9)
-    only.
+    N_k(t) is fitted linearly over the checkpoints in the second half of the
+    run (the first half absorbs the turn-on transient); doubling is exact, so
+    a checkpoint at the midpoint of P periods, (P / 2) n_p steps of h, is half
+    the last time bit for bit.  The slope is converted to a per-unit-frequency
+    rate through the mode density kappa0 and the spectral normalization
+    constant.  Interior modes omega in (0.1, 0.9) only.
     """
     config = matrix.config
-    sel = matrix.times >= 0.5 * config.t0 - 1e-9 * config.t0
+    sel = matrix.times >= 0.5 * matrix.times[-1]
     slopes = np.polyfit(matrix.times[sel], matrix.occupations[sel], deg=1)[0]
     rate = config.kappa0 * slopes * MODE_SUM_TO_SPECTRAL
     interior = (matrix.omega > 0.1) & (matrix.omega < 0.9)

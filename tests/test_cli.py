@@ -522,6 +522,7 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         line = capsys.readouterr().err.strip()
         assert line.startswith("pairflux: simulate finished in ")
+        assert ", 50 pump periods, monodromy spectral radius " in line  # t0 = 100 pi
         assert abs(float(line.split("monodromy spectral radius ")[1]) - 1.0) < 1e-9
 
     def test_instability_exit(self):

@@ -108,7 +108,7 @@ def stepped(config: SimConfig):
     maps = [gl_step(config, s * h, h) for s in range(n_p)]
     X = np.diag(1.0 / np.sqrt(2.0 * omega)).astype(complex)
     Z = np.vstack([X, -1j * w * X])
-    checks = set(config.checkpoint_steps.tolist())
+    checks = set((config.checkpoints * n_p).tolist())
     occupations = []
     for n in range(max(checks)):
         Z = maps[n % n_p] @ Z
@@ -214,7 +214,7 @@ class TestConfig:
         for over in (0.6, 1.0):
             with pytest.raises(ValueError, match="pump periods"):
                 SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * (periods + over))
-        for t0 in (1e12, 1e20):  # 1e20 gives more steps than checkpoint_steps' int64 holds
+        for t0 in (1e12, 1e20):  # 1e20 gives more periods than checkpoints' int64 holds
             with pytest.raises(ValueError, match="pump periods"):
                 SimConfig(kappa0=8, v=0.0, t0=t0)
         # default t0 = 400 pi keeps the leaps M^12 and M^13:
@@ -361,18 +361,17 @@ class TestFloquetAgainstStepping:
     """evolve composes one-period maps; a plain step-by-step GL3 must agree."""
 
     @pytest.mark.parametrize(
-        "config, h, last",
+        "config, h",
         [
             # 50 periods: checkpoints 3 or 4 whole periods apart
-            (SimConfig(kappa0=16, v=0.5, t0=T0), 2.0 * math.pi / 40, 2000),
+            (SimConfig(kappa0=16, v=0.5, t0=T0), 2.0 * math.pi / 40),
             # 50.5 steps do not divide the period: rounded up to the even 52
-            (SimConfig(kappa0=16, v=0.5, t0=T0, dt_divisor=50.5),
-             2.0 * math.pi / 52, 2600),
+            (SimConfig(kappa0=16, v=0.5, t0=T0, dt_divisor=50.5), 2.0 * math.pi / 52),
         ],
         ids=["gaps_3_and_4", "snapped_step"],
     )
-    def test_matches_reference_stepper(self, config, h, last):
-        assert (config.step, config.checkpoint_steps[-1]) == (h, last)
+    def test_matches_reference_stepper(self, config, h):
+        assert (config.step, config.checkpoints[-1]) == (h, 50)
         matrix = quiet_run(config)
         mu, nu, occupations = stepped(config)
         for got, want in ((matrix.occupations, occupations), (matrix.mu, mu), (matrix.nu, nu)):
@@ -393,11 +392,10 @@ class TestFloquetAgainstStepping:
         config = SimConfig(kappa0=8, v=0.1, t0=314.16)
         assert (config.steps_per_period, config.periods) == (40, 50)
         # the checkpoints are whole periods, the last the one nearest t0
-        assert config.checkpoint_steps[-1] == 2000
+        assert config.checkpoints[-1] == 50
         for t0 in (T0, 314.16, 123.4 * math.pi + 0.7, 4 * T0):
             config = SimConfig(kappa0=8, v=0.1, t0=t0, dt_divisor=250.5)
-            periods, remainders = np.divmod(config.checkpoint_steps, config.steps_per_period)
-            assert not remainders.any() and (np.diff(periods) >= 3).all()
+            assert (np.diff(config.checkpoints) >= 3).all()
         assert SimConfig(kappa0=8, v=0.1, dt_divisor=250.5).steps_per_period == 252
         assert SimConfig(kappa0=8, v=0.1, dt_divisor=201.0).steps_per_period == 202
 
@@ -406,14 +404,15 @@ class TestFloquetAgainstStepping:
         # up to a whole step, which would make 51.49 run 52 periods and 101.495 run 102
         for periods, want in ((51.49, 51), (51.499, 51), (101.495, 101), (51.51, 52), (50.0, 50)):
             config = SimConfig(kappa0=8, v=0.1, t0=2.0 * math.pi * periods)
-            assert (config.periods, config.checkpoint_steps[-1]) == (want, 40 * want)
+            assert (config.periods, config.checkpoints[-1]) == (want, want)
         # so the run ends within half a period of t0; an exact tie such as 51.5 periods
         # lands on pi plus an ulp of rounding, so none is taken here
         for dt_divisor in (modesim.DEFAULT_DT_DIVISOR, 250.5):
             for t0 in (T0, 314.16, 123.4 * math.pi + 0.7, 4 * T0, 2.0 * math.pi * 51.49,
                        2.0 * math.pi * 51.499, 2.0 * math.pi * 101.495, 2.0 * math.pi * 77.5001):
                 config = SimConfig(kappa0=8, v=0.1, t0=t0, dt_divisor=dt_divisor)
-                assert abs(config.checkpoint_steps[-1] * config.step - t0) <= math.pi
+                assert abs(config.checkpoints[-1] * config.steps_per_period * config.step
+                           - t0) <= math.pi
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="longdouble is a double here")
@@ -475,6 +474,16 @@ class TestEvolve:
         config = SimConfig(kappa0=8, v=0.1, t0=T0)  # recurrence time 16 pi < t0
         with pytest.warns(ModeRecurrenceWarning):
             evolve(config)
+
+    def test_recurrence_warning_counts_whole_periods(self):
+        # kappa0 64: 64.3 and 64.49 periods' worth of t0 run 64 periods, inside the
+        # recurrence time, and 64.6 runs 65, past it
+        for periods in (64.3, 64.49):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ModeRecurrenceWarning)
+                evolve(SimConfig(kappa0=64, v=0.1, t0=2.0 * math.pi * periods))
+        with pytest.warns(ModeRecurrenceWarning):
+            evolve(SimConfig(kappa0=64, v=0.1, t0=2.0 * math.pi * 64.6))
 
     def test_no_warning_without_pump(self):
         config = SimConfig(kappa0=8, v=0.0, t0=T0)
@@ -675,13 +684,22 @@ class TestExtractRates:
         # 1.2e-4 over modes in (0.2, 0.8); mid-period checkpoints read 2.8e-3
         config = SimConfig(kappa0=64, v=0.2, t0=T0)
         matrix = quiet_run(config)
-        sel = matrix.times >= 0.5 * config.t0
+        sel = matrix.times >= 0.5 * matrix.times[-1]
         t, occupations = matrix.times[sel], matrix.occupations[sel]
         slope, intercept = np.polyfit(t, occupations, deg=1)
         rms = np.sqrt(((occupations - np.outer(t, slope) - intercept) ** 2).mean(axis=0))
         residual = rms / (slope * (t[-1] - t[0]))
         window = (matrix.omega > 0.2) & (matrix.omega < 0.8)
         assert np.median(residual[window]) <= 1e-3
+
+    def test_runs_of_the_same_periods_fit_the_same_rates(self, run_strong_pump):
+        # 100 pi, 314.16 and 316.67 all run 50 periods: the fit reads the run's second
+        # half, periods 25 to 50, whatever t0 asked for it (314.16 / 4 pi = 25.00006)
+        _, matrix = run_strong_pump
+        want = extract_rates(matrix).rate
+        for t0 in (314.16, 316.67):
+            got = extract_rates(quiet_run(SimConfig(kappa0=64, v=0.5, t0=t0)))
+            assert got.rate.tobytes() == want.tobytes()
 
     # the mode nearest 1/2: 32/63, paired with 31/63, and 1/2 itself, its own partner;
     # both measured 0.984 of the closed form
