@@ -39,7 +39,9 @@ LADDER = (32, 64, 128, 256)
 def main() -> None:
     v = float(sys.argv[1]) if len(sys.argv) > 1 else 0.2
     t0 = float(sys.argv[2]) if len(sys.argv) > 2 else 400.0 * math.pi
-    print(f"v = {v}, t0 = {t0:.4g}  (recurrence-safe above kappa0 = {t0 / (2 * math.pi):.0f})")
+    periods = modesim.SimConfig(kappa0=LADDER[0], v=v, t0=t0).periods
+    print(f"v = {v}, t0 = {t0:.4g}, {periods} pump periods  "
+          f"(recurrence-safe at or above kappa0 = {periods})")
     log_rhos = []
     for kappa0 in LADDER:
         config = modesim.SimConfig(kappa0=kappa0, v=v, t0=t0)

@@ -43,19 +43,18 @@ from . import kernel
 MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 
 DEFAULT_DT_DIVISOR = 40.0  # GL3 steps per pump period
-CHECKPOINTS = 16  # whole pump periods sampled over the run; 8 or 9 fall in its second half
+CHECKPOINTS = 16  # whole periods spread over the run; evolve records the 8 or 9 in its second half
 AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
 COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
 COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance criterion 8)
 
-# Work a SimConfig may ask of evolve: steps per pump period, pump periods,
-# and bytes of the 2K x 2K maps held at once: the leaps, plus at most 8 more
-# at the measured peak (half period, monodromy, power and successor,
-# matrix_power's temporaries, the real checkpoint arrays and the complex ones
-# that project mu and nu).  The stepping's own working set is smaller.
-# kappa0 256, 3000 steps and 200 periods stay far below, and a run inside the
-# recurrence time 2 pi kappa0 of any kappa0 the map bound admits spans fewer
-# than 2,000 periods.
+# Work a SimConfig may ask of evolve: steps per pump period, pump periods, and
+# bytes held at the peak, a product of two powers: the K x K triples of the T
+# leaps (the first checkpoint and each gap), the power and the new product, the
+# half period's 4 blocks, the amplitude check's 3 temporaries and 16 per-mode
+# vectors.  Below kappa0 128 the half period's stepping can hold more, under
+# 2 MB.  kappa0 256, 3000 steps and 200 periods stay far below, and a run inside
+# the recurrence time of any kappa0 the bound admits spans under 2,500 periods.
 MAX_STEPS_PER_PERIOD = 100_000
 MAX_PERIODS = 10_000
 MAX_MAP_BYTES = 2**30
@@ -115,8 +114,9 @@ class SimConfig:
                              f"{MAX_STEPS_PER_PERIOD} steps per pump period")
         if self.periods > MAX_PERIODS:
             raise ValueError(f"t0 = {self.t0} spans more than {MAX_PERIODS} pump periods")
-        # a numpy kappa0 would wrap the byte count at int64
-        map_bytes = (len(self.kept_maps) + 8) * (2 * int(self.kappa0)) ** 2 * 8
+        # T: the first checkpoint and each distinct gap; a numpy kappa0 would wrap at int64
+        K, T = int(self.kappa0), 1 + len(set(np.diff(self.checkpoints).tolist()))
+        map_bytes = ((3 * (T + 2) + 7) * K + 16) * K * 8
         if map_bytes > MAX_MAP_BYTES:
             raise ValueError(f"{self.kappa0} modes need {map_bytes / 2**30:.3g} GiB of "
                              f"period maps, more than {MAX_MAP_BYTES / 2**30:.3g} GiB")
@@ -142,26 +142,21 @@ class SimConfig:
 
     @property
     def checkpoints(self) -> np.ndarray:
-        """The whole pump periods after which evolve records occupations:
-        CHECKPOINTS of them spread evenly over the run, the last at its end.
-        t0 >= 100 pi spans at least 50 periods, which keeps them distinct and
-        3 apart."""
-        return np.rint(np.linspace(0, self.periods, CHECKPOINTS + 1)[1:]).astype(int)
-
-    @property
-    def kept_maps(self) -> set[int]:
-        """The distinct numbers g of whole periods between checkpoints (the
-        first from t = 0), whose leaps M^g evolve keeps."""
-        return set(np.diff(self.checkpoints, prepend=0).tolist())
+        """The whole pump periods after which evolve records occupations: those
+        in the run's second half (the first half absorbs the turn-on transient)
+        of CHECKPOINTS spread evenly over it, the last at its end.  t0 >= 100 pi
+        spans at least 50 periods, which keeps them 3 apart."""
+        grid = np.rint(np.linspace(0, self.periods, CHECKPOINTS + 1)[1:]).astype(int)
+        return grid[2 * grid >= self.periods]
 
 
 class BogoliubovMatrix:
     """Final-state Bogoliubov coefficients plus occupation history.
 
     mu[k, j], nu[k, j]: coefficients of a_j, a_j^dagger in the out-mode k.
-    occupations[c, k] = N_k at checkpoint time times[c].
+    occupations[c, k] = N_k at times[c], the checkpoints the rate fit reads.
     half_period: the map Mh of the real fundamental (x, x') from t = 0 to pi;
-    monodromy: the one-period map M folded from it.
+    monodromy: the 2K x 2K one-period map M, folded from it on demand.
     """
 
     __slots__ = ("mu", "nu", "omega", "times", "occupations", "config", "half_period")
@@ -303,17 +298,19 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     (2K x 3n)(3n x 2K) product, then Z = P W per mode.  GL3 is symmetric
     and the pump even in t, so the second half is T Mh^-1 T,
     T = diag(I, -I), and GL3 is symplectic, Mh^-1 = J^T Mh^T J:
-    Mh = [[A, B], [C, D]] folds into M = [[D^T, B^T], [C^T, A^T]] Mh
-    (_fold), one product.  Occupations are recorded stroboscopically, at the
-    whole periods of checkpoints, for the stationary-rate fit in
-    extract_rates: the map F to a checkpoint is a product of leaps, one
-    matrix_power per distinct gap of g periods, taken in the scaled
-    coordinates (x, x' / w), where the occupations and the amplitude check
-    are a few passes over F; (mu, nu) are projected once, at the last one.
+    Mh = [[A, B], [C, D]] folds into M = [[D^T, B^T], [C^T, A^T]] Mh.  In the
+    canonical coordinates (s x, x' / s), s = sqrt(w), M and its powers are
+    [[a, b], [c, a^T]] with b and c symmetric (time reversal: Lamb & Roberts,
+    Physica D 112, 1 (1998)), carried as (a, b, c): the fold a = D^T A + B^T C,
+    b = Y + Y^T, c = Z + Z^T, Y = D^T B, Z = C^T A is 4 K x K GEMMs, a product
+    6.  The checkpoints, whole periods for the rate fit of extract_rates, are
+    reached through shared powers of two, then a leap M^g per distinct gap g;
+    N_k = (1/4) sum_j (a - a^T)^2 + (b + c)^2, and (mu, nu) come from the last.
 
     Raises IntegratorUnstable if the step cannot resolve the stiffest stage
-    (h^2 (max w^2 + 2 v c . w) > 1) or any amplitude is not finite or exceeds
-    AMPLITUDE_BOUND; warns ModeRecurrenceWarning when the run's periods outnumber kappa0.
+    (h^2 (max w^2 + 2 v c . w) > 1) or any amplitude of a power it forms is not
+    finite or exceeds AMPLITUDE_BOUND; warns ModeRecurrenceWarning when the run's
+    periods outnumber kappa0.
     """
     if config.v > 0.0 and config.periods > config.kappa0:
         warnings.warn(
@@ -345,30 +342,42 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
             W += Z
             np.einsum("abk,bkj->akj", P, W3, out=Z3)
         half_period = Z
-        del Z, W, Z3, W3, P, U, V  # the second buffer, the views and the block map
-        # the leaps in the scaled coordinates (x, x' / w): L = Dl M Dl^-1, Dl = diag(1, 1/w)
-        scaled = _fold(half_period)
-        scaled[K:] /= omega[:, None]
-        scaled[:, K:] *= omega
-        leaps = {g: np.linalg.matrix_power(scaled, g) for g in config.kept_maps}
-        del scaled
+        del Z, W, Z3, W3, P, U, V, times  # the second buffer, the views, the block map
 
-        # x(0) = x0 = 1/sqrt(2 w), x'(0) = -i w x0: F = Dl M^q diag(x0, w x0) = [[a, b], [c, d]]
-        # gives x = a - i b, x' / w = c - i d and N_k = (w_k / 2) sum_j (a - d)^2 + (b + c)^2
-        x0 = np.tile(1.0 / np.sqrt(2.0 * omega), 2)
+        def formed(q, a, b, c):  # M^q, once x = (a - i b) / sqrt(2 w) passes the bound
+            if not ((a * a + b * b).max(axis=1) / omega).max() <= 2.0 * AMPLITUDE_BOUND**2:
+                raise IntegratorUnstable(f"amplitude bound {AMPLITUDE_BOUND:g} exceeded at "
+                                         f"t = {q * n_p * h:.4g} (v = {config.v})")
+            return q, (a, b, c)
+
+        def product(m1, m2):  # two powers of M: [[a1, b1], [c1, a1^T]] [[a2, b2], [c2, a2^T]]
+            (q1, (a1, b1, c1)), (q2, (a2, b2, c2)) = m1, m2
+            return formed(q1 + q2, a1 @ a2 + b1 @ c2, a1 @ b2 + b1 @ a2.T, c1 @ a2 + a1.T @ c2)
+
+        A, B, C, D = half_period[:K, :K], half_period[:K, K:], half_period[K:, :K], half_period[K:, K:]
+        s, Y, X = np.sqrt(omega), D.T @ B, C.T @ A
+        power = formed(1, (D.T @ A + B.T @ C) * (s[:, None] / s), (Y + Y.T) * np.outer(s, s),
+                       (X + X.T) / np.outer(s, s))
+        del Y, X
+        # the first checkpoint and each distinct gap between checkpoints, from shared powers of two
+        first, gaps, leaps = int(checkpoints[0]), np.diff(checkpoints).tolist(), {}
+        for r in range(first.bit_length()):
+            power = product(power, power) if r else power
+            for q in {first, *gaps}:
+                if q >> r & 1:
+                    leaps[q] = product(leaps[q], power) if q in leaps else power
+        del power
+        F = leaps.pop(first)
         occupations = np.empty((len(checkpoints), K))
-        for i, g in enumerate(np.diff(checkpoints, prepend=0).tolist()):
-            F = leaps[g] * x0 if i == 0 else leaps[g] @ F  # the first scales columns: no GEMM
-            a, b, c, d = F[:K, :K], F[:K, K:], F[K:, :K], F[K:, K:]
-            t = checkpoints[i] * n_p * h
-            if not (a * a + b * b).max() <= AMPLITUDE_BOUND**2:  # nan fails it too
-                raise IntegratorUnstable(
-                    f"amplitude bound {AMPLITUDE_BOUND:g} exceeded at t = {t:.4g} (v = {config.v})")
-            re, im = a - d, b + c
-            occupations[i] = 0.5 * omega * (re * re + im * im).sum(axis=1)
-        # the out-modes e^{-+i w_k t}: mu = p (x + i x' / w), nu = p conj(x - i x' / w)
-        pref = (np.sqrt(0.5 * omega) * np.exp(1j * omega * t))[:, None]
-        mu, nu = pref * (a + d + 1j * (c - b)), pref * (re + 1j * im)
+        for i, g in enumerate([0] + gaps):
+            F = product(leaps[g], F) if g else F
+            a, b, c = F[1]
+            re, im = a - a.T, b + c
+            occupations[i] = 0.25 * (re * re + im * im).sum(axis=1)
+        del leaps
+        # out-modes e^{-+i w t}: mu = p (x + i x' / w), nu = p conj(x - i x' / w), p = sqrt(w / 2)
+        pref = 0.5 * np.exp(1j * omega * (F[0] * n_p * h))[:, None]
+        mu, nu = pref * (a + a.T + 1j * (c - b)), pref * (re + 1j * im)
 
     return BogoliubovMatrix(
         mu=mu, nu=nu, omega=omega, times=checkpoints * n_p * h, occupations=occupations,
@@ -379,16 +388,14 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
 def extract_rates(matrix: BogoliubovMatrix) -> SimSpectrum:
     """Rate density per mode from the stationary growth of N_k.
 
-    N_k(t) is fitted linearly over the checkpoints in the second half of the
-    run (the first half absorbs the turn-on transient); doubling is exact, so
-    a checkpoint at the midpoint of P periods, (P / 2) n_p steps of h, is half
-    the last time bit for bit.  The slope is converted to a per-unit-frequency
+    N_k(t) is fitted linearly over the checkpoints, all in the second half of
+    the run (SimConfig.checkpoints), so runs of the same whole periods fit the
+    same times bit for bit.  The slope is converted to a per-unit-frequency
     rate through the mode density kappa0 and the spectral normalization
     constant.  Interior modes omega in (0.1, 0.9) only.
     """
     config = matrix.config
-    sel = matrix.times >= 0.5 * matrix.times[-1]
-    slopes = np.polyfit(matrix.times[sel], matrix.occupations[sel], deg=1)[0]
+    slopes = np.polyfit(matrix.times, matrix.occupations, deg=1)[0]
     rate = config.kappa0 * slopes * MODE_SUM_TO_SPECTRAL
     interior = (matrix.omega > 0.1) & (matrix.omega < 0.9)
     return SimSpectrum(omega=matrix.omega[interior], rate=rate[interior], config=config)

@@ -217,12 +217,13 @@ class TestConfig:
         for t0 in (1e12, 1e20):  # 1e20 gives more periods than checkpoints' int64 holds
             with pytest.raises(ValueError, match="pump periods"):
                 SimConfig(kappa0=8, v=0.0, t0=t0)
-        # default t0 = 400 pi keeps the leaps M^12 and M^13:
-        # with the 8 working maps, 10 maps of (2K)^2 doubles
-        assert SimConfig(kappa0=1831, v=0.1).kept_maps == {12, 13}
-        assert 10 * (2 * 1831) ** 2 * 8 <= modesim.MAX_MAP_BYTES < 10 * (2 * 1832) ** 2 * 8
+        # default t0 = 400 pi reaches period 100, then leaps 12 or 13: T = 3 triples, with the
+        # power and the new product 5, the half period's 4 blocks and the check's 3 temporaries,
+        # 22 K x K blocks, plus 16 per-mode vectors
+        assert set(np.diff(SimConfig(kappa0=2469, v=0.1).checkpoints).tolist()) == {12, 13}
+        assert (22 * 2469 + 16) * 2469 * 8 <= modesim.MAX_MAP_BYTES < (22 * 2470 + 16) * 2470 * 8
         with pytest.raises(ValueError, match="GiB"):
-            SimConfig(kappa0=1832, v=0.1)
+            SimConfig(kappa0=2470, v=0.1)
         with pytest.raises(ValueError, match="GiB"):
             SimConfig(kappa0=10_000, v=0.1)
         # a numpy kappa0 whose byte count wraps int64 (to 0 at 2^31) is refused too
@@ -236,15 +237,19 @@ class TestConfig:
          (T0, 2000.0)],
         ids=["leaps_3_and_4", "leaps_12_and_13", "one_leap", "fine_step"])
     def test_map_bound_covers_the_measured_peak(self, t0, dt_divisor):
-        # the bound counts the kept maps plus 8: numpy reports its arrays to tracemalloc
-        config = SimConfig(kappa0=64, v=0.2, t0=t0, dt_divisor=dt_divisor)
+        # numpy reports its arrays to tracemalloc: at kappa0 128 a product of two powers is
+        # the peak (below it the half period's stepping is), measured 0.95 to 0.997 of the
+        # bound's (3 (T + 2) + 7) K x K blocks and 16 per-mode vectors
+        K = 128
+        config = SimConfig(kappa0=K, v=0.2, t0=t0, dt_divisor=dt_divisor)
+        T = 1 + len(set(np.diff(config.checkpoints).tolist()))  # the first checkpoint and the gaps
         tracemalloc.start()
         try:
             quiet_run(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (len(config.kept_maps) + 8) * (2 * 64) ** 2 * 8
+        assert peak <= ((3 * (T + 2) + 7) * K + 16) * K * 8
 
     def test_default_step_scales_with_band_top(self):
         assert SimConfig(kappa0=32, v=0.1).step == 2.0 * math.pi / 40.0
@@ -371,19 +376,38 @@ class TestFloquetAgainstStepping:
         ids=["gaps_3_and_4", "snapped_step"],
     )
     def test_matches_reference_stepper(self, config, h):
-        assert (config.step, config.checkpoints[-1]) == (h, 50)
+        # the checkpoints in the run's second half, the ones the fit reads
+        assert config.step == h
+        assert config.checkpoints.tolist() == [25, 28, 31, 34, 38, 41, 44, 47, 50]
         matrix = quiet_run(config)
         mu, nu, occupations = stepped(config)
         for got, want in ((matrix.occupations, occupations), (matrix.mu, mu), (matrix.nu, nu)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_leaps_do_not_depend_on_the_gap(self):
-        # t0 = 200 pi leaps 6 or 7 periods between checkpoints, 400 pi 12 or 13;
-        # the 8 checkpoints they share must read the same occupations
+        # t0 = 200 pi reaches period 50 and leaps 6 or 7 periods to 100, its last checkpoint;
+        # 400 pi reaches 100, its first, through the powers 64, 32 and 4: the same occupations
         short, long = (quiet_run(SimConfig(kappa0=16, v=0.3, t0=t0)) for t0 in (2 * T0, 4 * T0))
-        assert (short.config.kept_maps, long.config.kept_maps) == ({6, 7}, {12, 13})
-        assert np.array_equal(short.times[1::2], long.times[:8])
-        assert np.abs(short.occupations[1::2] / long.occupations[:8] - 1.0).max() <= 1e-12
+        assert short.config.checkpoints[[0, -1]].tolist() == [50, 100]
+        assert long.config.checkpoints[0] == 100
+        assert set(np.diff(short.config.checkpoints).tolist()) == {6, 7}
+        assert set(np.diff(long.config.checkpoints).tolist()) == {12, 13}
+        assert short.times[-1] == long.times[0]
+        assert np.abs(short.occupations[-1] / long.occupations[0] - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("kappa0", [16, 64])
+    @pytest.mark.parametrize("v", [0.5, 3.0])
+    def test_occupations_match_whole_map_powers(self, kappa0, v):
+        # the K x K block triples against matrix_power of the whole 2K x 2K monodromy, at every
+        # fitted checkpoint; relative to the largest occupation, measured 8.9e-15 to 5.1e-14
+        config = SimConfig(kappa0=kappa0, v=v, t0=T0)
+        matrix = quiet_run(config)
+        w = matrix.omega[:, None]
+        x0 = np.diag(1.0 / np.sqrt(2.0 * matrix.omega))
+        for q, got in zip(config.checkpoints.tolist(), matrix.occupations):
+            Z = np.linalg.matrix_power(matrix.monodromy, q) @ np.vstack([x0, -1j * w * x0])
+            want = (0.5 * w * np.abs(Z[:kappa0] - 1j * Z[kappa0:] / w) ** 2).sum(axis=1)
+            assert np.abs(got - want).max() <= 1e-12 * want.max()
 
     def test_step_snapping(self):
         # the default step divides the period as is; a fractional or odd divisor
@@ -499,13 +523,30 @@ class TestEvolve:
         assert abs(free.spectral_radius() - 1.0) <= 1e-12
         assert matrix.spectral_radius() > 1.001
 
-    # v = 5 grows finite amplitudes past AMPLITUDE_BOUND; v = 1e10 overflows them to inf
-    @pytest.mark.parametrize("v", [5.0, 1e10], ids=["finite_over_bound", "non_finite"])
-    def test_instability_detected(self, v):
+    # v = 5 grows finite amplitudes past AMPLITUDE_BOUND; v = 1e10 stops at the step guard.
+    # Every power evolve forms is checked: the powers up to M^16, the first checkpoint 25 and
+    # 28 pass at v = 5, and checkpoint 31, t = 194.8, does not; at v = 8 M^16, t = 100.5, a
+    # power of two that no checkpoint reads, is the first past the bound
+    @pytest.mark.parametrize("v, match", [(5.0, "at t = 194.8 "), (8.0, "at t = 100.5 "),
+                                          (1e10, "too coarse")],
+                             ids=["finite_over_bound", "power_of_two", "step_guard"])
+    def test_instability_detected(self, v, match):
         config = SimConfig(kappa0=8, v=v, t0=T0)
-        with pytest.raises(IntegratorUnstable), warnings.catch_warnings():
+        with pytest.raises(IntegratorUnstable, match=match), warnings.catch_warnings():
             warnings.simplefilter("ignore", ModeRecurrenceWarning)
             evolve(config)
+
+    def test_non_finite_amplitude_detected(self, monkeypatch):
+        # a nan in the half period fails the check on the first power formed, M itself
+        block_map = modesim._block_map
+
+        def poisoned(*args):
+            P, U, V = block_map(*args)
+            return P * math.nan, U, V
+
+        monkeypatch.setattr(modesim, "_block_map", poisoned)
+        with pytest.raises(IntegratorUnstable, match="at t = 6.283 "):
+            quiet_run(SimConfig(kappa0=8, v=0.5, t0=T0))
 
     def test_step_guard_boundary(self, monkeypatch):
         # h^2 (max w^2 + 2 v c . w) = h^2 (1 + 2 v 204 / (512 pi)) reaches 1 at v = 155.84
@@ -684,8 +725,7 @@ class TestExtractRates:
         # 1.2e-4 over modes in (0.2, 0.8); mid-period checkpoints read 2.8e-3
         config = SimConfig(kappa0=64, v=0.2, t0=T0)
         matrix = quiet_run(config)
-        sel = matrix.times >= 0.5 * matrix.times[-1]
-        t, occupations = matrix.times[sel], matrix.occupations[sel]
+        t, occupations = matrix.times, matrix.occupations
         slope, intercept = np.polyfit(t, occupations, deg=1)
         rms = np.sqrt(((occupations - np.outer(t, slope) - intercept) ** 2).mean(axis=0))
         residual = rms / (slope * (t[-1] - t[0]))
