@@ -16,6 +16,8 @@ arguments; grid drivers live in pairflux.spectrum.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -50,6 +52,13 @@ def check_velocity(velocity: float | np.ndarray) -> None:
         raise ValueError(f"velocity must be >= 0 with v * v finite, got {bad!r}")
 
 
+def check_mass(mass: float | None) -> None:
+    """Raise ValueError unless mass is None (the photon) or lies in [0, 1/2],
+    below the pair threshold; nan fails too."""
+    if mass is not None and not 0.0 <= mass <= 0.5:
+        raise ValueError(f"mass must lie in [0, 1/2] (pair threshold), got {mass!r}")
+
+
 def _checked(omega, domain, velocity: float | np.ndarray = 0.0) -> np.ndarray:
     """omega as a float array of at least one dimension (numpy's 0-d arithmetic can
     differ from its array loops in the last bit), once it and every pump velocity
@@ -60,12 +69,6 @@ def _checked(omega, domain, velocity: float | np.ndarray = 0.0) -> np.ndarray:
     if not ok.all():
         raise ValueError(f"omega must {domain[1]}, got {float(w[~ok].flat[0])!r}")
     return w
-
-
-def _edge(mass: float) -> float:
-    if not 0.0 <= mass <= 0.5:
-        raise ValueError(f"mass must lie in [0, 1/2] (pair threshold), got {mass!r}")
-    return 2.0 * mass
 
 
 def _scalar_or_array(value, omega, velocity: float | np.ndarray = 0.0):
@@ -92,8 +95,9 @@ def _band(omega: np.ndarray, edge: float) -> np.ndarray:
 
 
 def _geff(omega: np.ndarray, mass: float | None) -> np.ndarray:
+    check_mass(mass)
     g = _band(omega, 1.0)
-    return g if mass is None else g - _band(omega, _edge(mass))
+    return g if mass is None else g - _band(omega, 2.0 * mass)
 
 
 def green_function(omega):
@@ -123,7 +127,8 @@ def shifted_green_function(omega, mass: float):
     Singular at omega = 2*mass (shifted branch point): SingularArgument
     for a float, nan in an array.
     """
-    return _scalar_or_array(_band(_checked(omega, _PHYSICAL), _edge(mass)), omega)
+    check_mass(mass)
+    return _scalar_or_array(_band(_checked(omega, _PHYSICAL), 2.0 * mass), omega)
 
 
 def effective_green_function(omega, mass: float | None = None):
@@ -137,13 +142,10 @@ def effective_green_function(omega, mass: float | None = None):
     return _scalar_or_array(_geff(w, mass), omega)
 
 
-class PairTerms:
-    """What pair_terms returns (a plain class: a dataclass adds 1 ms to the import)."""
+class PairTerms(namedtuple("PairTerms", "omega re im numerator")):
+    """What pair_terms returns."""
 
-    __slots__ = ("omega", "re", "im", "numerator")
-
-    def __init__(self, omega, re, im, numerator):
-        self.omega, self.re, self.im, self.numerator = omega, re, im, numerator
+    __slots__ = ()
 
     @property
     def size(self) -> int:  # the node count, which a trace of emission_rate counts

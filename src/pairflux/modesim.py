@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 
 import numpy as np
 
@@ -77,7 +78,8 @@ class ModeRecurrenceWarning(UserWarning):
     """The run's whole pump periods outnumber kappa0: it outlasts 2 pi kappa0."""
 
 
-class SimConfig:
+class SimConfig(namedtuple("SimConfig", "kappa0 v t0 dt_divisor",
+                           defaults=(400.0 * math.pi, DEFAULT_DT_DIVISOR))):
     """Truncated-mode simulation parameters.
 
     kappa0, an integer >= 8, sets the mode count and spacing
@@ -90,16 +92,14 @@ class SimConfig:
     dt_divisor 2000 run.
     The run ends after the whole number of periods nearest t0 / 2 pi.
     Read-only: assigning a field raises AttributeError.  It and the three
-    records below are plain classes, since dataclasses add their import and
-    about 1 ms a class to a cold start.
+    records below are named tuples; it checks its fields when built, through
+    _make and _replace too.
     """
 
-    __slots__ = ("kappa0", "v", "t0", "dt_divisor")
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
-    def __init__(self, kappa0: int, v: float, t0: float = 400.0 * math.pi,
-                 dt_divisor: float = DEFAULT_DT_DIVISOR):
-        for name, value in zip(self.__slots__, (kappa0, v, t0, dt_divisor)):
-            object.__setattr__(self, name, value)
+    def __init__(self, *_, **__):
         # written as "not (valid)" so that nan fails every check
         if not (isinstance(self.kappa0, (int, np.integer)) and self.kappa0 >= 8):
             raise ValueError(f"kappa0 must be an integer >= 8, got {self.kappa0!r}")
@@ -120,9 +120,6 @@ class SimConfig:
         if map_bytes > MAX_MAP_BYTES:
             raise ValueError(f"{self.kappa0} modes need {map_bytes / 2**30:.3g} GiB of "
                              f"period maps, more than {MAX_MAP_BYTES / 2**30:.3g} GiB")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def steps_per_period(self) -> int:
@@ -150,7 +147,8 @@ class SimConfig:
         return grid[2 * grid >= self.periods]
 
 
-class BogoliubovMatrix:
+class BogoliubovMatrix(namedtuple("BogoliubovMatrix",
+                                  "mu nu omega times occupations config half_period")):
     """Final-state Bogoliubov coefficients plus occupation history.
 
     mu[k, j], nu[k, j]: coefficients of a_j, a_j^dagger in the out-mode k.
@@ -159,12 +157,7 @@ class BogoliubovMatrix:
     monodromy: the 2K x 2K one-period map M, folded from it on demand.
     """
 
-    __slots__ = ("mu", "nu", "omega", "times", "occupations", "config", "half_period")
-
-    def __init__(self, mu: np.ndarray, nu: np.ndarray, omega: np.ndarray, times: np.ndarray,
-                 occupations: np.ndarray, config: SimConfig, half_period: np.ndarray):
-        self.mu, self.nu, self.omega, self.times = mu, nu, omega, times
-        self.occupations, self.config, self.half_period = occupations, config, half_period
+    __slots__ = ()
 
     @property
     def monodromy(self) -> np.ndarray:
@@ -190,27 +183,18 @@ class BogoliubovMatrix:
         return float(np.abs(rows - 1.0).max())
 
 
-class SimSpectrum:
+class SimSpectrum(namedtuple("SimSpectrum", "omega rate config")):
     """Extracted rate density samples (interior modes only)."""
 
-    __slots__ = ("omega", "rate", "config")
-
-    def __init__(self, omega: np.ndarray, rate: np.ndarray, config: SimConfig):
-        self.omega, self.rate, self.config = omega, rate, config
+    __slots__ = ()
 
 
-class DeviationReport:
+class DeviationReport(namedtuple("DeviationReport", "omega simulated analytic relative_deviation "
+                                 "max_deviation median_deviation passed degenerate",
+                                 defaults=(False,))):
     """Per-mode comparison of a simulated spectrum against the closed form."""
 
-    __slots__ = ("omega", "simulated", "analytic", "relative_deviation", "max_deviation",
-                 "median_deviation", "passed", "degenerate")
-
-    def __init__(self, omega: np.ndarray, simulated: np.ndarray, analytic: np.ndarray,
-                 relative_deviation: np.ndarray, max_deviation: float, median_deviation: float,
-                 passed: bool, degenerate: bool = False):
-        self.omega, self.simulated, self.analytic = omega, simulated, analytic
-        self.relative_deviation, self.max_deviation = relative_deviation, max_deviation
-        self.median_deviation, self.passed, self.degenerate = median_deviation, passed, degenerate
+    __slots__ = ()
 
 
 def build_sim(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:

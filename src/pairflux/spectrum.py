@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import namedtuple
 
 import numpy as np
 
@@ -52,43 +53,35 @@ class NoResonance(Exception):
     velocity nulls the resolvent (threshold mass)."""
 
 
-class PumpConfig:
+class PumpConfig(namedtuple("PumpConfig", "v mass", defaults=(None,))):
     """Physical pump parameters: dimensionless velocity v = V/c and the
     emitted-boson mass (None = photon).  Read-only, as SpectralGrid is:
-    assigning a field raises AttributeError.  Both are plain classes, since
-    dataclasses add their import and about 1 ms a class to a cold start."""
+    assigning a field raises AttributeError.  Both are named tuples that
+    check their fields when built, through _make and _replace too."""
 
-    __slots__ = ("v", "mass")
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
 
-    def __init__(self, v: float, mass: float | None = None):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "mass", mass)
-        kernel.check_velocity(v)
-        if mass is not None and not 0.0 <= mass <= 0.5:
-            raise ValueError(f"mass must lie in [0, 1/2], got {mass!r}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __init__(self, *_, **__):
+        kernel.check_velocity(self.v)
+        kernel.check_mass(self.mass)
 
 
-class SpectralGrid:
+class SpectralGrid(namedtuple("SpectralGrid", "omega_min omega_max points",
+                              defaults=(0.0, 1.0, 256))):
     """Frequency discretization on [omega_min, omega_max] inside [0, 1]:
     linspace with both ends, trapezoid weights."""
 
-    __slots__ = ("omega_min", "omega_max", "points")
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __init__(self, omega_min: float = 0.0, omega_max: float = 1.0, points: int = 256):
-        for name, value in zip(self.__slots__, (omega_min, omega_max, points)):
-            object.__setattr__(self, name, value)
+    def __init__(self, *_, **__):
         if not 0.0 <= self.omega_min < self.omega_max <= 1.0:
             raise ValueError(
                 f"need 0 <= omega_min < omega_max <= 1, got [{self.omega_min}, {self.omega_max}]"
             )
-        if self.points < 2:
-            raise ValueError(f"points must be >= 2, got {self.points}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        if not (isinstance(self.points, (int, np.integer)) and self.points >= 2):
+            raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
 
     def nodes(self) -> np.ndarray:
         return np.linspace(self.omega_min, self.omega_max, self.points)
@@ -137,7 +130,7 @@ def scan_2d(v_values, grid: SpectralGrid, mass: float | None = None):
     The mass is checked first, for an empty v_values too."""
     v = np.asarray(v_values, dtype=float)
     nodes = grid.nodes()
-    kernel.effective_green_function(nodes[:0], mass)  # the kernel's mass check, on no node
+    kernel.check_mass(mass)
     nudged = nodes.copy()
     nudged[nodes == 0.5] += 1e-3 * (grid.omega_max - grid.omega_min) / grid.points
     omega, rate = np.tile(nodes, (len(v), 1)), np.empty((len(v), grid.points))
@@ -180,15 +173,12 @@ def integrated_rates(v_values, mass: float | None = None) -> np.ndarray:
     """
     v = np.asarray(v_values, dtype=float)
     totals = np.zeros(len(v))
-    try:
-        v_res = resonance_velocity(mass)  # the mass check, ahead of the velocities'
-    except NoResonance:  # mass 1/2: the closed channel below
-        v_res = None
+    kernel.check_mass(mass)  # ahead of the velocities
     kernel.check_velocity(v)
     lo, hi = (0.0, 1.0) if mass is None else (2.0 * mass, 1.0 - 2.0 * mass)
     if hi - lo < 1e-11:  # too narrow for nodes to stay off its edges, the branch points
         return totals
-    near = np.abs(v - v_res) < 0.1  # an open band has a resonance
+    near = np.abs(v - resonance_velocity(mass)) < 0.1  # an open band has a resonance
     # each rule folded at 1/2, its lower half with doubled weights: the nodes x < 0
     # of the band panel (all the stored ones), and the window panels below 1/2
     cuts = 0.5 - 0.15 * 0.5 ** np.arange(48)  # ascending

@@ -109,6 +109,41 @@ KERNEL_POINTS = [
 ]
 
 
+class TestMassCheck:
+    @pytest.mark.parametrize("mass", [None, 0, 0.0, 0.25, 0.5])
+    def test_accepts_the_photon_and_masses_up_to_the_threshold(self, mass):
+        assert kernel.check_mass(mass) is None
+
+    @pytest.mark.parametrize("mass", [-0.1, 0.6, math.nan, -math.inf, math.inf])
+    def test_rejects_the_rest_and_nan(self, mass):
+        with pytest.raises(ValueError, match="mass"):
+            kernel.check_mass(mass)
+
+    @pytest.mark.parametrize("mass", [-0.1, 0.6, math.nan])
+    def test_every_entry_point_applies_it(self, mass):
+        # one rule, one message; integrated_rates and scan_2d check it ahead of the pumps
+        grid = spectrum.SpectralGrid(0.0, 1.0, 11)
+        calls = [lambda: effective_green_function(0.3, mass),
+                 lambda: shifted_green_function(0.3, mass),
+                 lambda: emission_rate(0.3, 1.0, mass),
+                 lambda: kernel.pair_terms([0.3], mass),
+                 lambda: spectrum.PumpConfig(1.0, mass),
+                 lambda: spectrum.resonance_velocity(mass),
+                 lambda: spectrum.integrated_rates([-1.0], mass),
+                 lambda: spectrum.scan_2d([-1.0], grid, mass),
+                 lambda: spectrum.scan_2d([], grid, mass)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"mass must lie in \[0, 1/2\] \(pair threshold\)"):
+                call()
+
+    def test_pair_terms_are_read_only(self):
+        terms = kernel.pair_terms([0.25, 0.5], 0.1)
+        for field in ("omega", "re", "im", "numerator", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(terms, field, None)
+        assert terms.size == 2 and terms.omega.tolist() == [0.25, 0.5]
+
+
 class TestGreenFunction:
     def test_reference_points(self):
         assert cx_close(green_function(0.0), complex(1.0 / math.pi, 0.0))

@@ -199,6 +199,23 @@ class TestConfig:
         with pytest.raises(TypeError):
             SimConfig(16)  # v has no default
 
+    def test_replace_and_make_check_the_fields(self):
+        with pytest.raises(ValueError, match="kappa0"):
+            SimConfig(16, 0.2)._replace(kappa0=4)
+        with pytest.raises(ValueError, match="t0"):
+            SimConfig._make([16, 0.2, 10.0, 40.0])
+        config = SimConfig(16, 0.2)._replace(v=0.3)
+        assert type(config) is SimConfig and config == SimConfig(kappa0=16, v=0.3)
+
+    def test_records_are_read_only(self):
+        matrix = evolve(SimConfig(kappa0=8, v=0.0, t0=T0))
+        sim = extract_rates(matrix)
+        report = compare_to_analytic(sim)
+        for record in (matrix, sim, report):
+            for field in (*record._fields, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, field, None)
+
     def test_work_bounds(self):
         # judged from the configuration alone: nothing here allocates a map
         limit = modesim.MAX_STEPS_PER_PERIOD

@@ -92,6 +92,27 @@ class TestConfigs:
         with pytest.raises(TypeError):
             PumpConfig()  # v has no default
 
+    def test_replace_and_make_check_the_fields(self):
+        with pytest.raises(ValueError, match="mass"):
+            PumpConfig(0.1)._replace(mass=0.7)
+        with pytest.raises(ValueError, match="points"):
+            SpectralGrid()._replace(points=1)
+        with pytest.raises(ValueError, match="velocity"):
+            PumpConfig._make([-1.0, None])
+        with pytest.raises(ValueError, match="omega_min"):
+            SpectralGrid._make([0.5, 0.4, 10])
+        grid = SpectralGrid()._replace(points=9)
+        assert type(grid) is SpectralGrid and grid == SpectralGrid(0.0, 1.0, 9)
+        assert PumpConfig._make([2.0, 0.1]) == PumpConfig(2.0, 0.1)
+
+    @pytest.mark.parametrize("points", [2.5, math.nan, 1e20, 256.0, "256"])
+    def test_grid_points_must_be_an_integer(self, points):
+        with pytest.raises(ValueError, match="points"):
+            SpectralGrid(0.0, 1.0, points)
+
+    def test_grid_takes_a_numpy_integer(self):
+        assert SpectralGrid(0.0, 1.0, np.int64(3)).nodes().tolist() == [0.0, 0.5, 1.0]
+
 
 class TestSpectrumGrid:
     def test_no_pump_gives_zero_rates(self):
