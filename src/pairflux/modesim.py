@@ -17,7 +17,7 @@ solution: evolving every positive-frequency initial column
 x_k(0) = delta_kj / sqrt(2 w_j), x_k'(0) = -i w_j x_k(0) and projecting the
 final state on e^{-+ i w_k t} yields the Bogoliubov matrices (mu, nu), and
 the pair production shows up as mode occupation N_k = sum_j |nu_kj|^2
-growing linearly in time.
+growing linearly in time, its slope read over the run's second half.
 
 Validity window: a finite resonator re-interferes the emitted field after
 the mode-recurrence time 2 pi kappa0.  Quantitative agreement with the
@@ -44,18 +44,17 @@ from . import kernel
 MODE_SUM_TO_SPECTRAL = 1.0 / (2.0 * math.pi)
 
 DEFAULT_DT_DIVISOR = 40.0  # GL3 steps per pump period
-CHECKPOINTS = 16  # whole periods spread over the run; evolve records the 8 or 9 in its second half
 AMPLITUDE_BOUND = 1e6  # |x_k| beyond this raises IntegratorUnstable
 COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
 COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance criterion 8)
 
 # Work a SimConfig may ask of evolve: steps per pump period, pump periods, and
-# bytes held at the peak, a product of two powers: the K x K triples of the T
-# leaps (the first checkpoint and each gap), the power and the new product, the
-# half period's 4 blocks, the amplitude check's 3 temporaries and 16 per-mode
-# vectors.  Below kappa0 128 the half period's stepping can hold more, under
-# 2 MB.  kappa0 256, 3000 steps and 200 periods stay far below, and a run inside
-# the recurrence time of any kappa0 the bound admits spans under 2,500 periods.
+# bytes held at the peak, a product on the way to M^(p/2): the K x K triples of M,
+# the running and partial powers and the new product, the half period's 4 blocks,
+# the amplitude check's 3 temporaries and 16 per-mode vectors.  Below kappa0 128
+# the half period's stepping can hold more, under 2 MB.  kappa0 256, 3000 steps and
+# 200 periods stay far below, and a run inside the recurrence time of any kappa0
+# the bound admits spans under 2,700 periods.
 MAX_STEPS_PER_PERIOD = 100_000
 MAX_PERIODS = 10_000
 MAX_MAP_BYTES = 2**30
@@ -114,9 +113,8 @@ class SimConfig(namedtuple("SimConfig", "kappa0 v t0 dt_divisor",
                              f"{MAX_STEPS_PER_PERIOD} steps per pump period")
         if self.periods > MAX_PERIODS:
             raise ValueError(f"t0 = {self.t0} spans more than {MAX_PERIODS} pump periods")
-        # T: the first checkpoint and each distinct gap; a numpy kappa0 would wrap at int64
-        K, T = int(self.kappa0), 1 + len(set(np.diff(self.checkpoints).tolist()))
-        map_bytes = ((3 * (T + 2) + 7) * K + 16) * K * 8
+        K = int(self.kappa0)  # a numpy kappa0 would wrap at int64
+        map_bytes = (19 * K + 16) * K * 8
         if map_bytes > MAX_MAP_BYTES:
             raise ValueError(f"{self.kappa0} modes need {map_bytes / 2**30:.3g} GiB of "
                              f"period maps, more than {MAX_MAP_BYTES / 2**30:.3g} GiB")
@@ -139,12 +137,11 @@ class SimConfig(namedtuple("SimConfig", "kappa0 v t0 dt_divisor",
 
     @property
     def checkpoints(self) -> np.ndarray:
-        """The whole pump periods after which evolve records occupations: those
-        in the run's second half (the first half absorbs the turn-on transient)
-        of CHECKPOINTS spread evenly over it, the last at its end.  t0 >= 100 pi
-        spans at least 50 periods, which keeps them 3 apart."""
-        grid = np.rint(np.linspace(0, self.periods, CHECKPOINTS + 1)[1:]).astype(int)
-        return grid[2 * grid >= self.periods]
+        """The two whole pump periods after which evolve records occupations,
+        the ends of the rate fit: p // 2 and p, p = periods, so the fit reads
+        the run's second half (the first absorbs the turn-on transient).
+        t0 >= 100 pi spans at least 50 periods, which keeps them 25 apart."""
+        return np.array([self.periods // 2, self.periods])
 
 
 class BogoliubovMatrix(namedtuple("BogoliubovMatrix",
@@ -152,7 +149,7 @@ class BogoliubovMatrix(namedtuple("BogoliubovMatrix",
     """Final-state Bogoliubov coefficients plus occupation history.
 
     mu[k, j], nu[k, j]: coefficients of a_j, a_j^dagger in the out-mode k.
-    occupations[c, k] = N_k at times[c], the checkpoints the rate fit reads.
+    occupations[c, k] = N_k at times[c], the two checkpoints the rate fit reads.
     half_period: the map Mh of the real fundamental (x, x') from t = 0 to pi;
     monodromy: the 2K x 2K one-period map M, folded from it on demand.
     """
@@ -287,9 +284,10 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     [[a, b], [c, a^T]] with b and c symmetric (time reversal: Lamb & Roberts,
     Physica D 112, 1 (1998)), carried as (a, b, c): the fold a = D^T A + B^T C,
     b = Y + Y^T, c = Z + Z^T, Y = D^T B, Z = C^T A is 4 K x K GEMMs, a product
-    6.  The checkpoints, whole periods for the rate fit of extract_rates, are
-    reached through shared powers of two, then a leap M^g per distinct gap g;
-    N_k = (1/4) sum_j (a - a^T)^2 + (b + c)^2, and (mu, nu) come from the last.
+    6.  The two checkpoints that extract_rates reads, the whole periods h = p // 2
+    and p, are M^h, formed from the powers of two of M, and M^p = M^h M^h, times
+    M when p is odd; N_k = (1/4) sum_j (a - a^T)^2 + (b + c)^2 at both, and
+    (mu, nu) come from M^p.
 
     Raises IntegratorUnstable if the step cannot resolve the stiffest stage
     (h^2 (max w^2 + 2 v c . w) > 1) or any amplitude of a power it forms is not
@@ -308,7 +306,6 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
     omega, coupling = build_sim(config)  # a module lookup: a build_sim wrapped on the module runs
     K = omega.size
     n_p, h = config.steps_per_period, config.step
-    checkpoints = config.checkpoints
     # the coupling a w c^T, |a| <= 2 v, has rank one and eigenvalue a c . w: past h^2 (max w^2
     # + 2 v c . w) = 1 the stepped map can stay below AMPLITUDE_BOUND where the true one does not
     stiffness = h * h * (float((omega * omega).max()) + 2.0 * config.v * float(omega @ coupling))
@@ -338,33 +335,32 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
             (q1, (a1, b1, c1)), (q2, (a2, b2, c2)) = m1, m2
             return formed(q1 + q2, a1 @ a2 + b1 @ c2, a1 @ b2 + b1 @ a2.T, c1 @ a2 + a1.T @ c2)
 
+        def occupation(a, b, c):  # N_k = (1/4) sum_j (a - a^T)^2 + (b + c)^2 of a power of M
+            return 0.25 * ((a - a.T) ** 2 + (b + c) ** 2).sum(axis=1)
+
         A, B, C, D = half_period[:K, :K], half_period[:K, K:], half_period[K:, :K], half_period[K:, K:]
         s, Y, X = np.sqrt(omega), D.T @ B, C.T @ A
-        power = formed(1, (D.T @ A + B.T @ C) * (s[:, None] / s), (Y + Y.T) * np.outer(s, s),
-                       (X + X.T) / np.outer(s, s))
+        M = formed(1, (D.T @ A + B.T @ C) * (s[:, None] / s), (Y + Y.T) * np.outer(s, s),
+                   (X + X.T) / np.outer(s, s))
         del Y, X
-        # the first checkpoint and each distinct gap between checkpoints, from shared powers of two
-        first, gaps, leaps = int(checkpoints[0]), np.diff(checkpoints).tolist(), {}
-        for r in range(first.bit_length()):
+        power, F, half = M, None, config.periods // 2
+        for r in range(half.bit_length()):  # M^h from the powers of two of M
             power = product(power, power) if r else power
-            for q in {first, *gaps}:
-                if q >> r & 1:
-                    leaps[q] = product(leaps[q], power) if q in leaps else power
+            if half >> r & 1:
+                F = product(F, power) if F else power
         del power
-        F = leaps.pop(first)
-        occupations = np.empty((len(checkpoints), K))
-        for i, g in enumerate([0] + gaps):
-            F = product(leaps[g], F) if g else F
-            a, b, c = F[1]
-            re, im = a - a.T, b + c
-            occupations[i] = 0.25 * (re * re + im * im).sum(axis=1)
-        del leaps
+        first = occupation(*F[1])
+        F = product(F, F)  # M^p = M^h M^h, times M when p is odd
+        F = product(F, M) if config.periods % 2 else F
+        del M
+        a, b, c = F[1]
+        occupations = np.array([first, occupation(a, b, c)])
         # out-modes e^{-+i w t}: mu = p (x + i x' / w), nu = p conj(x - i x' / w), p = sqrt(w / 2)
         pref = 0.5 * np.exp(1j * omega * (F[0] * n_p * h))[:, None]
-        mu, nu = pref * (a + a.T + 1j * (c - b)), pref * (re + 1j * im)
+        mu, nu = pref * (a + a.T + 1j * (c - b)), pref * (a - a.T + 1j * (b + c))
 
     return BogoliubovMatrix(
-        mu=mu, nu=nu, omega=omega, times=checkpoints * n_p * h, occupations=occupations,
+        mu=mu, nu=nu, omega=omega, times=config.checkpoints * n_p * h, occupations=occupations,
         config=config, half_period=half_period,
     )
 
@@ -372,14 +368,15 @@ def evolve(config: SimConfig) -> BogoliubovMatrix:
 def extract_rates(matrix: BogoliubovMatrix) -> SimSpectrum:
     """Rate density per mode from the stationary growth of N_k.
 
-    N_k(t) is fitted linearly over the checkpoints, all in the second half of
-    the run (SimConfig.checkpoints), so runs of the same whole periods fit the
-    same times bit for bit.  The slope is converted to a per-unit-frequency
-    rate through the mode density kappa0 and the spectral normalization
-    constant.  Interior modes omega in (0.1, 0.9) only.
+    The slope (N(p) - N(h)) / (t_p - t_h) between the two checkpoints
+    h = p // 2 and p (SimConfig.checkpoints) is the least-squares slope of a
+    straight line, and runs of the same whole periods give it bit for bit.
+    It is converted to a per-unit-frequency rate through the mode density
+    kappa0 and the spectral normalization constant.  Interior modes omega in
+    (0.1, 0.9) only.
     """
     config = matrix.config
-    slopes = np.polyfit(matrix.times, matrix.occupations, deg=1)[0]
+    slopes = (matrix.occupations[1] - matrix.occupations[0]) / (matrix.times[1] - matrix.times[0])
     rate = config.kappa0 * slopes * MODE_SUM_TO_SPECTRAL
     interior = (matrix.omega > 0.1) & (matrix.omega < 0.9)
     return SimSpectrum(omega=matrix.omega[interior], rate=rate[interior], config=config)

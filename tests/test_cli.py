@@ -446,7 +446,7 @@ class TestSimulateCommand:
     def test_golden_numbers(self, tmp_path):
         # guards any rewrite of the oracle: metadata and omega byte for byte, the
         # rates within 1e-12 relative, and the unitarity residue, rounding of the
-        # symplectic GL3 maps (4.1e-13 in the file), at most 1e-12
+        # symplectic GL3 maps (4.4e-13 in the file), at most 1e-12
         out = tmp_path / "simulate.csv"
         argv = ["simulate", "--v", "0.2", "--kappa0", "64", "--t0", "314.16", "--out", str(out)]
         assert main(argv) == EXIT_OK

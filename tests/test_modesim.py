@@ -234,13 +234,14 @@ class TestConfig:
         for t0 in (1e12, 1e20):  # 1e20 gives more periods than checkpoints' int64 holds
             with pytest.raises(ValueError, match="pump periods"):
                 SimConfig(kappa0=8, v=0.0, t0=t0)
-        # default t0 = 400 pi reaches period 100, then leaps 12 or 13: T = 3 triples, with the
-        # power and the new product 5, the half period's 4 blocks and the check's 3 temporaries,
-        # 22 K x K blocks, plus 16 per-mode vectors
-        assert set(np.diff(SimConfig(kappa0=2469, v=0.1).checkpoints).tolist()) == {12, 13}
-        assert (22 * 2469 + 16) * 2469 * 8 <= modesim.MAX_MAP_BYTES < (22 * 2470 + 16) * 2470 * 8
-        with pytest.raises(ValueError, match="GiB"):
-            SimConfig(kappa0=2470, v=0.1)
+        # the triples of M, the running power, the partial power and the new product, the half
+        # period's 4 blocks and the check's 3 temporaries, 19 K x K blocks, plus 16 per-mode
+        # vectors, whatever t0
+        assert (19 * 2657 + 16) * 2657 * 8 <= modesim.MAX_MAP_BYTES < (19 * 2658 + 16) * 2658 * 8
+        for t0 in (T0, 4 * T0, 2.0 * math.pi * modesim.MAX_PERIODS):
+            SimConfig(kappa0=2657, v=0.1, t0=t0)
+            with pytest.raises(ValueError, match="GiB"):
+                SimConfig(kappa0=2658, v=0.1, t0=t0)
         with pytest.raises(ValueError, match="GiB"):
             SimConfig(kappa0=10_000, v=0.1)
         # a numpy kappa0 whose byte count wraps int64 (to 0 at 2^31) is refused too
@@ -249,24 +250,23 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "t0, dt_divisor",
-        [(T0, 200.0), (4 * T0, 200.0), (2.0 * math.pi * 64, 200.0),
+        [(T0, 200.0), (4 * T0, 200.0), (2.0 * math.pi * 64, 200.0), (2.0 * math.pi * 51, 200.0),
          # 125 blocks of step tables: none may outlive the period
          (T0, 2000.0)],
-        ids=["leaps_3_and_4", "leaps_12_and_13", "one_leap", "fine_step"])
+        ids=["half_25", "half_100", "half_a_power_of_two", "odd_run", "fine_step"])
     def test_map_bound_covers_the_measured_peak(self, t0, dt_divisor):
         # numpy reports its arrays to tracemalloc: at kappa0 128 a product of two powers is
-        # the peak (below it the half period's stepping is), measured 0.95 to 0.997 of the
-        # bound's (3 (T + 2) + 7) K x K blocks and 16 per-mode vectors
+        # the peak (below it the half period's stepping is), measured 0.89 to 0.998 of the
+        # bound's 19 K x K blocks and 16 per-mode vectors
         K = 128
         config = SimConfig(kappa0=K, v=0.2, t0=t0, dt_divisor=dt_divisor)
-        T = 1 + len(set(np.diff(config.checkpoints).tolist()))  # the first checkpoint and the gaps
         tracemalloc.start()
         try:
             quiet_run(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ((3 * (T + 2) + 7) * K + 16) * K * 8
+        assert peak <= (19 * K + 16) * K * 8
 
     def test_default_step_scales_with_band_top(self):
         assert SimConfig(kappa0=32, v=0.1).step == 2.0 * math.pi / 40.0
@@ -385,39 +385,40 @@ class TestFloquetAgainstStepping:
     @pytest.mark.parametrize(
         "config, h",
         [
-            # 50 periods: checkpoints 3 or 4 whole periods apart
+            # 50 periods: checkpoints at periods 25 and 50
             (SimConfig(kappa0=16, v=0.5, t0=T0), 2.0 * math.pi / 40),
             # 50.5 steps do not divide the period: rounded up to the even 52
             (SimConfig(kappa0=16, v=0.5, t0=T0, dt_divisor=50.5), 2.0 * math.pi / 52),
         ],
-        ids=["gaps_3_and_4", "snapped_step"],
+        ids=["periods_25_and_50", "snapped_step"],
     )
     def test_matches_reference_stepper(self, config, h):
-        # the checkpoints in the run's second half, the ones the fit reads
+        # the ends of the run's second half, the checkpoints the fit reads
         assert config.step == h
-        assert config.checkpoints.tolist() == [25, 28, 31, 34, 38, 41, 44, 47, 50]
+        assert config.checkpoints.tolist() == [25, 50]
         matrix = quiet_run(config)
         mu, nu, occupations = stepped(config)
         for got, want in ((matrix.occupations, occupations), (matrix.mu, mu), (matrix.nu, nu)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    def test_leaps_do_not_depend_on_the_gap(self):
-        # t0 = 200 pi reaches period 50 and leaps 6 or 7 periods to 100, its last checkpoint;
+    def test_checkpoints_do_not_depend_on_the_path(self):
+        # t0 = 200 pi reaches period 50 and squares it to 100, its last checkpoint;
         # 400 pi reaches 100, its first, through the powers 64, 32 and 4: the same occupations
         short, long = (quiet_run(SimConfig(kappa0=16, v=0.3, t0=t0)) for t0 in (2 * T0, 4 * T0))
-        assert short.config.checkpoints[[0, -1]].tolist() == [50, 100]
-        assert long.config.checkpoints[0] == 100
-        assert set(np.diff(short.config.checkpoints).tolist()) == {6, 7}
-        assert set(np.diff(long.config.checkpoints).tolist()) == {12, 13}
+        assert short.config.checkpoints.tolist() == [50, 100]
+        assert long.config.checkpoints.tolist() == [100, 200]
         assert short.times[-1] == long.times[0]
         assert np.abs(short.occupations[-1] / long.occupations[0] - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("kappa0", [16, 64])
     @pytest.mark.parametrize("v", [0.5, 3.0])
-    def test_occupations_match_whole_map_powers(self, kappa0, v):
-        # the K x K block triples against matrix_power of the whole 2K x 2K monodromy, at every
-        # fitted checkpoint; relative to the largest occupation, measured 8.9e-15 to 5.1e-14
-        config = SimConfig(kappa0=kappa0, v=v, t0=T0)
+    @pytest.mark.parametrize("periods", [50, 51], ids=["even", "odd"])
+    def test_occupations_match_whole_map_powers(self, kappa0, v, periods):
+        # the K x K block triples against matrix_power of the whole 2K x 2K monodromy, at both
+        # fitted checkpoints; relative to the largest occupation, measured 3.6e-15 to 5.0e-14.
+        # An odd run ends one period past M^25 M^25: period 50 sits 2% to 18% off period 51
+        config = SimConfig(kappa0=kappa0, v=v, t0=2.0 * math.pi * periods)
+        assert config.checkpoints.tolist() == [periods // 2, periods]
         matrix = quiet_run(config)
         w = matrix.omega[:, None]
         x0 = np.diag(1.0 / np.sqrt(2.0 * matrix.omega))
@@ -541,10 +542,10 @@ class TestEvolve:
         assert matrix.spectral_radius() > 1.001
 
     # v = 5 grows finite amplitudes past AMPLITUDE_BOUND; v = 1e10 stops at the step guard.
-    # Every power evolve forms is checked: the powers up to M^16, the first checkpoint 25 and
-    # 28 pass at v = 5, and checkpoint 31, t = 194.8, does not; at v = 8 M^16, t = 100.5, a
-    # power of two that no checkpoint reads, is the first past the bound
-    @pytest.mark.parametrize("v, match", [(5.0, "at t = 194.8 "), (8.0, "at t = 100.5 "),
+    # Every power evolve forms is checked: the powers up to M^16, the partial power M^9 and
+    # the first checkpoint M^25 pass at v = 5, and the last, M^50 at t = 314.2, does not; at
+    # v = 8 M^16, t = 100.5, a power of two that no checkpoint reads, is the first past the bound
+    @pytest.mark.parametrize("v, match", [(5.0, "at t = 314.2 "), (8.0, "at t = 100.5 "),
                                           (1e10, "too coarse")],
                              ids=["finite_over_bound", "power_of_two", "step_guard"])
     def test_instability_detected(self, v, match):
