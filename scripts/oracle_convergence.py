@@ -17,12 +17,13 @@ Above the threshold the occupations grow exponentially, and the fitted
 rates with them: the fit reads the growth between periods p/2 and p of a
 p-period run, so the printed median deviation is no rate comparison
 (8.8e6 to 1.6e7 % at kappa0 64 to 256, v = 3.8, t0 = 314.16): ln rho is
-the number to read there; it and the ratios below do not depend on the fit.  The last line says which regime the run is in,
-from the ratio of ln rho on the last two rungs: at most 0.75 (ln rho
-halves) the growth is a discrete pair resonance and the deviations compare
-rates; above it (ln rho does not fall) the run is parametrically unstable;
-an ln rho below 1e-12 (no pump) is rounding.  Measured ratios: 0.500 at
-the defaults, 0.504 at v = 3.0 and 1.016 at v = 3.8, t0 = 314.16.
+the number to read there, and it and the ratios below do not depend on
+the fit.  The last line says which regime the run is in, from the ratio
+of ln rho on the last two rungs: at most 0.75 (ln rho halves) the growth
+is a discrete pair resonance and the deviations compare rates; above it
+(ln rho does not fall) the run is parametrically unstable; an ln rho
+below 1e-12 (no pump) is rounding.  Measured ratios: 0.500 at the
+defaults, 0.504 at v = 3.0 and 1.016 at v = 3.8, t0 = 314.16.
 
 Usage: python scripts/oracle_convergence.py [v] [t0]
 """

@@ -49,12 +49,14 @@ COMPARE_WINDOW = (0.2, 0.8)  # open omega interval compare_to_analytic checks
 COMPARE_TOLERANCE = 0.15  # median deviation a comparison passes at (acceptance criterion 8)
 
 # Work a SimConfig may ask of evolve: steps per pump period, pump periods, and
-# bytes held at the peak, a product on the way to M^(p/2): the K x K triples of M,
-# the running and partial powers and the new product, the half period's 4 blocks,
-# the amplitude check's 3 temporaries and 16 per-mode vectors.  Below kappa0 128
-# the half period's stepping can hold more, under 2 MB.  kappa0 256, 3000 steps and
-# 200 periods stay far below, and a run inside the recurrence time of any kappa0
-# the bound admits spans under 2,700 periods.
+# bytes held at the peak, the amplitude check of a product on the way to M^(p/2):
+# the K x K triples of M, the running and partial powers and the new product, the
+# half period's 4 blocks, the check's a * a, b * b and their sum (a ufunc allocates
+# only its output) and 16 per-mode vectors.  Building the product holds one block
+# less: two matmul results and their sum, or a transposed operand's copy, in flight.
+# Below kappa0 128 the half period's stepping can hold more, under 2 MB.  kappa0
+# 256, 3000 steps and 200 periods stay far below, and a run inside the recurrence
+# time of any kappa0 the bound admits spans under 2,700 periods.
 MAX_STEPS_PER_PERIOD = 100_000
 MAX_PERIODS = 10_000
 MAX_MAP_BYTES = 2**30
