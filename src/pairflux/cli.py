@@ -44,7 +44,6 @@ EXIT_INSTALL = 6
 UNITS_NOTE = "omega0 = 1, c = 1"
 BLOCK_ROWS = 4096  # rows per formatted block: one block is held as a byte matrix
 CELL = 29  # bytes of a formatted cell: sign, '0.000', 17 digits and a point, 'e-308'
-_CELL_ITEM = np.dtype(f"V{CELL}")  # a cell as one item: a row of the byte matrix takes it in one copy
 _K_MIN, _K_MAX = -291, 300  # decimal exponents of the kernel's range [1e-290, 1e300)
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's split of a double into two 26-bit halves
 
@@ -98,17 +97,18 @@ def _digit_tables():
     return tables
 
 
-def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """'%.17g' % x of each value x as one item of CELL bytes, padded with
-    NULs, and whether the item holds it: the rest are left for _token.
+def _digit_cells(values: np.ndarray, json: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the digit kernel formats each value x, and '%.17g' % x as a
+    column of a (CELL, n) byte matrix, padded with NULs: from _token where
+    the kernel declines x (as JSON the non-finite words are quoted).
 
     x 10**(16 - k), k = floor(log10 |x|), is P + E exactly by Dekker's
     two-product, with P an integer-valued double in [1e16, 1e17); adding
     x lo leaves an error below 1e-14, so rounding gives the 17 digits that
-    % gives wherever the fraction lies farther than 1e-6 from 1/2.  Left
-    for _token: 0, nan, inf, |x| outside [1e-290, 1e300) (a split would leave
-    the double range), near-ties, and digits that miss [1e16, 1e17) (a
-    misjudged k or a carry).
+    % gives wherever the fraction lies farther than 1e-6 from 1/2.  Declined:
+    0, nan, inf, |x| outside [1e-290, 1e300) (a split would leave the double
+    range), near-ties, and digits that miss [1e16, 1e17) (a misjudged k or a
+    carry).
 
     The kernel fills one byte position of every cell at a time, in the
     order of the values: the digits, then those past the digit the point
@@ -152,19 +152,11 @@ def _digit_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.copyto(cells[7:24], digits, where=position > lead)
     np.copyto(cells[7:24], point, where=position == lead)
     cells[24:29] = tails[k].view(np.uint8).reshape(-1, 5).T
-    return ok, np.ascontiguousarray(cells.T).view(_CELL_ITEM)[:, 0]
-
-
-def _cells(values: np.ndarray, json: bool) -> np.ndarray:
-    """'%.17g' % x of each value x as one item of CELL bytes, padded with
-    NULs: from the digit kernel, and from _token for what it leaves (as JSON
-    the non-finite words are quoted)."""
-    ok, cells = _digit_cells(values)
-    # what the kernel leaves is mostly a few values (0, inf, nan) repeated: one _token each
+    # what the kernel declines is mostly a few values (0, inf, nan) repeated: one _token each
     bits, inverse = np.unique(values[~ok].view(np.int64), return_inverse=True)
     tokens = [_token(x, json).encode() for x in bits.view(float).tolist()]
-    cells[~ok] = np.array(tokens, _CELL_ITEM)[inverse]
-    return cells
+    cells[:, ~ok] = np.array(tokens, f"S{CELL}").view(np.uint8).reshape(-1, CELL)[inverse].T
+    return ok, cells
 
 
 def _row_blocks(columns, prefix: str, delimiter: str, suffix: str, json: bool = False):
@@ -173,28 +165,31 @@ def _row_blocks(columns, prefix: str, delimiter: str, suffix: str, json: bool = 
     prefix, its %.17g cells joined by delimiter, then suffix (none of which
     holds a NUL).  A column with fewer elements than the table has rows (the
     long form's v and nodes) is formatted once, and each block gathers its
-    cells by row index; one _cells call per block formats the slices of the
-    other columns, into cells of CELL bytes.  The rows gather them into one
-    byte matrix that holds the framing, and the NULs are dropped."""
+    cells by row index as items of CELL bytes; one _digit_cells call per
+    block formats the slices of the other columns, and each takes its slice
+    of that byte matrix in one transposed copy.  The rows hold the framing
+    too, and the NULs are dropped."""
     columns = [np.asarray(column, dtype=float) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns))
     n = math.prod(shape)
     template = (prefix + delimiter.join(["\0" * CELL] * len(columns)) + suffix).encode()
     matrix = np.empty((min(n, BLOCK_ROWS), len(template)), np.uint8)
     matrix[:] = np.frombuffer(template, np.uint8)
-    short = {c: (_cells(column.reshape(-1), json),
+    at = [len(prefix) + c * (CELL + len(delimiter)) for c in range(len(columns))]
+    item = np.dtype(f"V{CELL}")  # a cell as one item: a gathered row takes it in one copy
+    short = {c: (np.ascontiguousarray(_digit_cells(column.reshape(-1), json)[1].T).view(item),
                  np.broadcast_to(np.arange(column.size).reshape(column.shape), shape).ravel())
              for c, column in enumerate(columns) if column.size < n}
     full = {c: column.reshape(-1) for c, column in enumerate(columns) if c not in short}
     for start in range(0, n, BLOCK_ROWS):
         lines = matrix[:min(n - start, BLOCK_ROWS)]
-        span = slice(start, start + len(lines))
-        cells = _cells(np.array([column[span] for column in full.values()]).ravel(), json)
-        given = dict(zip(full, cells.reshape(len(full), len(lines))))
-        given.update((c, once[at[span]]) for c, (once, at) in short.items())
-        for c in range(len(columns)):
-            at = len(prefix) + c * (CELL + len(delimiter))
-            lines[:, at:at + CELL].view(_CELL_ITEM)[:, 0] = given[c]
+        m = len(lines)
+        span = slice(start, start + m)
+        _, cells = _digit_cells(np.array([column[span] for column in full.values()]).ravel(), json)
+        for i, c in enumerate(full):
+            lines[:, at[c]:at[c] + CELL] = cells[:, i * m:(i + 1) * m].T
+        for c, (once, rows) in short.items():
+            lines[:, at[c]:at[c] + CELL].view(item)[:] = once[rows[span]]
         yield lines.tobytes().translate(None, b"\0").decode("ascii")
 
 

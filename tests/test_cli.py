@@ -776,9 +776,9 @@ def test_long_form_matches_per_cell_formatting(tmp_path, v_range, points, mass, 
 ], ids=["grid", "nudged"])
 def test_long_form_formats_v_and_nodes_once(tmp_path, monkeypatch, v_min, v_max, formatted):
     # v and the nodes are formatted once per table; a nudged table formats its omega in full
-    counted, cells = [], cli._cells
-    monkeypatch.setattr(cli, "_cells",
-                        lambda values, json: counted.append(values.size) or cells(values, json))
+    counted, cells = [], cli._digit_cells
+    monkeypatch.setattr(cli, "_digit_cells",
+                        lambda values, json=False: counted.append(values.size) or cells(values, json))
     assert main(["scan", "--v-min", repr(v_min), "--v-max", repr(v_max), "--v-points", "9",
                  "--points", "501", "--out", str(tmp_path / "long.csv")]) == EXIT_OK
     assert sum(counted) == formatted
@@ -855,7 +855,8 @@ def test_cells_do_not_depend_on_the_order_of_values():
     # each cell follows its value, whatever the order of the values
     values = np.sort(_log_uniform())
     shuffle = np.random.default_rng(6).permutation(len(values))
-    assert cli._cells(values[shuffle], False).tobytes() == cli._cells(values, False)[shuffle].tobytes()
+    _, cells = cli._digit_cells(values)
+    assert cli._digit_cells(values[shuffle])[1].tobytes() == cells[:, shuffle].tobytes()
 
 
 def test_emitter_memory_is_bounded_by_the_block():
